@@ -91,5 +91,5 @@ int main(int argc, char** argv) {
               monotone ? "yes" : "NO");
   std::printf("shape: observed drop rate matches configured:  %s\n",
               rates_ok ? "yes" : "NO");
-  return 0;
+  return monotone && rates_ok ? 0 : 1;
 }

@@ -54,14 +54,15 @@ int main(int argc, char** argv) {
     psi_lo = std::min(psi_lo, r.result.success_ratio());
     psi_hi = std::max(psi_hi, r.result.success_ratio());
   }
+  const bool insensitive = psi_hi - psi_lo < 0.05;
+  const bool hops_ordered =
+      results[2].result.lookup_hops < results[0].result.lookup_hops &&
+      results[0].result.lookup_hops < results[1].result.lookup_hops;
   std::printf("shape: psi substrate-insensitive (spread %.1f%%): %s\n",
-              100 * (psi_hi - psi_lo), psi_hi - psi_lo < 0.05 ? "yes" : "NO");
+              100 * (psi_hi - psi_lo), insensitive ? "yes" : "NO");
   std::printf(
       "shape: hop cost ordering pastry (log16) < chord (log2) < can (sqrt): "
       "%s\n",
-      results[2].result.lookup_hops < results[0].result.lookup_hops &&
-              results[0].result.lookup_hops < results[1].result.lookup_hops
-          ? "yes"
-          : "NO");
-  return 0;
+      hops_ordered ? "yes" : "NO");
+  return insensitive && hops_ordered ? 0 : 1;
 }

@@ -50,15 +50,13 @@ int main(int argc, char** argv) {
   }
   bench::emit(table, opt);
 
+  const bool psi_falls = results.front().result.success_ratio() >
+                         results.back().result.success_ratio();
+  const bool exposure_grows = results.back().result.failures_departure >
+                              results.front().result.failures_departure;
   std::printf("shape: psi decreases with path length: %s\n",
-              results.front().result.success_ratio() >
-                      results.back().result.success_ratio()
-                  ? "yes"
-                  : "NO");
+              psi_falls ? "yes" : "NO");
   std::printf("shape: departure exposure grows with path length: %s\n",
-              results.back().result.failures_departure >
-                      results.front().result.failures_departure
-                  ? "yes"
-                  : "NO");
-  return 0;
+              exposure_grows ? "yes" : "NO");
+  return psi_falls && exposure_grows ? 0 : 1;
 }

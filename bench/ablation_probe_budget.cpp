@@ -51,10 +51,9 @@ int main(int argc, char** argv) {
   }
   bench::emit(table, opt);
 
+  const bool more_fallbacks = results.front().result.random_fallback_hops >
+                              results.back().result.random_fallback_hops;
   std::printf("shape: tight budgets force more random fallbacks: %s\n",
-              results.front().result.random_fallback_hops >
-                      results.back().result.random_fallback_hops
-                  ? "yes"
-                  : "NO");
-  return 0;
+              more_fallbacks ? "yes" : "NO");
+  return more_fallbacks ? 0 : 1;
 }

@@ -61,5 +61,5 @@ int main(int argc, char** argv) {
   }
   std::printf("shape: recovery never hurts and lifts psi under churn: %s\n",
               helps ? "yes" : "NO");
-  return 0;
+  return helps ? 0 : 1;
 }

@@ -51,14 +51,13 @@ int main(int argc, char** argv) {
   }
   bench::emit(table, opt);
 
+  const bool more_collisions = results.back().result.failures_admission >=
+                               results.front().result.failures_admission;
   std::printf(
       "shape: staler probes mean more admission collisions (first %llu vs "
       "last %llu): %s\n",
       static_cast<unsigned long long>(results.front().result.failures_admission),
       static_cast<unsigned long long>(results.back().result.failures_admission),
-      results.back().result.failures_admission >=
-              results.front().result.failures_admission
-          ? "yes"
-          : "NO");
-  return 0;
+      more_collisions ? "yes" : "NO");
+  return more_collisions ? 0 : 1;
 }

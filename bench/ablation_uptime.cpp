@@ -55,12 +55,12 @@ int main(int argc, char** argv) {
   // Under the heaviest churn, the filter should not hurt and usually helps.
   const auto& heavy_with = results[(churn_rates.size() - 1) * 2].result;
   const auto& heavy_without = results[(churn_rates.size() - 1) * 2 + 1].result;
+  const bool filter_helps =
+      heavy_with.failures_departure <= heavy_without.failures_departure;
   std::printf("shape: at max churn, departure-aborts with filter (%llu) <= "
               "without (%llu): %s\n",
               static_cast<unsigned long long>(heavy_with.failures_departure),
               static_cast<unsigned long long>(heavy_without.failures_departure),
-              heavy_with.failures_departure <= heavy_without.failures_departure
-                  ? "yes"
-                  : "NO");
-  return 0;
+              filter_helps ? "yes" : "NO");
+  return filter_helps ? 0 : 1;
 }

@@ -16,9 +16,11 @@
 //        --rate=R         requests/min at N=10^4; scaled by N/10^4
 //        --churn=C        churn events/min at N=10^4; scaled by N/10^4
 //        --net-model=K    paper | coords (default coords: O(N) state)
-//        --shards=K       pool shards for the order-free bootstrap phases
-//                         (default 1; output identical for any K)
 //        --seed=S, --json-out=FILE, --csv
+//
+// The banner and the JSON header record hw_threads (the host's hardware
+// threads): the Chord finger rebuild in bootstrap fans out over the shared
+// pool on rings of 2048+ nodes, so boot_overlay_ms depends on it.
 #include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -28,6 +30,7 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "qsa/harness/grid.hpp"
@@ -42,7 +45,7 @@ struct CellResult {
   unsigned long long peers = 0;
   double bootstrap_ms = 0;
   double boot_peers_ms = 0;    ///< peer creation + deferred joins
-  double boot_overlay_ms = 0;  ///< stabilize_all (pool at --shards>1)
+  double boot_overlay_ms = 0;  ///< stabilize_all (pooled on big rings)
   double run_ms = 0;
   unsigned long long rss_kb = 0;  ///< peak resident set (VmHWM)
   double psi = 0;
@@ -68,13 +71,11 @@ unsigned long long peak_rss_kb() {
 
 harness::GridConfig make_config(std::size_t n, double minutes,
                                 double base_rate, double base_churn,
-                                net::NetModelKind model, std::uint64_t seed,
-                                std::size_t shards) {
+                                net::NetModelKind model, std::uint64_t seed) {
   harness::GridConfig cfg;
   cfg.seed = seed;
   cfg.peers = n;
   cfg.net_model = model;
-  cfg.shards = shards;
   const double factor = static_cast<double>(n) / 1e4;
   cfg.requests.rate_per_min = base_rate * factor;
   cfg.churn.events_per_min = base_churn * factor;
@@ -169,7 +170,6 @@ int main(int argc, char** argv) {
   const net::NetModelKind model =
       util::get_choice(flags, "net-model", kNetModels,
                        net::NetModelKind::kCoords, "bench_scaling_curve");
-  const auto shards = static_cast<std::size_t>(flags.get_int("shards", 1));
   const std::string model_name(net::to_string(model));
   util::reject_unknown_flags(flags, "bench_scaling_curve");
   if (ns.empty()) {
@@ -178,15 +178,16 @@ int main(int argc, char** argv) {
   }
 
   std::printf("=== Scaling curve: wall/RSS/footprints vs population ===\n");
+  const unsigned hw_threads = std::thread::hardware_concurrency();
   std::printf("net model %s, %.4g min horizon, %.4g req/min and %.4g "
-              "churn/min per 10^4 peers, %zu shard(s), seed %llu\n\n",
-              model_name.c_str(), minutes, base_rate, base_churn, shards,
+              "churn/min per 10^4 peers, %u hw threads, seed %llu\n\n",
+              model_name.c_str(), minutes, base_rate, base_churn, hw_threads,
               static_cast<unsigned long long>(seed));
 
   std::vector<CellResult> cells;
   for (const std::size_t n : ns) {
     const auto cfg =
-        make_config(n, minutes, base_rate, base_churn, model, seed, shards);
+        make_config(n, minutes, base_rate, base_churn, model, seed);
     CellResult cell;
     if (!run_cell(cfg, cell)) return 1;
     std::printf("N=%-9llu bootstrap %9.1f ms (joins %8.1f, overlay %8.1f)  "
@@ -230,7 +231,7 @@ int main(int argc, char** argv) {
     }
     os << "{\"bench\":\"bench_scaling_curve\",\"net_model\":\"" << model_name
        << "\",\"minutes\":" << minutes << ",\"seed\":" << seed
-       << ",\"shards\":" << shards << ",\"cells\":[";
+       << ",\"hw_threads\":" << hw_threads << ",\"cells\":[";
     for (std::size_t i = 0; i < cells.size(); ++i) {
       const auto& c = cells[i];
       if (i > 0) os << ',';

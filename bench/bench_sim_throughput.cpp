@@ -1,28 +1,16 @@
 // Event-engine throughput (google-benchmark): the slab/indexed-heap
-// EventQueue against the pre-refactor binary-heap engine (a verbatim copy in
-// legacy_event_queue.hpp), plus a whole-grid wall-clock row. CI pairs the
-// BM_EventQueue*/BM_EventQueueLegacy* rows and gates the ratio with
-// tools/check_sim_speedup.py (BENCH_sim.json artifact).
+// EventQueue in two steady-state shapes, plus a whole-grid wall-clock row.
+// CI archives the rows as absolute numbers in BENCH_sim.json.
 //
-// Two steady-state shapes per engine:
 //   * Hold/N        — schedule+pop with N events always pending (the
 //                     simulator's timer/workload mix),
 //   * CancelHeavy/N — every other event is cancelled before it fires (churn
-//                     cancelling peer timers; the legacy engine pays the
-//                     side-table + skim cost here).
-// The BM_ShardWorld/K rows measure the same message-plane workload at K
-// shards on the shared pool; tools/check_shard_speedup.py pairs K=1 vs K=4
-// and gates the parallel speedup (BENCH_shard.json artifact), skipping on
-// hosts with fewer than 4 hardware threads.
+//                     cancelling peer timers).
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
-#include <thread>
-#include <vector>
 
-#include "legacy_event_queue.hpp"
 #include "qsa/harness/grid.hpp"
-#include "qsa/harness/shard_world.hpp"
 #include "qsa/sim/event_queue.hpp"
 #include "qsa/sim/time.hpp"
 
@@ -37,10 +25,9 @@ inline sim::SimTime jittered(std::uint64_t i) {
       static_cast<std::int64_t>((i * 2654435761ULL) % 100'000));
 }
 
-template <typename Queue>
-void hold_steady(benchmark::State& state) {
+void BM_EventQueueHold(benchmark::State& state) {
   const auto n = static_cast<std::uint64_t>(state.range(0));
-  Queue q;
+  sim::EventQueue q;
   std::uint64_t sink = 0;
   for (std::uint64_t i = 0; i < n; ++i) {
     q.schedule(jittered(i), [&sink] { ++sink; });
@@ -54,11 +41,11 @@ void hold_steady(benchmark::State& state) {
   benchmark::DoNotOptimize(sink);
   state.SetItemsProcessed(state.iterations());
 }
+BENCHMARK(BM_EventQueueHold)->Arg(256)->Arg(4096)->Arg(65536);
 
-template <typename Queue>
-void cancel_heavy(benchmark::State& state) {
+void BM_EventQueueCancelHeavy(benchmark::State& state) {
   const auto n = static_cast<std::uint64_t>(state.range(0));
-  Queue q;
+  sim::EventQueue q;
   std::uint64_t sink = 0;
   for (std::uint64_t i = 0; i < n; ++i) {
     q.schedule(jittered(i), [&sink] { ++sink; });
@@ -76,30 +63,10 @@ void cancel_heavy(benchmark::State& state) {
   benchmark::DoNotOptimize(sink);
   state.SetItemsProcessed(state.iterations() * 2);
 }
-
-void BM_EventQueueHold(benchmark::State& state) {
-  hold_steady<sim::EventQueue>(state);
-}
-BENCHMARK(BM_EventQueueHold)->Arg(256)->Arg(4096)->Arg(65536);
-
-void BM_EventQueueLegacyHold(benchmark::State& state) {
-  hold_steady<bench::legacy::EventQueue>(state);
-}
-BENCHMARK(BM_EventQueueLegacyHold)->Arg(256)->Arg(4096)->Arg(65536);
-
-void BM_EventQueueCancelHeavy(benchmark::State& state) {
-  cancel_heavy<sim::EventQueue>(state);
-}
 BENCHMARK(BM_EventQueueCancelHeavy)->Arg(256)->Arg(4096)->Arg(65536);
 
-void BM_EventQueueLegacyCancelHeavy(benchmark::State& state) {
-  cancel_heavy<bench::legacy::EventQueue>(state);
-}
-BENCHMARK(BM_EventQueueLegacyCancelHeavy)->Arg(256)->Arg(4096)->Arg(65536);
-
-// Whole-grid wall-clock: the fig5-shaped workload at a laptop scale. Not
-// paired against a legacy row (the library has one engine); the checker
-// prints its events/sec as context and CI archives it in BENCH_sim.json.
+// Whole-grid wall-clock: the fig5-shaped workload at a laptop scale, with
+// its events/sec as a counter.
 void BM_GridWallclock(benchmark::State& state) {
   double events = 0;
   for (auto _ : state) {
@@ -121,53 +88,6 @@ void BM_GridWallclock(benchmark::State& state) {
       benchmark::Counter(events, benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_GridWallclock)->Arg(60)->Arg(240)->Unit(benchmark::kMillisecond);
-
-// The sharded message-plane engine at K = range(0) shards: one large cell
-// (~2k peers, every peer probing/looking-up/reserving on a 250 ms tick), the
-// digest identical for every K by construction (the golden suite pins it).
-// Counters: merged events/sec, the barrier idle fraction (summed worker
-// wait / summed worker wall), per-shard event balance, and the host's
-// hardware threads so the speedup gate can tell a 1-core runner from a
-// regression.
-void BM_ShardWorld(benchmark::State& state) {
-  const auto shards = static_cast<std::size_t>(state.range(0));
-  double events = 0;
-  double idle_ms = 0;
-  double busy_ms = 0;
-  double balance = 1.0;
-  for (auto _ : state) {
-    harness::ShardWorldConfig cfg;
-    cfg.seed = 11;
-    cfg.peers = 2048;
-    cfg.shards = shards;
-    cfg.horizon = sim::SimTime::seconds(8);
-    cfg.tick_period = sim::SimTime::millis(250);
-    // A 5 ms delay floor widens the conservative window 5x (~350 events per
-    // epoch instead of ~70): the bench measures shard throughput, not
-    // barrier overhead at the finest admissible lookahead.
-    cfg.min_delay = sim::SimTime::millis(5);
-    harness::ShardWorld world(cfg);
-    const auto r = world.run();
-    benchmark::DoNotOptimize(r.digest);
-    events += static_cast<double>(r.events);
-    idle_ms += r.runtime.idle_ms;
-    busy_ms += r.runtime.busy_ms;
-    std::uint64_t lo = r.runtime.shard_events[0], hi = lo;
-    for (std::uint64_t e : r.runtime.shard_events) {
-      lo = e < lo ? e : lo;
-      hi = e > hi ? e : hi;
-    }
-    balance = hi > 0 ? static_cast<double>(lo) / static_cast<double>(hi) : 1.0;
-  }
-  state.counters["events_per_sec"] =
-      benchmark::Counter(events, benchmark::Counter::kIsRate);
-  const double wall = idle_ms + busy_ms;
-  state.counters["idle_fraction"] = wall > 0 ? idle_ms / wall : 0.0;
-  state.counters["shard_balance"] = balance;
-  state.counters["hw_threads"] =
-      static_cast<double>(std::thread::hardware_concurrency());
-}
-BENCHMARK(BM_ShardWorld)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

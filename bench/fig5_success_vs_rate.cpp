@@ -65,5 +65,5 @@ int main(int argc, char** argv) {
               qsa_beats_random ? "yes" : "NO");
   std::printf("shape: psi(random) >= psi(fixed) at every rate: %s\n",
               random_beats_fixed ? "yes" : "NO");
-  return 0;
+  return qsa_beats_random && random_beats_fixed ? 0 : 1;
 }

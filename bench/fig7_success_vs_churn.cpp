@@ -55,10 +55,11 @@ int main(int argc, char** argv) {
   const double qsa_first = results[0].result.success_ratio();
   const double qsa_last =
       results[(churn_rates.size() - 1) * 3].result.success_ratio();
+  const bool churn_sensitive = qsa_last < qsa_first;
   std::printf("shape: psi(QSA) >= psi(random) at every churn rate: %s\n",
               qsa_best ? "yes" : "NO");
   std::printf("shape: churn sensitivity visible (psi drops %0.1f%% -> %0.1f%%): %s\n",
               100 * qsa_first, 100 * qsa_last,
-              qsa_last < qsa_first ? "yes" : "NO");
-  return 0;
+              churn_sensitive ? "yes" : "NO");
+  return qsa_best && churn_sensitive ? 0 : 1;
 }

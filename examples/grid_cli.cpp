@@ -62,10 +62,6 @@ void print_usage() {
       "  --track-load       provider-load concentration accounting without\n"
       "                     replication (implied by --replication)\n"
       "  --seed=S           root seed (default 42)\n"
-      "  --shards=K         worker shards for the order-free phases: K>1\n"
-      "                     fans the bootstrap's overlay stabilization out\n"
-      "                     over the shared thread pool (default 1; output\n"
-      "                     is byte-identical for any K)\n"
       "  --profile          wall-clock the bootstrap and event-loop phases\n"
       "                     (summary on stderr; with --metrics-out, also\n"
       "                     perf.* gauges — host timings, non-deterministic)\n"
@@ -126,7 +122,6 @@ int main(int argc, char** argv) {
   cfg.replication.max_replicas = static_cast<int>(
       flags.get_int("max-replicas", cfg.replication.max_replicas));
   cfg.track_load = flags.get_bool("track-load", false);
-  cfg.shards = static_cast<std::size_t>(flags.get_int("shards", 1));
   cfg.profile = flags.get_bool("profile", false);
   const std::string trace_out = flags.get("trace-out", "");
   const std::string metrics_out = flags.get("metrics-out", "");

@@ -143,13 +143,6 @@ struct GridConfig {
   sim::SimTime horizon = sim::SimTime::minutes(400);
   sim::SimTime sample_period = sim::SimTime::minutes(2);
 
-  /// Worker parallelism for the phases that are provably order-free: >1
-  /// fans the bootstrap's overlay stabilization out over the shared pool
-  /// (byte-identical output; see ChordRing::stabilize_all_on) and is the
-  /// shard count the message-plane engine (ShardWorld/ShardRuntime) runs
-  /// with. 1 (the default) never touches the pool.
-  std::size_t shards = 1;
-
   // --- observability ---
   /// Attach the qsa::obs layer: per-request trace spans (Tracer) and the
   /// metrics registry (labeled counters/gauges/histograms). Off by default;

@@ -10,7 +10,6 @@
 #include "qsa/overlay/pastry_overlay.hpp"
 #include "qsa/qos/translator.hpp"
 #include "qsa/util/expects.hpp"
-#include "qsa/util/thread_pool.hpp"
 #include "qsa/workload/generator.hpp"
 
 namespace qsa::harness {
@@ -234,8 +233,7 @@ void GridSimulation::bootstrap() {
   // nothing routes until the stabilize below, which (re)builds every
   // finger table wholesale — per-join finger computation would be thrown
   // away, and skipping it roughly halves million-peer bootstrap. The RNG
-  // draws are a strict sequence, so this loop stays serial at any shard
-  // count.
+  // draws are a strict sequence, so this loop stays serial.
   auto t = WallClock::now();
   peers_->reserve(config_.peers);
   for (std::size_t i = 0; i < config_.peers; ++i) {
@@ -250,10 +248,10 @@ void GridSimulation::bootstrap() {
   profile_.bootstrap_peers_ms = phase_ms(t);
 
   // Finger-table rebuild: per-node state is a pure function of the
-  // membership snapshot, so shards>1 fans it out over the shared pool with
-  // byte-identical results (the overlay decides whether to bother).
+  // membership snapshot, so the overlay may fan it out over the shared pool
+  // with byte-identical results (Chord does from 2048 nodes up).
   t = WallClock::now();
-  ring_->stabilize_all_on(config_.shards > 1 ? &util::shared_pool() : nullptr);
+  ring_->stabilize_all();
   profile_.bootstrap_overlay_ms = phase_ms(t);
 
   // Placement: each instance gets 40-80 distinct random providers.

@@ -82,7 +82,7 @@ struct ProfileReport {
   // Bootstrap sub-phases (sum to ~bootstrap_ms; the residual is catalog
   // and subsystem construction outside the four loops):
   double bootstrap_peers_ms = 0;      ///< peer creation + overlay joins
-  double bootstrap_overlay_ms = 0;    ///< stabilize_all (pool at shards>1)
+  double bootstrap_overlay_ms = 0;    ///< stabilize_all (pooled on big rings)
   double bootstrap_placement_ms = 0;  ///< provider placement draws
   double bootstrap_publish_ms = 0;    ///< directory publish_all
   double run_ms = 0;          ///< the discrete-event loop

@@ -267,18 +267,12 @@ void ChordRing::stabilize_round(double fraction) {
 void ChordRing::stabilize_all() {
   if (ring_.empty()) return;
   snapshot_keys(stabilize_scratch_);
-  for (auto& [key, node] : ring_) {
-    compute_fingers_sorted(stabilize_scratch_, key, node);
-  }
-}
-
-void ChordRing::stabilize_all_on(util::ThreadPool* pool) {
-  if (pool == nullptr || ring_.size() < 2048) {
-    // Below ~2k nodes the chunk bookkeeping costs more than it saves.
-    stabilize_all();
+  if (ring_.size() < kPooledStabilizeMin) {
+    for (auto& [key, node] : ring_) {
+      compute_fingers_sorted(stabilize_scratch_, key, node);
+    }
     return;
   }
-  snapshot_keys(stabilize_scratch_);
   std::vector<Node*> nodes;
   nodes.reserve(ring_.size());
   for (auto& [key, node] : ring_) nodes.push_back(&node);
@@ -287,14 +281,15 @@ void ChordRing::stabilize_all_on(util::ThreadPool* pool) {
   // serial walk's, bit for bit, regardless of scheduling.
   const std::size_t chunk = 512;
   const std::size_t chunks = (nodes.size() + chunk - 1) / chunk;
-  pool->parallel_for(chunks, [this, &nodes, chunk](std::size_t c) {
-    const std::size_t lo = c * chunk;
-    const std::size_t hi = std::min(lo + chunk, nodes.size());
-    for (std::size_t i = lo; i < hi; ++i) {
-      compute_fingers_sorted(stabilize_scratch_,
-                             stabilize_scratch_[i], *nodes[i]);
-    }
-  });
+  util::shared_pool().parallel_for(
+      chunks, [this, &nodes, chunk](std::size_t c) {
+        const std::size_t lo = c * chunk;
+        const std::size_t hi = std::min(lo + chunk, nodes.size());
+        for (std::size_t i = lo; i < hi; ++i) {
+          compute_fingers_sorted(stabilize_scratch_,
+                                 stabilize_scratch_[i], *nodes[i]);
+        }
+      });
 }
 
 net::PeerId ChordRing::owner_of(ChordKey key) const {

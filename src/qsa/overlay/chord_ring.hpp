@@ -77,13 +77,15 @@ class ChordRing final : public LookupService {
   /// cycling through the ring across calls (periodic stabilization).
   void stabilize_round(double fraction = 0.1) override;
 
-  /// Refreshes every finger table (used after bulk bootstrap joins).
+  /// Refreshes every finger table (used after bulk bootstrap joins). Every
+  /// node's fingers are a pure function of the shared sorted key snapshot,
+  /// so from kPooledStabilizeMin nodes up the per-node rebuilds fan out
+  /// over util::shared_pool() and land byte-identical to the serial walk.
   void stabilize_all() override;
 
-  /// Parallel full refresh: every node's fingers are a pure function of the
-  /// shared sorted key snapshot, so the per-node rebuilds fan out over the
-  /// pool and land byte-identical to the serial walk.
-  void stabilize_all_on(util::ThreadPool* pool) override;
+  /// Ring size from which stabilize_all() uses the pool; below it the
+  /// chunk bookkeeping costs more than it saves.
+  static constexpr std::size_t kPooledStabilizeMin = 2048;
 
   /// The node key owning `key` resolved against the live ring (oracle view,
   /// for tests).

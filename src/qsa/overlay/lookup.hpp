@@ -16,10 +16,6 @@
 #include "qsa/net/peer.hpp"
 #include "qsa/sim/time.hpp"
 
-namespace qsa::util {
-class ThreadPool;
-}
-
 namespace qsa::overlay {
 
 using Key = std::uint64_t;
@@ -67,15 +63,10 @@ class LookupService {
 
   /// Periodic maintenance (finger refresh, neighbor-table repair, ...).
   virtual void stabilize_round(double fraction) = 0;
+  /// Full rebuild of every node's routing state. An implementation may fan
+  /// the rebuild out over a thread pool, but the result must be
+  /// byte-identical to a serial walk.
   virtual void stabilize_all() = 0;
-  /// stabilize_all(), but an implementation whose per-node routing state is
-  /// a pure function of the membership snapshot may fan the rebuild out over
-  /// `pool` — the result must be byte-identical to the serial walk. Null
-  /// pool (or no override) falls back to stabilize_all().
-  virtual void stabilize_all_on(util::ThreadPool* pool) {
-    (void)pool;
-    stabilize_all();
-  }
 
   /// Oracle owner of a key (for tests and safety fallbacks).
   [[nodiscard]] virtual net::PeerId owner_of(Key key) const = 0;

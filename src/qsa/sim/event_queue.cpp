@@ -7,8 +7,7 @@
 
 namespace qsa::sim {
 
-EventHandle EventQueue::schedule_keyed(SimTime at, std::uint64_t key,
-                                       Action action) {
+EventHandle EventQueue::schedule(SimTime at, Action action) {
   QSA_EXPECTS(action != nullptr);
   std::uint32_t slot;
   if (free_head_ != kNil) {
@@ -20,7 +19,6 @@ EventHandle EventQueue::schedule_keyed(SimTime at, std::uint64_t key,
   }
   Slot& s = slots_[slot];
   s.time = at;
-  s.key = key;
   s.seq = next_seq_++;
   s.action = std::move(action);
   s.heap_pos = static_cast<std::uint32_t>(heap_.size());

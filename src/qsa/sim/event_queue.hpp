@@ -1,14 +1,7 @@
 // Pending-event set for the discrete-event simulator: an indexed 4-ary heap
-// over a slab of pooled event slots, keyed by (time, tie-break key, sequence
-// number) so that equal-time events fire in a deterministic order — a
-// requirement for deterministic replays.
-//
-// The tie-break key defaults to 0, in which case the order degenerates to
-// the classic (time, schedule order) and is bit-identical to the
-// pre-key engine. The sharded runtime (shard_runtime.hpp) schedules every
-// event with an explicit key derived from simulation state — not from
-// scheduling order — so the merged event order is the same no matter which
-// thread (and therefore in which local seq order) an event was enqueued.
+// over a slab of pooled event slots, keyed by (time, sequence number) so
+// that equal-time events fire in schedule order — a requirement for
+// deterministic replays.
 //
 // Hot-path cost model (the reason this is not a std::priority_queue):
 //  - schedule() placement-constructs the callable straight into a recycled
@@ -56,17 +49,8 @@ class EventQueue {
   using Action = util::InplaceFunction<void(), kActionCapacity>;
 
   /// Schedules `action` at absolute time `at`. Returns a handle usable with
-  /// cancel(). Equal-time events fire in schedule order (key 0).
-  EventHandle schedule(SimTime at, Action action) {
-    return schedule_keyed(at, 0, std::move(action));
-  }
-
-  /// Schedules `action` at `at` with an explicit tie-break key: equal-time
-  /// events fire in ascending key order, with the sequence number only
-  /// breaking (time, key) collisions. Callers that need an enqueue-order-
-  /// independent total order must make keys unique per (time) — see
-  /// shard_runtime.hpp.
-  EventHandle schedule_keyed(SimTime at, std::uint64_t key, Action action);
+  /// cancel(). Equal-time events fire in schedule order.
+  EventHandle schedule(SimTime at, Action action);
 
   /// Removes a pending event from the heap and recycles its slot; a no-op
   /// for inert, fired or already-cancelled handles.
@@ -107,19 +91,17 @@ class EventQueue {
 
   struct Slot {
     SimTime time;
-    std::uint64_t key = 0;  ///< tie-break between equal-time events
     std::uint64_t seq = 0;  ///< 0 = free
     std::uint32_t heap_pos = 0;
     std::uint32_t next_free = kNil;
     Action action;
   };
 
-  /// True when slot `a` fires before slot `b`: (time, key, seq) order.
+  /// True when slot `a` fires before slot `b`: (time, seq) order.
   [[nodiscard]] bool before(std::uint32_t a, std::uint32_t b) const noexcept {
     const Slot& x = slots_[a];
     const Slot& y = slots_[b];
     if (x.time != y.time) return x.time < y.time;
-    if (x.key != y.key) return x.key < y.key;
     return x.seq < y.seq;
   }
 

@@ -1,7 +1,8 @@
 // The process's one worker pool. Three subsystems share it — the experiment
 // harness (independent simulation cells), the serving loop's per-shard
-// request threads, and the sharded simulation runtime's barrier epochs — so
-// there is exactly one place that owns threads (see shared_pool()).
+// request threads, and the Chord overlay's bootstrap finger rebuild on big
+// rings — so there is exactly one place that owns threads (see
+// shared_pool()).
 //
 // Individual simulations stay deterministic under any worker count because
 // parallelism is only ever applied to index-pure work: results are stored by
@@ -77,8 +78,9 @@ class ThreadPool {
 };
 
 /// The process-wide shared pool (one worker per hardware thread), created on
-/// first use. ExperimentRunner, engine::serve_parallel, and sim::ShardRuntime
-/// all draw from this single pool rather than spawning their own threads.
+/// first use. ExperimentRunner, engine::serve_parallel, and
+/// ChordRing::stabilize_all all draw from this single pool rather than
+/// spawning their own threads.
 [[nodiscard]] ThreadPool& shared_pool();
 
 }  // namespace qsa::util

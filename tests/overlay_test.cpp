@@ -230,6 +230,32 @@ TEST(ChordRing, StabilizeRoundRefreshesIncrementally) {
   }
 }
 
+// Oracle for the pooled finger rebuild: past the pool threshold,
+// stabilize_all() fans out over the shared pool, and must route exactly
+// like the serial walk stabilize_round(1.0) makes over the same members.
+TEST(ChordRing, PooledStabilizeAllRoutesLikeSerialWalk) {
+  constexpr std::size_t kNodes = 2500;
+  static_assert(kNodes >= ChordRing::kPooledStabilizeMin);
+  ChordRing pooled(21);
+  ChordRing serial(21);
+  for (net::PeerId p = 0; p < kNodes; ++p) {
+    pooled.join_deferred(p);
+    serial.join_deferred(p);
+  }
+  pooled.stabilize_all();
+  serial.stabilize_round(1.0);
+  util::Rng rng(22);
+  for (int i = 0; i < 4096; ++i) {
+    const ChordKey key = rng();
+    const auto from = static_cast<net::PeerId>(rng.index(kNodes));
+    const auto a = pooled.route(key, from);
+    const auto b = serial.route(key, from);
+    ASSERT_EQ(a.owner, b.owner) << "key=" << key << " from=" << from;
+    ASSERT_EQ(a.hops, b.hops) << "key=" << key << " from=" << from;
+    EXPECT_EQ(a.owner, pooled.owner_of(key));
+  }
+}
+
 TEST(ChordRing, JoinAfterDataMovesResponsibility) {
   ChordRing ring(3, 1);  // replicas=1: ownership movement is observable
   for (net::PeerId p = 0; p < 8; ++p) ring.join(p);

@@ -23,7 +23,9 @@
 // retries + faults + replication + the discovery cache all on, plus a
 // sampled variant of the stressed cell (1-in-4 sampling + flight recorder;
 // no obs window, since the window timer schedules real simulator events)
-// whose SIM digest must stay equal to the unsampled one.
+// whose SIM digest must stay equal to the unsampled one. One more cell runs
+// 2 500 peers, a ring big enough that the bootstrap's finger rebuild takes
+// the pooled path; its golden was captured while that rebuild was serial.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -32,9 +34,9 @@
 #include <string>
 
 #include "qsa/harness/grid.hpp"
-#include "qsa/harness/shard_world.hpp"
 #include "qsa/obs/export.hpp"
 #include "qsa/obs/sink.hpp"
+#include "qsa/overlay/chord_ring.hpp"
 
 namespace qsa::harness {
 namespace {
@@ -73,6 +75,20 @@ GridConfig stress_config(std::uint64_t seed) {
   c.replication.enabled = true;
   c.track_load = true;
   c.discovery_cache_ttl = sim::SimTime::minutes(2);
+  return c;
+}
+
+// Above ChordRing::kPooledStabilizeMin nodes, so bootstrap rebuilds the
+// finger tables on the shared pool. Observability off: a SIM digest only.
+GridConfig pooled_bootstrap_config() {
+  GridConfig c;
+  c.peers = 2500;
+  c.min_providers = 10;
+  c.max_providers = 20;
+  c.apps.applications = 5;
+  c.requests.rate_per_min = 30;
+  c.churn.events_per_min = 6;
+  c.horizon = sim::SimTime::minutes(2);
   return c;
 }
 
@@ -157,18 +173,8 @@ constexpr GoldenCell kGoldenSim[] = {
     // Sampling and the flight recorder schedule no events and draw no RNG,
     // so the sampled cell's sim digest equals the unsampled one.
     {"stress-sampled/7", 0x2dc07af8d10a2bb7ULL},
-};
-
-// ShardWorld goldens: the sharded message-plane workload (96 peers, 8 s,
-// 250 ms ticks, seed 42), captured at K=1 on the keyed event queue. Every
-// shard count must land on these exact digests — the cells below run K=1
-// AND K=4 against the same value, so both the serial path and the full
-// barrier/mailbox machinery are pinned across builds.
-constexpr GoldenCell kGoldenShard[] = {
-    {"shard/chord", 0xe00600b10d8d6fafULL},
-    {"shard/can", 0xd943dd6aa4a78042ULL},
-    {"shard/pastry", 0x814e3f1f589dfebcULL},
-    {"shard/chord/faults", 0x960e9d98629897b7ULL},
+    // Captured with a serial finger rebuild; the pooled one must match it.
+    {"pooled-bootstrap/2500", 0x9d0801b7a2650222ULL},
 };
 
 // OBS goldens: captured from the streaming pipeline this test ships with
@@ -194,20 +200,12 @@ std::uint64_t golden(const GoldenCell (&table)[N], const std::string& label) {
   return 0;
 }
 
-std::uint64_t golden_obs(const std::string& label) {
-  for (const auto& cell : kGoldenObs) {
-    if (label == cell.label) return cell.digest;
-  }
-  ADD_FAILURE() << "no golden obs digest for cell " << label;
-  return 0;
-}
-
 void expect_cell(const std::string& label, const GridConfig& cfg) {
   const RunDigests d = run_digests(cfg);
   EXPECT_EQ(d.sim, golden(kGoldenSim, label))
       << "sim digest drift at cell " << label;
   if (cfg.observe) {
-    EXPECT_EQ(d.obs, golden_obs(label))
+    EXPECT_EQ(d.obs, golden(kGoldenObs, label))
         << "obs digest drift at cell " << label;
   }
 }
@@ -257,43 +255,12 @@ TEST(PerfRefactorIdentity, ObsOffCellsMatchObsOnSimDigests) {
   expect_cell("stress/7/obs-off", cfg);
 }
 
-// The sharded message-plane engine against its goldens at K=1 and K=4:
-// cross-build drift in the keyed queue, the conservative epochs, or the
-// mailbox path all land here as a digest mismatch.
-TEST(PerfRefactorIdentity, ShardWorldMatchesGoldenAtEveryK) {
-  const struct {
-    const char* label;
-    OverlayKind overlay;
-    bool faults;
-  } cells[] = {
-      {"shard/chord", OverlayKind::kChord, false},
-      {"shard/can", OverlayKind::kCan, false},
-      {"shard/pastry", OverlayKind::kPastry, false},
-      {"shard/chord/faults", OverlayKind::kChord, true},
-  };
-  for (const auto& cell : cells) {
-    for (const std::size_t k : {std::size_t{1}, std::size_t{4}}) {
-      ShardWorldConfig cfg;
-      cfg.peers = 96;
-      cfg.horizon = sim::SimTime::seconds(8);
-      cfg.tick_period = sim::SimTime::millis(250);
-      cfg.overlay = cell.overlay;
-      cfg.faults = cell.faults;
-      cfg.shards = k;
-      ShardWorld world(cfg);
-      EXPECT_EQ(world.run().digest, golden(kGoldenShard, cell.label))
-          << "cell " << cell.label << " K=" << k;
-    }
-  }
-}
-
-// The grid with shards=4: only provably order-free phases (the bootstrap's
-// finger rebuild) use the pool, so the whole-run digests — sim AND obs —
-// must equal the serial cell's goldens bit for bit.
-TEST(PerfRefactorIdentity, ShardedGridBootstrapMatchesSerialGolden) {
-  auto cfg = base_config(11, AlgorithmKind::kQsa);
-  cfg.shards = 4;
-  expect_cell("qsa/11", cfg);
+// The bootstrap's finger rebuild runs on the shared pool at this ring
+// size; the whole run must still equal the serial rebuild's golden.
+TEST(PerfRefactorIdentity, PooledBootstrapMatchesSerialGolden) {
+  const GridConfig cfg = pooled_bootstrap_config();
+  ASSERT_GE(cfg.peers, overlay::ChordRing::kPooledStabilizeMin);
+  expect_cell("pooled-bootstrap/2500", cfg);
 }
 
 // Same cell, same seed, two fresh grids in one process: the engine (slot
