@@ -1,5 +1,6 @@
-// Shared plumbing for the figure-regeneration benches: scale handling,
-// result-table emission, and the standard experiment header block.
+// Shared plumbing for the evaluation driver (paper.cpp) and the perf
+// benches: the common flags, the scaled paper configuration, and the
+// standard experiment header block.
 //
 // Every bench accepts:
 //   --scale=F     population scale factor (default 0.1; 1 = paper scale;
@@ -14,14 +15,9 @@
 #pragma once
 
 #include <cstdio>
-#include <fstream>
-#include <iostream>
 #include <string>
-#include <vector>
 
 #include "qsa/harness/experiment.hpp"
-#include "qsa/metrics/table.hpp"
-#include "qsa/obs/export.hpp"
 #include "qsa/util/flags.hpp"
 
 namespace qsa::bench {
@@ -48,45 +44,6 @@ inline BenchOptions parse_options(util::Flags& flags) {
   return opt;
 }
 
-/// Switches every cell to observed mode when a metrics sidecar was
-/// requested; call after building the cell list, before running it.
-inline void enable_observability(std::vector<harness::ExperimentCell>& cells,
-                                 const BenchOptions& opt) {
-  if (opt.metrics_out.empty()) return;
-  for (auto& cell : cells) cell.config.observe = true;
-}
-
-/// Writes `{"bench":...,"cells":[{"label":...,"metrics":{...}},...]}` to
-/// opt.metrics_out. No-op when --metrics-out was not given.
-inline void write_metrics_sidecar(
-    const char* bench_name,
-    const std::vector<harness::ExperimentResult>& results,
-    const BenchOptions& opt) {
-  if (opt.metrics_out.empty()) return;
-  std::ofstream os(opt.metrics_out);
-  if (!os) {
-    std::fprintf(stderr, "cannot open --metrics-out file %s\n",
-                 opt.metrics_out.c_str());
-    return;
-  }
-  os << "{\"bench\":\"" << bench_name << "\",\"cells\":[";
-  bool first = true;
-  for (const auto& r : results) {
-    if (!first) os << ',';
-    first = false;
-    os << "{\"label\":\"";
-    for (char c : r.label) {
-      if (c == '"' || c == '\\') os << '\\';
-      os << c;
-    }
-    std::string metrics = r.metrics_json;  // strip the trailing newline
-    while (!metrics.empty() && metrics.back() == '\n') metrics.pop_back();
-    os << "\",\"metrics\":" << (metrics.empty() ? "{}" : metrics) << '}';
-  }
-  os << "]}\n";
-  std::printf("metrics sidecar -> %s\n", opt.metrics_out.c_str());
-}
-
 inline void print_header(const char* experiment, const char* paper_setup,
                          const BenchOptions& opt,
                          const harness::GridConfig& cfg) {
@@ -94,15 +51,6 @@ inline void print_header(const char* experiment, const char* paper_setup,
   std::printf("paper setup : %s\n", paper_setup);
   std::printf("this run    : scale=%.3g -> %zu peers, seed=%llu\n", opt.scale,
               cfg.peers, static_cast<unsigned long long>(opt.seed));
-  std::printf("\n");
-}
-
-inline void emit(const metrics::Table& table, const BenchOptions& opt) {
-  table.print(std::cout);
-  if (opt.csv) {
-    std::printf("\n--- CSV ---\n");
-    table.print_csv(std::cout);
-  }
   std::printf("\n");
 }
 

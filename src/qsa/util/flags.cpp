@@ -128,17 +128,4 @@ bool Flags::get_bool(std::string_view name, bool def) const {
   return *v == "1" || *v == "true" || *v == "yes" || *v == "on";
 }
 
-std::vector<double> parse_double_list(std::string_view text) {
-  std::vector<double> out;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    std::size_t comma = text.find(',', start);
-    if (comma == std::string_view::npos) comma = text.size();
-    std::string item(text.substr(start, comma - start));
-    if (!item.empty()) out.push_back(std::strtod(item.c_str(), nullptr));
-    start = comma + 1;
-  }
-  return out;
-}
-
 }  // namespace qsa::util

@@ -90,7 +90,4 @@ template <typename T, std::size_t N>
   reject_unknown_choice(program, name, *v, names, N);
 }
 
-/// Parses a comma-separated list of doubles, e.g. "50,100,200".
-[[nodiscard]] std::vector<double> parse_double_list(std::string_view text);
-
 }  // namespace qsa::util

@@ -456,21 +456,6 @@ TEST(FlagsDeathTest, GetChoiceUsageListsChoices) {
               ::testing::ExitedWithCode(2), "--fruit=apple\\|banana");
 }
 
-TEST(ParseDoubleList, Basic) {
-  const auto v = parse_double_list("50,100,200.5");
-  ASSERT_EQ(v.size(), 3u);
-  EXPECT_DOUBLE_EQ(v[0], 50);
-  EXPECT_DOUBLE_EQ(v[1], 100);
-  EXPECT_DOUBLE_EQ(v[2], 200.5);
-}
-
-TEST(ParseDoubleList, EmptyAndSingleton) {
-  EXPECT_TRUE(parse_double_list("").empty());
-  const auto v = parse_double_list("7");
-  ASSERT_EQ(v.size(), 1u);
-  EXPECT_DOUBLE_EQ(v[0], 7);
-}
-
 // --------------------------------------------------------- ThreadPool
 
 TEST(ThreadPool, RunsAllTasks) {
