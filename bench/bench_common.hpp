@@ -8,14 +8,9 @@
 //                 churn rate scale together, preserving the figures' shape.
 //   --seed=N      root seed (default 42)
 //   --threads=N   experiment-runner threads (default: hardware)
-//   --csv         additionally emit the series as CSV
-//   --metrics-out=FILE  write a per-cell metrics sidecar (JSON); enables
-//                 observability on every cell. Byte-identical across
-//                 --threads values.
 #pragma once
 
 #include <cstdio>
-#include <string>
 
 #include "qsa/harness/experiment.hpp"
 #include "qsa/util/flags.hpp"
@@ -26,8 +21,6 @@ struct BenchOptions {
   double scale = 0.1;
   std::uint64_t seed = 42;
   std::size_t threads = 0;
-  bool csv = false;
-  std::string metrics_out;  ///< --metrics-out=FILE; empty = no sidecar
 };
 
 /// Reads the shared options off the caller's Flags instance. Benches pass
@@ -39,8 +32,6 @@ inline BenchOptions parse_options(util::Flags& flags) {
   opt.scale = flags.get_double("scale", harness::GridConfig::env_scale(0.1));
   opt.seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
   opt.threads = static_cast<std::size_t>(flags.get_int("threads", 0));
-  opt.csv = flags.get_bool("csv", false);
-  opt.metrics_out = flags.get("metrics-out", "");
   return opt;
 }
 

@@ -13,17 +13,21 @@
 //                                 study's informational lines
 //
 // Flags: --only=NAME[,NAME...]   studies to run (default: all of them)
-//        --scale --seed --threads --csv  as in bench_common.hpp
+//        --scale --seed --threads  as in bench_common.hpp
+//        --csv                   also print each table as CSV
 //        --metrics-out=FILE      one JSON sidecar for every selected cell,
-//                                labelled `<study>/<cell>`
-// Exit status: 0 when every predicate holds; 1 when one prints NO or the
-// sidecar cannot be written; 2 on an unknown flag or study name, or a
-// --metrics-out file that cannot be opened.
+//                                labelled `<study>/<cell>`; enables
+//                                observability on every cell
+// Exit status: 0 when every predicate holds; 1 when one prints NO, a cell
+// lacks a count its verdicts read, or the sidecar cannot be written; 2 on
+// an unknown flag or study name, or a --metrics-out file that cannot be
+// opened.
 #include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -66,6 +70,20 @@ std::string pct(double ratio) { return Table::num(100 * ratio, 1); }
 
 double ratio(std::uint64_t num, std::uint64_t den) {
   return den == 0 ? 0.0 : static_cast<double>(num) / static_cast<double>(den);
+}
+
+/// The count `name` of a cell. With `must` set, the cell's configuration
+/// exports it, so an absent name means the export broke and a verdict
+/// reading it would hold on a vacuous 0: exit 1 instead.
+std::uint64_t count(const GridResult& g, std::string_view name, bool must) {
+  const auto it = g.counters.find(name);
+  if (it != g.counters.end()) return it->second;
+  if (must) {
+    std::fprintf(stderr, "paper: a cell exported no %.*s count\n",
+                 static_cast<int>(name.size()), name.data());
+    std::exit(1);
+  }
+  return 0;
 }
 
 /// `count` per request, counting an idle run as one request.
@@ -411,8 +429,8 @@ Report recovery_report(const Results& r) {
     const GridResult& on = r[i * 2 + 1].result;
     out.table.add_row({Table::num(kRecoveryChurn[i], 0),
                        pct(off.success_ratio()), pct(on.success_ratio()),
-                       std::to_string(on.counters.get("sessions.recovered")),
-                       std::to_string(on.counters.get("sessions.aborted"))});
+                       std::to_string(on.counter("sessions.recovered")),
+                       std::to_string(on.counter("sessions.aborted"))});
     helps &= on.success_ratio() + 1e-9 >= off.success_ratio();
   }
   out.check("recovery never hurts and lifts psi under churn", helps);
@@ -506,7 +524,7 @@ Report retry_report(const Results& r) {
     const GridResult& g = r[i].result;
     out.table.add_row({Table::num(kRetries[i], 0), pct(g.success_ratio()),
                        std::to_string(g.failures_admission),
-                       std::to_string(g.counters.get("admission.retries"))});
+                       std::to_string(g.counter("admission.retries"))});
   }
   out.check("retries reduce admission failures monotonically",
             r.front().result.failures_admission >=
@@ -605,18 +623,22 @@ Report loss_report(const Results& r) {
   for (std::size_t i = 0; i < r.size(); ++i) {
     const GridResult& g = r[i].result;
     const double p = kLossRates[i % n];
-    const auto messages = g.counters.get("fault.messages");
-    const auto dropped = g.counters.get("fault.dropped");
+    // A loss-free cell runs without a fault plan and exports no fault.*.
+    const auto fault_count = [&](std::string_view name) {
+      return count(g, name, p > 0);
+    };
+    const auto messages = fault_count("fault.messages");
+    const auto dropped = fault_count("fault.dropped");
     const double observed = ratio(dropped, messages);
-    const auto retries = g.counters.get("probe.retries") +
-                         g.counters.get("lookup.retries") +
-                         g.counters.get("session.recovery_retries");
+    const auto retries = fault_count("probe.retries") +
+                         fault_count("lookup.retries") +
+                         fault_count("session.recovery_retries");
     out.table.add_row({std::string(harness::to_string(kAlgorithms[i / n])),
                        Table::num(p, 2), pct(g.success_ratio()),
                        std::to_string(g.failures_discovery),
                        std::to_string(dropped), Table::num(observed, 3),
                        std::to_string(retries),
-                       std::to_string(g.counters.get("lookup.rerouted"))});
+                       std::to_string(fault_count("lookup.rerouted"))});
     // Within one algorithm psi must not improve as loss grows (with a small
     // tolerance: psi is a ratio of integer counts).
     if (i % n != 0 && g.success_ratio() > psi(r, i - 1) + 0.02) {
@@ -671,11 +693,11 @@ Report replication_report(const Results& r) {
          i % 2 != 0 ? "on" : "off", pct(g.success_ratio()),
          std::to_string(g.failures_selection),
          std::to_string(g.failures_admission),
-         std::to_string(g.counters.get("load.provider_peak")),
+         std::to_string(g.counter("load.provider_peak")),
          Table::num(g.avg_service_concentration, 4),
-         std::to_string(g.counters.get("replica.created")),
-         std::to_string(g.counters.get("replica.retired")),
-         std::to_string(g.counters.get("replica.rejected_no_host"))});
+         std::to_string(g.counter("replica.created")),
+         std::to_string(g.counter("replica.retired")),
+         std::to_string(g.counter("replica.rejected_no_host"))});
   }
   // QSA's cells come first, as (off, on) pairs per rate. Spread is judged
   // on the mean co-location share, not the run-wide peak: replication
@@ -738,11 +760,15 @@ Report discovery_report(const Results& r) {
     const GridResult& g = r[i].result;
     const std::size_t n = kDiscoveryPeers[i / (nchurn * 2)];
     const bool dht = i % 2 != 0;
-    const auto scans = g.counters.get("index.scans");
-    const auto scanned = g.counters.get("index.scanned_postings");
+    // Only the dht backend exports index.*; directory rows print dashes.
+    const auto index_count = [&](std::string_view name) {
+      return count(g, name, dht);
+    };
+    const auto scans = index_count("index.scans");
+    const auto scanned = index_count("index.scanned_postings");
     const double hops_per_scan =
-        ratio(g.counters.get("index.scan_hops"), scans);
-    const double fp = ratio(g.counters.get("index.false_positives"), scanned);
+        ratio(index_count("index.scan_hops"), scans);
+    const double fp = ratio(index_count("index.false_positives"), scanned);
     const auto dash = [dht](std::string s) { return dht ? s : "-"; };
     out.table.add_row(
         {dht ? "dht" : "directory", std::to_string(n),
@@ -750,14 +776,14 @@ Report discovery_report(const Results& r) {
          Table::num(ratio(g.lookup_hops, g.requests), 2),
          dash(Table::num(hops_per_scan, 2)), dash(Table::num(fp, 3)),
          dash(Table::num(
-             ratio(g.counters.get("index.stale_postings"), scanned), 4)),
-         dash(std::to_string(g.counters.get("index.failed_scans")))});
+             ratio(index_count("index.stale_postings"), scanned), 4)),
+         dash(std::to_string(index_count("index.failed_scans")))});
     if (!dht) continue;
     // Every dht cell answers its scans, routes each in O(log N + span)
     // rather than a per-bucket O(log N), tracks the directory's psi, and
     // stays a useful filter rather than a full-table transfer.
     completed_ok &= g.requests != 0 && scans != 0 &&
-                    g.counters.get("index.failed_scans") == 0;
+                    index_count("index.failed_scans") == 0;
     hops_ok &= hops_per_scan <=
                4.0 * std::log2(static_cast<double>(n)) + 140.0;
     psi_ok &= g.success_ratio() >= psi(r, i - 1) - 0.2;
@@ -892,17 +918,19 @@ bool print_report(const Report& report, bool csv) {
 int main(int argc, char** argv) {
   util::Flags flags(argc, argv);
   const bench::BenchOptions opt = bench::parse_options(flags);
+  const bool csv = flags.get_bool("csv", false);
+  const std::string metrics_out = flags.get("metrics-out", "");
   const auto selected = select_studies(flags);
   util::reject_unknown_flags(flags, "paper");
 
   // Opened before any study runs, so a bad path fails in a second, not
   // after the whole evaluation.
   std::ofstream sidecar;
-  if (!opt.metrics_out.empty()) {
-    sidecar.open(opt.metrics_out);
+  if (!metrics_out.empty()) {
+    sidecar.open(metrics_out);
     if (!sidecar) {
       std::fprintf(stderr, "paper: cannot open --metrics-out file %s\n",
-                   opt.metrics_out.c_str());
+                   metrics_out.c_str());
       return 2;
     }
     sidecar << "{\"bench\":\"paper\",\"cells\":[";
@@ -938,7 +966,7 @@ int main(int argc, char** argv) {
       }
     }
 
-    all_hold &= print_report(study.report(results), opt.csv);
+    all_hold &= print_report(study.report(results), csv);
   }
 
   if (sidecar.is_open()) {
@@ -946,10 +974,10 @@ int main(int argc, char** argv) {
     sidecar.close();
     if (!sidecar) {
       std::fprintf(stderr, "paper: cannot write --metrics-out file %s\n",
-                   opt.metrics_out.c_str());
+                   metrics_out.c_str());
       return 1;
     }
-    std::printf("metrics sidecar -> %s\n", opt.metrics_out.c_str());
+    std::printf("metrics sidecar -> %s\n", metrics_out.c_str());
   }
   return all_hold ? 0 : 1;
 }

@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
                 100 * row.result.success_ratio(),
                 static_cast<unsigned long long>(row.result.failures_departure),
                 static_cast<unsigned long long>(
-                    row.result.counters.get("sessions.admitted")));
+                    row.result.counter("sessions.admitted")));
   }
 
   std::printf("\nThe uptime-aware selector avoids freshly joined peers for "

@@ -241,8 +241,8 @@ int main(int argc, char** argv) {
   std::printf("churn: departures        %llu, arrivals %llu\n",
               static_cast<unsigned long long>(r.churn_departures),
               static_cast<unsigned long long>(r.churn_arrivals));
-  for (const auto& [name, value] : r.counters.all()) {
-    std::printf("%-24s %llu\n", std::string(name).c_str(),
+  for (const auto& [name, value] : r.counters) {
+    std::printf("%-24s %llu\n", name.c_str(),
                 static_cast<unsigned long long>(value));
   }
 

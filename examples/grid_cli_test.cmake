@@ -1,0 +1,138 @@
+# Command-line contract of grid_cli, run by ctest:
+#
+#   cmake -DGRID_CLI=<grid_cli binary> -DCASE=<case> -DWORK=<scratch dir>
+#         -DDATA=<examples/testdata> -P grid_cli_test.cmake
+#
+# Cases:
+#   Golden                  two runs print the stdout and write the
+#                           --metrics-out CSV committed under testdata/
+#   ObsZeroPerturbation     --trace-out and --metrics-out leave the printed
+#                           accounting unchanged
+#   TraceMatchesFailureCounters  per cause, the terminal "fail" spans
+#                           outside recovery equal the printed failures:
+#                           line and, for the four set-up causes, the
+#                           request.fail.<cause> metric (absent = 0)
+#   SampledTraceIsSubset    every line of a 1-in-4 trace is a line of the
+#                           full trace, and the printed accounting is the same
+cmake_minimum_required(VERSION 3.16)
+
+file(REMOVE_RECURSE "${WORK}")
+file(MAKE_DIRECTORY "${WORK}")
+
+# The golden runs. The dht run reaches the index.*, fault.* and replica.*
+# counts (a replica is created and some trips find no host); the directory
+# run reaches load.* and the discovery cache.
+set(DHT_RUN --peers=50 --rate=80 --minutes=3 --churn=6 --recovery
+    --retries=1 --fault-loss=0.05 --replication --discovery=dht --seed=3)
+set(DIRECTORY_RUN --peers=300 --rate=30 --minutes=20 --churn=6 --recovery
+    --retries=1 --track-load --discovery-cache-ttl=120 --seed=11)
+# A cheap run in which every failure cause occurs.
+set(CAUSES_RUN --peers=100 --rate=100 --minutes=5 --churn=10 --recovery
+    --retries=1 --fault-loss=0.05 --replication --seed=1)
+
+# Runs grid_cli in WORK with the remaining arguments, fails unless it exits
+# 0, and leaves its stdout in `out`.
+function(run_cli)
+  execute_process(COMMAND "${GRID_CLI}" ${ARGN} WORKING_DIRECTORY "${WORK}"
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE stdout
+                  ERROR_VARIABLE stderr)
+  if(NOT rc STREQUAL "0")
+    message(FATAL_ERROR "grid_cli ${ARGN}: exit ${rc}\n${stderr}")
+  endif()
+  set(out "${stdout}" PARENT_SCOPE)
+endfunction()
+
+# Fails unless files `a` and `b` are byte-identical.
+function(expect_same_file a b)
+  execute_process(COMMAND "${CMAKE_COMMAND}" -E compare_files "${a}" "${b}"
+                  RESULT_VARIABLE differ)
+  if(differ)
+    message(FATAL_ERROR "${a} differs from ${b}")
+  endif()
+endfunction()
+
+# The printed accounting of a grid_cli stdout: everything but the lines
+# naming the files it wrote.
+function(accounting text var)
+  string(REGEX REPLACE "(trace|metrics) +-> [^\n]*\n" "" text "${text}")
+  set(${var} "${text}" PARENT_SCOPE)
+endfunction()
+
+if(CASE STREQUAL "Golden")
+  foreach(run dht directory)
+    string(TOUPPER "${run}_RUN" args)
+    run_cli(${${args}} --metrics-out=${run}.csv)
+    file(WRITE "${WORK}/${run}.stdout" "${out}")
+    expect_same_file("${WORK}/${run}.stdout" "${DATA}/grid_cli_${run}.stdout")
+    expect_same_file("${WORK}/${run}.csv" "${DATA}/grid_cli_${run}.metrics.csv")
+  endforeach()
+elseif(CASE STREQUAL "ObsZeroPerturbation")
+  foreach(args DHT_RUN CAUSES_RUN)
+    run_cli(${${args}})
+    set(plain "${out}")
+    run_cli(${${args}} --trace-out=trace.jsonl --metrics-out=metrics.json)
+    accounting("${out}" observed)
+    if(NOT observed STREQUAL plain)
+      message(FATAL_ERROR "${args}: observing changed the accounting\n"
+              "--- plain\n${plain}--- observed\n${observed}")
+    endif()
+  endforeach()
+elseif(CASE STREQUAL "TraceMatchesFailureCounters")
+  run_cli(${CAUSES_RUN} --trace-out=trace.jsonl --metrics-out=metrics.csv)
+  file(STRINGS "${WORK}/trace.jsonl" fails REGEX "\"status\":\"fail\"")
+  list(FILTER fails EXCLUDE REGEX "\"phase\":\"recovery\"")
+  file(READ "${WORK}/metrics.csv" metrics)
+  foreach(cause discovery composition selection admission departure)
+    set(spans "${fails}")
+    list(FILTER spans INCLUDE REGEX "\"cause\":\"${cause}\"")
+    list(LENGTH spans nspans)
+    if(NOT out MATCHES "[ :] ${cause} +([0-9]+)\n")
+      message(FATAL_ERROR "no printed failure count for ${cause}\n${out}")
+    endif()
+    set(printed ${CMAKE_MATCH_1})
+    if(printed EQUAL 0)
+      message(FATAL_ERROR "the run has no ${cause} failure to check")
+    endif()
+    if(NOT nspans EQUAL printed)
+      message(FATAL_ERROR "${cause}: ${nspans} fail spans, ${printed} printed")
+    endif()
+    if(cause STREQUAL "departure")
+      continue()
+    endif()
+    set(metric 0)
+    if(metrics MATCHES "\ncounter,request\\.fail\\.${cause},value,([0-9]+)\n")
+      set(metric ${CMAKE_MATCH_1})
+    endif()
+    if(NOT metric EQUAL printed)
+      message(FATAL_ERROR
+              "${cause}: request.fail.${cause} = ${metric}, ${printed} printed")
+    endif()
+  endforeach()
+elseif(CASE STREQUAL "SampledTraceIsSubset")
+  run_cli(${CAUSES_RUN} --trace-out=full.jsonl)
+  accounting("${out}" full_accounting)
+  run_cli(${CAUSES_RUN} --trace-out=sampled.jsonl --trace-sample=4)
+  accounting("${out}" sampled_accounting)
+  if(NOT sampled_accounting STREQUAL full_accounting)
+    message(FATAL_ERROR "sampling changed the accounting\n"
+            "--- full\n${full_accounting}--- sampled\n${sampled_accounting}")
+  endif()
+  # Searched as whole lines: each is matched between two newlines.
+  file(READ "${WORK}/full.jsonl" full)
+  set(full "\n${full}")
+  file(STRINGS "${WORK}/full.jsonl" full_lines)
+  file(STRINGS "${WORK}/sampled.jsonl" sampled_lines)
+  list(LENGTH full_lines nfull)
+  list(LENGTH sampled_lines nsampled)
+  if(nsampled EQUAL 0 OR NOT nsampled LESS nfull)
+    message(FATAL_ERROR "sampled trace has ${nsampled} of ${nfull} spans")
+  endif()
+  foreach(line IN LISTS sampled_lines)
+    string(FIND "${full}" "\n${line}\n" at)
+    if(at EQUAL -1)
+      message(FATAL_ERROR "sampled span not in the full trace: ${line}")
+    endif()
+  endforeach()
+else()
+  message(FATAL_ERROR "unknown CASE '${CASE}'")
+endif()

@@ -425,7 +425,7 @@ void GridSimulation::handle_request(const core::ServiceRequest& request) {
     // re-select. Only worthwhile while retries remain.
     if (tries < config_.admission_retries) {
       attempt.excluded_hosts.push_back(blamed);
-      result_.counters.add("admission.retries");
+      ++admission_retries_;
     }
   }
   switch (cause) {
@@ -449,18 +449,11 @@ void GridSimulation::handle_request(const core::ServiceRequest& request) {
       ++result_.failures_admission;
       break;
     case core::FailureCause::kDeparture:
-      ++result_.failures_departure;
+      // Set-up never reports a departure; only a running session departs,
+      // and the outcome callback counts it. run()'s request.* export
+      // relies on this.
+      QSA_ASSERT(cause != core::FailureCause::kDeparture);
       break;
-  }
-  if (metrics_ != nullptr) {
-    if (cause == core::FailureCause::kNone) {
-      metrics_->add("request.admitted");
-    } else {
-      // One terminal failure counter per cause, e.g. request.fail.admission.
-      std::string name = "request.fail.";
-      name += core::to_string(cause);
-      metrics_->add(name);
-    }
   }
   // Setup failures are terminal here and now: route the chain out of the
   // tracer and recycle its nodes. Admitted requests finish at their
@@ -664,106 +657,112 @@ GridResult GridSimulation::run() {
   result_.churn_arrivals = churn.arrivals();
   result_.avg_composition_cost =
       composed_ == 0 ? 0 : composition_cost_sum_ / static_cast<double>(composed_);
-  result_.counters.add("sessions.admitted", manager_->stats().admitted);
-  result_.counters.add("sessions.completed", manager_->stats().completed);
-  result_.counters.add("sessions.aborted", manager_->stats().aborted);
-  result_.counters.add("sessions.recovered", manager_->stats().recovered);
-  result_.counters.add("sessions.rejected", manager_->stats().rejected);
-  result_.counters.add("events.executed", simulator_.executed_events());
+
+  // The run-level counts, exported once. Each is read from the subsystem
+  // that owns it, and one statement writes it to both surfaces: a
+  // GridResult::counters row and, when observing, a registry instrument of
+  // the same name (or `metric`, where the registry names it differently).
+  // An exporter reads the registry only after run() returns, so this is
+  // its pull. Optional subsystems export only when they exist, so
+  // knobs-off runs add no names.
+  const auto both = [this](std::string_view name, std::uint64_t value,
+                           std::string_view metric = {}) {
+    result_.counters.emplace(name, value);
+    if (metrics_ != nullptr) {
+      metrics_->add(metric.empty() ? name : metric, value);
+    }
+  };
+  // A level: a counter in the result, a gauge in the registry.
+  const auto level = [this](std::string_view name, std::uint64_t value) {
+    result_.counters.emplace(name, value);
+    if (metrics_ != nullptr) metrics_->set(name, static_cast<double>(value));
+  };
+
+  const session::SessionStats& ss = manager_->stats();
+  both("sessions.admitted", ss.admitted, "session.admitted");
+  both("sessions.completed", ss.completed, "session.completed");
+  both("sessions.aborted", ss.aborted, "session.aborted");
+  both("sessions.recovered", ss.recovered, "session.recovered");
+  both("sessions.rejected", ss.rejected, "session.rejected");
+  both("events.executed", simulator_.executed_events(), "sim.events_executed");
   // Historical name, monotone semantics: distinct pairs ever reserved.
   // Reported via touched_pairs() so ledger eviction (a memory-footprint
   // mechanism) cannot change exported output; the resident ledger size is
   // NetworkModel::active_pairs(), which benches read directly.
-  result_.counters.add("net.active_pairs", network_->touched_pairs());
+  level("net.active_pairs", network_->touched_pairs());
+  if (admission_retries_ != 0) {
+    result_.counters.emplace("admission.retries", admission_retries_);
+  }
 
-  // Replication / concentration accounting, gated like the fault counters:
-  // untracked runs add no counter names.
   if (replica_ != nullptr) {
     const replica::ReplicaStats& rs = replica_->stats();
-    result_.counters.add("replica.created", rs.created);
-    result_.counters.add("replica.retired", rs.retired);
-    result_.counters.add("replica.rejected_no_host", rs.rejected_no_host);
-    result_.counters.add("replica.host_departures", rs.host_departures);
-    result_.counters.add("replica.active", replica_->active());
+    both("replica.created", rs.created);
+    both("replica.retired", rs.retired);
+    both("replica.rejected_no_host", rs.rejected_no_host);
+    result_.counters.emplace("replica.host_departures", rs.host_departures);
+    result_.counters.emplace("replica.active", replica_->active());
   }
   if (config_.track_load || config_.replication.enabled) {
-    result_.counters.add("load.provider_peak", manager_->peak_provider_load());
-    result_.counters.add("load.concentration_peak",
-                         manager_->peak_service_concentration());
+    result_.counters.emplace("load.provider_peak",
+                             manager_->peak_provider_load());
+    result_.counters.emplace("load.concentration_peak",
+                             manager_->peak_service_concentration());
     result_.avg_service_concentration =
         manager_->mean_service_concentration();
   }
 
-  // Fault accounting, only when injection is on: with the plan disabled the
-  // counter set (and hence any exported output) is unchanged.
   if (fault_plan_ != nullptr) {
     const fault::FaultStats& fs = fault_plan_->stats();
     const auto probe = static_cast<std::size_t>(fault::Channel::kProbe);
     const auto notify = static_cast<std::size_t>(fault::Channel::kNotify);
     const auto lookup = static_cast<std::size_t>(fault::Channel::kLookup);
     const auto resv = static_cast<std::size_t>(fault::Channel::kReservation);
-    result_.counters.add("fault.messages", fs.total_attempts());
-    result_.counters.add("fault.dropped", fs.total_dropped());
-    result_.counters.add("probe.retries", fs.retries[probe] + fs.retries[notify]);
-    result_.counters.add("lookup.retries", fs.retries[lookup]);
-    result_.counters.add("lookup.rerouted", fs.rerouted);
-    result_.counters.add("session.recovery_retries", fs.retries[resv]);
-    if (metrics_ != nullptr) {
-      metrics_->add("fault.messages", fs.total_attempts());
-      metrics_->add("fault.dropped", fs.total_dropped());
-      metrics_->add("probe.retries", fs.retries[probe] + fs.retries[notify]);
-      metrics_->add("lookup.retries", fs.retries[lookup]);
-      metrics_->add("lookup.rerouted", fs.rerouted);
-      metrics_->add("session.recovery_retries", fs.retries[resv]);
-    }
+    both("fault.messages", fs.total_attempts());
+    both("fault.dropped", fs.total_dropped());
+    both("probe.retries", fs.retries[probe] + fs.retries[notify]);
+    both("lookup.retries", fs.retries[lookup]);
+    both("lookup.rerouted", fs.rerouted);
+    both("session.recovery_retries", fs.retries[resv]);
   }
 
-  // Attribute-index accounting, gated exactly like the fault counters: in
-  // directory mode (the default) no index.* counter name ever appears.
   if (index_ != nullptr) {
     const index::IndexStats& is = index_->stats();
-    result_.counters.add("index.publishes", is.publishes);
-    result_.counters.add("index.updates", is.updates);
-    result_.counters.add("index.expiries", is.expiries);
-    result_.counters.add("index.scans", is.scans);
-    result_.counters.add("index.scan_segments", is.scan_segments);
-    result_.counters.add("index.scan_hops", is.scan_hops);
-    result_.counters.add("index.scan_reroutes", is.scan_reroutes);
-    result_.counters.add("index.failed_scans", is.failed_scans);
-    result_.counters.add("index.scanned_postings", is.scanned_postings);
-    result_.counters.add("index.false_positives", is.false_positives);
-    result_.counters.add("index.stale_postings", is.stale_postings);
-    result_.counters.add("index.postings", index_->postings());
-    if (metrics_ != nullptr) {
-      metrics_->add("index.publishes", is.publishes);
-      metrics_->add("index.updates", is.updates);
-      metrics_->add("index.expiries", is.expiries);
-      metrics_->add("index.scans", is.scans);
-      metrics_->add("index.scan_segments", is.scan_segments);
-      metrics_->add("index.scan_hops", is.scan_hops);
-      metrics_->add("index.scan_reroutes", is.scan_reroutes);
-      metrics_->add("index.failed_scans", is.failed_scans);
-      metrics_->add("index.scanned_postings", is.scanned_postings);
-      metrics_->add("index.false_positives", is.false_positives);
-      metrics_->add("index.stale_postings", is.stale_postings);
-      metrics_->set("index.postings", static_cast<double>(index_->postings()));
-    }
+    both("index.publishes", is.publishes);
+    both("index.updates", is.updates);
+    both("index.expiries", is.expiries);
+    both("index.scans", is.scans);
+    both("index.scan_segments", is.scan_segments);
+    both("index.scan_hops", is.scan_hops);
+    both("index.scan_reroutes", is.scan_reroutes);
+    both("index.failed_scans", is.failed_scans);
+    both("index.scanned_postings", is.scanned_postings);
+    both("index.false_positives", is.false_positives);
+    both("index.stale_postings", is.stale_postings);
+    level("index.postings", index_->postings());
   }
 
   if (metrics_ != nullptr) {
+    // Request outcomes at set-up: start_session only admits or rejects and
+    // aggregation never reports a departure, so the four set-up failure
+    // counts are exactly the requests that failed there.
+    const std::uint64_t setup_failures =
+        result_.failures_discovery + result_.failures_composition +
+        result_.failures_selection + result_.failures_admission;
+    const std::pair<std::string_view, std::uint64_t> outcomes[] = {
+        {"request.admitted", result_.requests - setup_failures},
+        {"request.fail.discovery", result_.failures_discovery},
+        {"request.fail.composition", result_.failures_composition},
+        {"request.fail.selection", result_.failures_selection},
+        {"request.fail.admission", result_.failures_admission},
+    };
+    for (const auto& [name, n] : outcomes) {
+      if (n != 0) metrics_->add(name, n);
+    }
     metrics_->add("request.total", result_.requests);
-    metrics_->add("sim.events_executed", simulator_.executed_events());
     metrics_->set("sim.event_queue_high_water",
                   static_cast<double>(simulator_.max_pending_events()));
-    metrics_->set("net.active_pairs",
-                  static_cast<double>(network_->touched_pairs()));
     metrics_->add("churn.departures", result_.churn_departures);
     metrics_->add("churn.arrivals", result_.churn_arrivals);
-    metrics_->add("session.admitted", manager_->stats().admitted);
-    metrics_->add("session.completed", manager_->stats().completed);
-    metrics_->add("session.aborted", manager_->stats().aborted);
-    metrics_->add("session.recovered", manager_->stats().recovered);
-    metrics_->add("session.rejected", manager_->stats().rejected);
     // The bounded-memory witness: resident span count never exceeds the
     // number of in-flight requests, whatever the total request volume.
     metrics_->set("obs.spans_live_high_water",

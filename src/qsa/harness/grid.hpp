@@ -5,7 +5,10 @@
 // GridResult.
 #pragma once
 
+#include <map>
 #include <memory>
+#include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -17,7 +20,6 @@
 #include "qsa/harness/config.hpp"
 #include "qsa/index/attribute_index.hpp"
 #include "qsa/index/dht_discovery.hpp"
-#include "qsa/metrics/counters.hpp"
 #include "qsa/metrics/timeseries.hpp"
 #include "qsa/net/network.hpp"
 #include "qsa/net/peer.hpp"
@@ -72,7 +74,15 @@ struct GridResult {
   /// SessionManager::mean_service_concentration); 0 when load tracking and
   /// replication are both off.
   double avg_service_concentration = 0;
-  metrics::Counters counters;  ///< everything else, by name
+  /// Every other run-level count, by name in name order. run() writes each
+  /// once, at the end, from the subsystem that owns it.
+  std::map<std::string, std::uint64_t, std::less<>> counters;
+
+  /// The named count; 0 when the run did not export it.
+  [[nodiscard]] std::uint64_t counter(std::string_view name) const {
+    const auto it = counters.find(name);
+    return it == counters.end() ? 0 : it->second;
+  }
 };
 
 /// Wall-clock phase timings of one run (GridConfig::profile). Host-clock
@@ -275,6 +285,7 @@ class GridSimulation {
   ProfileReport profile_;
   double composition_cost_sum_ = 0;
   std::uint64_t composed_ = 0;
+  std::uint64_t admission_retries_ = 0;
 
   // Observability (only allocated when config.observe is set); the
   // histogram handles are resolved once at construction.

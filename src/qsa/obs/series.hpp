@@ -8,7 +8,7 @@
 //     instantaneous state like event-queue depth, replica counts or cache
 //     hit ratios.
 //   * push(name, now, value): the producer computes a windowed value itself
-//     (e.g. the ψ RatioSampler) and records it directly.
+//     (e.g. the harness's windowed ψ) and records it directly.
 //
 // Determinism: registration order, poll order and value computation are all
 // functions of the (seeded, single-threaded) simulation, so the recorded

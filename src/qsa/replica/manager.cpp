@@ -43,15 +43,8 @@ ReplicaManager::ReplicaManager(std::uint64_t seed, const ReplicaConfig& config,
 }
 
 void ReplicaManager::set_metrics(obs::MetricsRegistry* metrics) {
-  if (metrics == nullptr) {
-    created_ = retired_ = no_host_ = nullptr;
-    active_gauge_ = nullptr;
-    return;
-  }
-  created_ = &metrics->counter("replica.created");
-  retired_ = &metrics->counter("replica.retired");
-  no_host_ = &metrics->counter("replica.rejected_no_host");
-  active_gauge_ = &metrics->gauge("replica.active");
+  active_gauge_ =
+      metrics != nullptr ? &metrics->gauge("replica.active") : nullptr;
 }
 
 void ReplicaManager::update_active_gauge() {
@@ -201,7 +194,6 @@ void ReplicaManager::maybe_replicate(registry::InstanceId instance,
   ReplicaRecord record = select_host(instance, now);
   if (record.host == net::kNoPeer) {
     ++stats_.rejected_no_host;
-    if (no_host_ != nullptr) no_host_->add();
     return;
   }
 
@@ -218,7 +210,6 @@ void ReplicaManager::maybe_replicate(registry::InstanceId instance,
   ++st.replica_count;
   records_.push_back(record);
   ++stats_.created;
-  if (created_ != nullptr) created_->add();
   update_active_gauge();
 }
 
@@ -246,7 +237,6 @@ void ReplicaManager::sweep(sim::SimTime now) {
     if (demand(r.instance, now) >= low_watermark) continue;
     retire(i);
     ++stats_.retired;
-    if (retired_ != nullptr) retired_->add();
   }
   update_active_gauge();
 }

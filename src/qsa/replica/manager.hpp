@@ -67,9 +67,9 @@ class ReplicaManager {
                  const qos::TupleWeights& weights,
                  const qos::ResourceSchema& schema);
 
-  /// Attaches observability (optional; null detaches): replica.created /
-  /// replica.retired / replica.rejected_no_host counters and the
-  /// replica.active gauge.
+  /// Attaches observability (optional; null detaches): the replica.active
+  /// gauge, whose high-water mark only the registry keeps. The counts live
+  /// in stats(); the grid exports them at the end of its run.
   void set_metrics(obs::MetricsRegistry* metrics);
 
   // --- demand signals (wired from the session manager / harness) ---
@@ -154,9 +154,6 @@ class ReplicaManager {
   std::vector<ReplicaRecord> records_;
   ReplicaStats stats_;
 
-  obs::Counter* created_ = nullptr;
-  obs::Counter* retired_ = nullptr;
-  obs::Counter* no_host_ = nullptr;
   obs::Gauge* active_gauge_ = nullptr;
 };
 

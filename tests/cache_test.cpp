@@ -484,7 +484,7 @@ TEST_P(CacheTransparency, GridRunsBitIdenticalCachesOnVsOff) {
     EXPECT_EQ(a.result.notification_messages, b.result.notification_messages);
     EXPECT_EQ(a.result.random_fallback_hops, b.result.random_fallback_hops);
     EXPECT_EQ(a.result.avg_composition_cost, b.result.avg_composition_cost);
-    EXPECT_EQ(a.result.counters.all(), b.result.counters.all());
+    EXPECT_EQ(a.result.counters, b.result.counters);
     ASSERT_EQ(a.result.series.size(), b.result.series.size());
     for (std::size_t i = 0; i < a.result.series.size(); ++i) {
       EXPECT_EQ(a.result.series.samples()[i].value,

@@ -264,18 +264,16 @@ TEST(GridFaults, RunIsDeterministicUnderFaults) {
   const auto b = run_once();
   EXPECT_EQ(a.requests, b.requests);
   EXPECT_EQ(a.successes, b.successes);
-  EXPECT_EQ(a.counters.get("fault.messages"),
-            b.counters.get("fault.messages"));
-  EXPECT_EQ(a.counters.get("fault.dropped"), b.counters.get("fault.dropped"));
-  EXPECT_EQ(a.counters.get("lookup.rerouted"),
-            b.counters.get("lookup.rerouted"));
+  EXPECT_EQ(a.counter("fault.messages"), b.counter("fault.messages"));
+  EXPECT_EQ(a.counter("fault.dropped"), b.counter("fault.dropped"));
+  EXPECT_EQ(a.counter("lookup.rerouted"), b.counter("lookup.rerouted"));
 }
 
 TEST(GridFaults, FaultsOffExportsNoFaultCounters) {
   harness::GridSimulation grid(faulty_grid_config(0.0));
   EXPECT_EQ(grid.faults(), nullptr);
   const auto r = grid.run();
-  for (const auto& [name, value] : r.counters.all()) {
+  for (const auto& [name, value] : r.counters) {
     EXPECT_EQ(name.find("fault."), std::string_view::npos) << name;
   }
 }
@@ -286,12 +284,12 @@ TEST(GridFaults, SuccessDegradesWithLossAndRatesReconcile) {
   const auto rc = clean.run();
   const auto rl = lossy.run();
   EXPECT_LE(rl.success_ratio(), rc.success_ratio());
-  const auto messages = rl.counters.get("fault.messages");
-  const auto dropped = rl.counters.get("fault.dropped");
+  const auto messages = rl.counter("fault.messages");
+  const auto dropped = rl.counter("fault.dropped");
   ASSERT_GT(messages, 1000u);
   EXPECT_NEAR(static_cast<double>(dropped) / static_cast<double>(messages),
               0.35, 0.03);
-  EXPECT_GT(rl.counters.get("probe.retries"), 0u);
+  EXPECT_GT(rl.counter("probe.retries"), 0u);
 }
 
 }  // namespace

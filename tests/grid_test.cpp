@@ -198,7 +198,7 @@ TEST(GridSimulation, RecoveryImprovesChurnSurvival) {
   GridSimulation g_plain(cfg), g_recover(with);
   const auto r_plain = g_plain.run();
   const auto r_recover = g_recover.run();
-  EXPECT_GT(r_recover.counters.get("sessions.recovered"), 0u);
+  EXPECT_GT(r_recover.counter("sessions.recovered"), 0u);
   EXPECT_GE(r_recover.success_ratio() + 1e-9, r_plain.success_ratio());
   EXPECT_LT(r_recover.failures_departure, r_plain.failures_departure);
 }
@@ -231,7 +231,7 @@ TEST(GridSimulation, RetryExclusionHelpsFixedBaseline) {
   GridSimulation g_plain(cfg), g_retry(with);
   const auto r_plain = g_plain.run();
   const auto r_retry = g_retry.run();
-  EXPECT_GT(r_retry.counters.get("admission.retries"), 0u);
+  EXPECT_GT(r_retry.counter("admission.retries"), 0u);
   EXPECT_GT(r_retry.success_ratio(), r_plain.success_ratio());
   EXPECT_LT(r_retry.failures_admission, r_plain.failures_admission);
 }
@@ -239,8 +239,8 @@ TEST(GridSimulation, RetryExclusionHelpsFixedBaseline) {
 TEST(GridSimulation, CountersExported) {
   GridSimulation grid(small_config());
   const auto r = grid.run();
-  EXPECT_GT(r.counters.get("sessions.admitted"), 0u);
-  EXPECT_GT(r.counters.get("events.executed"), 0u);
+  EXPECT_GT(r.counter("sessions.admitted"), 0u);
+  EXPECT_GT(r.counter("events.executed"), 0u);
   EXPECT_GT(r.notification_messages, 0u);
 }
 

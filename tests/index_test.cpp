@@ -447,9 +447,9 @@ TEST(IndexGrid, DhtDiscoveryIsDeterministicUnderChurnOnAllOverlays) {
     EXPECT_EQ(a.lookup_hops, b.lookup_hops);
     EXPECT_EQ(a.setup_latency_ms, b.setup_latency_ms);
     EXPECT_EQ(a.churn_departures, b.churn_departures);
-    EXPECT_EQ(a.counters.all(), b.counters.all());
+    EXPECT_EQ(a.counters, b.counters);
     // The index answered every tier-1a lookup and the run stayed healthy.
-    EXPECT_GT(a.counters.get("index.scans"), 0u);
+    EXPECT_GT(a.counter("index.scans"), 0u);
     EXPECT_GT(a.success_ratio(), 0.3)
         << "overlay " << harness::to_string(overlay);
   }
@@ -460,16 +460,16 @@ TEST(IndexGrid, IndexCountersAppearOnlyWhenBackendEnabled) {
   cfg.discovery = harness::DiscoveryKind::kDirectory;
   harness::GridSimulation directory_grid(cfg);
   const auto directory_run = directory_grid.run();
-  for (const auto& [name, value] : directory_run.counters.all()) {
+  for (const auto& [name, value] : directory_run.counters) {
     EXPECT_NE(name.substr(0, 6), "index.") << name;
   }
 
   cfg.discovery = harness::DiscoveryKind::kDht;
   harness::GridSimulation dht_grid(cfg);
   const auto dht_run = dht_grid.run();
-  EXPECT_GT(dht_run.counters.get("index.publishes"), 0u);
-  EXPECT_GT(dht_run.counters.get("index.scans"), 0u);
-  EXPECT_GT(dht_run.counters.get("index.scan_hops"), 0u);
+  EXPECT_GT(dht_run.counter("index.publishes"), 0u);
+  EXPECT_GT(dht_run.counter("index.scans"), 0u);
+  EXPECT_GT(dht_run.counter("index.scan_hops"), 0u);
 }
 
 }  // namespace

@@ -1,120 +1,12 @@
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <sstream>
 
-#include "qsa/metrics/counters.hpp"
-#include "qsa/metrics/stats.hpp"
 #include "qsa/metrics/table.hpp"
 #include "qsa/metrics/timeseries.hpp"
-#include "qsa/util/rng.hpp"
 
 namespace qsa::metrics {
 namespace {
-
-// ------------------------------------------------------------- Counters
-
-TEST(Counters, AddAndGet) {
-  Counters c;
-  EXPECT_EQ(c.get("x"), 0u);
-  c.add("x");
-  c.add("x", 4);
-  EXPECT_EQ(c.get("x"), 5u);
-}
-
-TEST(Counters, IterationIsNameOrdered) {
-  Counters c;
-  c.add("zebra");
-  c.add("alpha");
-  c.add("mid");
-  std::vector<std::string> names;
-  for (const auto& [name, value] : c.all()) names.emplace_back(name);
-  EXPECT_EQ(names, (std::vector<std::string>{"alpha", "mid", "zebra"}));
-}
-
-TEST(Counters, Clear) {
-  Counters c;
-  c.add("x");
-  c.clear();
-  EXPECT_EQ(c.get("x"), 0u);
-  EXPECT_TRUE(c.all().empty());
-}
-
-// -------------------------------------------------------------- Summary
-
-TEST(Summary, BasicMoments) {
-  Summary s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-  EXPECT_NEAR(s.variance(), 32.0 / 7, 1e-12);  // sample variance
-}
-
-TEST(Summary, EmptyIsZero) {
-  Summary s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_DOUBLE_EQ(s.mean(), 0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0);
-  EXPECT_DOUBLE_EQ(s.stddev(), 0);
-}
-
-TEST(Summary, SingleSampleHasZeroVariance) {
-  Summary s;
-  s.add(3.5);
-  EXPECT_DOUBLE_EQ(s.mean(), 3.5);
-  EXPECT_DOUBLE_EQ(s.variance(), 0);
-}
-
-TEST(Summary, MergeMatchesBatch) {
-  util::Rng rng(3);
-  Summary whole, left, right;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.uniform(-10, 10);
-    whole.add(x);
-    (i < 400 ? left : right).add(x);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), whole.count());
-  EXPECT_NEAR(left.mean(), whole.mean(), 1e-9);
-  EXPECT_NEAR(left.variance(), whole.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(left.min(), whole.min());
-  EXPECT_DOUBLE_EQ(left.max(), whole.max());
-}
-
-TEST(Summary, MergeWithEmpty) {
-  Summary a, b;
-  a.add(1);
-  a.add(3);
-  a.merge(b);  // no-op
-  EXPECT_EQ(a.count(), 2u);
-  b.merge(a);  // adopt
-  EXPECT_EQ(b.count(), 2u);
-  EXPECT_DOUBLE_EQ(b.mean(), 2.0);
-}
-
-// ------------------------------------------------------------ percentile
-
-TEST(Percentile, ExactOrderStatistics) {
-  std::vector<double> v{10, 20, 30, 40, 50};
-  EXPECT_DOUBLE_EQ(percentile(v, 0), 10);
-  EXPECT_DOUBLE_EQ(percentile(v, 50), 30);
-  EXPECT_DOUBLE_EQ(percentile(v, 100), 50);
-  EXPECT_DOUBLE_EQ(percentile(v, 25), 20);
-}
-
-TEST(Percentile, Interpolates) {
-  std::vector<double> v{0, 10};
-  EXPECT_DOUBLE_EQ(percentile(v, 50), 5);
-  EXPECT_DOUBLE_EQ(percentile(v, 75), 7.5);
-}
-
-TEST(Percentile, SingletonAndUnsorted) {
-  EXPECT_DOUBLE_EQ(percentile({42}, 99), 42);
-  EXPECT_DOUBLE_EQ(percentile({30, 10, 20}, 50), 20);
-}
 
 // ------------------------------------------------------------ TimeSeries
 
@@ -125,45 +17,11 @@ TEST(TimeSeries, RecordsInOrder) {
   ASSERT_EQ(ts.size(), 2u);
   EXPECT_EQ(ts.samples()[0].time, sim::SimTime::minutes(2));
   EXPECT_DOUBLE_EQ(ts.samples()[1].value, 0.8);
-  EXPECT_NEAR(ts.mean(), 0.85, 1e-12);
 }
 
 TEST(TimeSeries, EmptyMeanIsZero) {
   TimeSeries ts;
   EXPECT_TRUE(ts.empty());
-  EXPECT_DOUBLE_EQ(ts.mean(), 0);
-}
-
-TEST(RatioSampler, WindowRatios) {
-  RatioSampler rs;
-  TimeSeries ts;
-  rs.success();
-  rs.success();
-  rs.failure();
-  rs.flush(ts, sim::SimTime::minutes(2));
-  rs.success();
-  rs.flush(ts, sim::SimTime::minutes(4));
-  ASSERT_EQ(ts.size(), 2u);
-  EXPECT_NEAR(ts.samples()[0].value, 2.0 / 3, 1e-12);
-  EXPECT_DOUBLE_EQ(ts.samples()[1].value, 1.0);
-}
-
-TEST(RatioSampler, FlushResetsWindow) {
-  RatioSampler rs;
-  TimeSeries ts;
-  rs.failure();
-  rs.flush(ts, sim::SimTime::minutes(2));
-  EXPECT_EQ(rs.window_attempts(), 0u);
-}
-
-TEST(RatioSampler, IdleWindowsSkippedByDefault) {
-  RatioSampler rs;
-  TimeSeries ts;
-  rs.flush(ts, sim::SimTime::minutes(2));
-  EXPECT_TRUE(ts.empty());
-  rs.flush(ts, sim::SimTime::minutes(4), /*skip_idle=*/false, 0.5);
-  ASSERT_EQ(ts.size(), 1u);
-  EXPECT_DOUBLE_EQ(ts.samples()[0].value, 0.5);
 }
 
 // ----------------------------------------------------------------- Table

@@ -741,7 +741,7 @@ TEST(GridTracing, MetricsRegistryMatchesResult) {
   EXPECT_EQ(m.counter("churn.departures").value, r.churn_departures);
   EXPECT_EQ(m.counter("churn.arrivals").value, r.churn_arrivals);
   EXPECT_EQ(m.counter("session.recovered").value,
-            r.counters.get("sessions.recovered"));
+            r.counter("sessions.recovered"));
   EXPECT_GT(m.histogram("aggregate.lookup_hops").count(), 0u);
   EXPECT_GT(m.histogram("probe.rtt_ms").count(), 0u);
   EXPECT_GT(m.gauge("sim.event_queue_high_water").value, 0.0);
@@ -750,6 +750,64 @@ TEST(GridTracing, MetricsRegistryMatchesResult) {
   EXPECT_GT(m.counter("obs.spans_emitted").value, 0u);
   EXPECT_EQ(m.counter("obs.requests_sampled").value,
             m.counter("obs.requests_finished").value);  // rate 1: all kept
+}
+
+// run() writes every count both surfaces carry once, from the subsystem
+// that owns it, so the result and the registry agree on each: under the
+// same name (a registry gauge for a level), under the registry's own name
+// for sessions and events, and as request.fail.* for the set-up failures.
+TEST(GridTracing, CountsAgreeAcrossResultAndRegistry) {
+  auto cfg = churn_config();
+  cfg.seed = 3;
+  cfg.peers = 50;
+  cfg.requests.rate_per_min = 80;
+  cfg.horizon = sim::SimTime::minutes(3);
+  cfg.faults.set_all_loss(0.05);
+  cfg.discovery = harness::DiscoveryKind::kDht;
+  cfg.replication.enabled = true;
+  harness::GridSimulation grid(cfg);
+  const auto r = grid.run();
+  ASSERT_NE(grid.metrics(), nullptr);
+  const MetricsRegistry& m = *grid.metrics();
+  const auto counter = [&m](const std::string& name) -> std::uint64_t {
+    const auto it = m.counters().find(name);
+    return it == m.counters().end() ? 0 : it->second.value;
+  };
+
+  std::size_t shared = 0;
+  for (const auto& [name, value] : r.counters) {
+    if (const auto c = m.counters().find(name); c != m.counters().end()) {
+      EXPECT_EQ(c->second.value, value) << name;
+      ++shared;
+    } else if (const auto g = m.gauges().find(name); g != m.gauges().end()) {
+      EXPECT_EQ(g->second.value, static_cast<double>(value)) << name;
+      ++shared;
+    }
+  }
+  // fault.{messages,dropped}, probe.retries, lookup.{retries,rerouted},
+  // session.recovery_retries, 12 index.*, replica.{created,retired,
+  // rejected_no_host}, net.active_pairs, and the replica.active gauge.
+  EXPECT_EQ(shared, 23u);
+
+  for (const std::string s :
+       {"admitted", "completed", "aborted", "recovered", "rejected"}) {
+    EXPECT_EQ(counter("session." + s), r.counter("sessions." + s)) << s;
+  }
+  EXPECT_EQ(counter("sim.events_executed"), r.counter("events.executed"));
+  EXPECT_EQ(counter("request.fail.discovery"), r.failures_discovery);
+  EXPECT_EQ(counter("request.fail.composition"), r.failures_composition);
+  EXPECT_EQ(counter("request.fail.selection"), r.failures_selection);
+  EXPECT_EQ(counter("request.fail.admission"), r.failures_admission);
+  EXPECT_EQ(counter("request.fail.departure"), 0u);
+  EXPECT_EQ(counter("request.admitted"), r.counter("sessions.admitted"));
+  EXPECT_EQ(counter("request.total"), r.requests);
+
+  // The run reaches the optional subsystems whose counts it compares.
+  EXPECT_GT(r.counter("index.scans"), 0u);
+  EXPECT_GT(r.counter("replica.created"), 0u);
+  EXPECT_GT(r.counter("fault.dropped"), 0u);
+  EXPECT_GT(r.failures_discovery, 0u);
+  EXPECT_GT(r.failures_admission, 0u);
 }
 
 TEST(GridTracing, DisabledByDefaultAndResultUnchanged) {

@@ -110,7 +110,7 @@ void append_sim_digest(std::ostringstream& os, const GridResult& r) {
      << ";cost=" << std::bit_cast<std::uint64_t>(r.avg_composition_cost)
      << ";conc=" << std::bit_cast<std::uint64_t>(r.avg_service_concentration)
      << "\n";
-  for (const auto& [name, value] : r.counters.all()) {
+  for (const auto& [name, value] : r.counters) {
     os << name << '=' << value << '\n';
   }
   for (const auto& s : r.series.samples()) {

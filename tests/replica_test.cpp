@@ -321,12 +321,14 @@ TEST_F(ReplicaFixture, MetricsExportCountersAndActiveGauge) {
   const auto t1 = sim::SimTime::minutes(2);
   mgr->on_selection_failure(insts, t1);
   mgr->on_selection_failure(insts, t1);
-  EXPECT_EQ(reg.counter("replica.created").value, 1u);
+  EXPECT_EQ(mgr->stats().created, 1u);
   EXPECT_DOUBLE_EQ(reg.gauge("replica.active").value, 1.0);
   mgr->sweep(t1 + sim::SimTime::minutes(6));
-  EXPECT_EQ(reg.counter("replica.retired").value, 1u);
+  EXPECT_EQ(mgr->stats().retired, 1u);
   EXPECT_DOUBLE_EQ(reg.gauge("replica.active").value, 0.0);
   EXPECT_DOUBLE_EQ(reg.gauge("replica.active").high_water, 1.0);
+  // The counts live in stats() alone; the grid exports them at run end.
+  EXPECT_TRUE(reg.counters().empty());
 }
 
 // ------------------------------------------------- grid-level guarantees
@@ -389,7 +391,7 @@ void expect_same_artifacts(const RunArtifacts& a, const RunArtifacts& b,
   EXPECT_EQ(a.result.notification_messages, b.result.notification_messages);
   EXPECT_EQ(a.result.random_fallback_hops, b.result.random_fallback_hops);
   EXPECT_EQ(a.result.avg_composition_cost, b.result.avg_composition_cost);
-  EXPECT_EQ(a.result.counters.all(), b.result.counters.all());
+  EXPECT_EQ(a.result.counters, b.result.counters);
   ASSERT_EQ(a.result.series.size(), b.result.series.size());
   for (std::size_t i = 0; i < a.result.series.size(); ++i) {
     EXPECT_EQ(a.result.series.samples()[i].value,
@@ -417,8 +419,8 @@ TEST(GridReplication, DisabledKnobsAreInertAndExportNothing) {
     // No replica or load-concentration artifact may leak into an off run.
     EXPECT_EQ(a.metrics_csv.find("replica."), std::string::npos);
     EXPECT_EQ(a.metrics_csv.find("provider.load"), std::string::npos);
-    EXPECT_EQ(a.result.counters.get("replica.created"), 0u);
-    EXPECT_EQ(a.result.counters.get("load.provider_peak"), 0u);
+    EXPECT_EQ(a.result.counter("replica.created"), 0u);
+    EXPECT_EQ(a.result.counter("load.provider_peak"), 0u);
   }
 }
 
@@ -428,8 +430,8 @@ TEST(GridReplication, EnabledRunsAreBitReproducible) {
   const auto b = run_grid(cfg);
   expect_same_artifacts(a, b, 17);
   // The run actually exercised the subsystem.
-  EXPECT_GT(a.result.counters.get("replica.created"), 0u);
-  EXPECT_GT(a.result.counters.get("load.provider_peak"), 0u);
+  EXPECT_GT(a.result.counter("replica.created"), 0u);
+  EXPECT_GT(a.result.counter("load.provider_peak"), 0u);
 }
 
 TEST(GridReplication, ReproducibleAcrossRunnerThreadCounts) {
@@ -443,8 +445,7 @@ TEST(GridReplication, ReproducibleAcrossRunnerThreadCounts) {
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial[i].result.successes, parallel[i].result.successes);
-    EXPECT_EQ(serial[i].result.counters.all(),
-              parallel[i].result.counters.all());
+    EXPECT_EQ(serial[i].result.counters, parallel[i].result.counters);
     EXPECT_EQ(serial[i].metrics_json, parallel[i].metrics_json) << cells[i].label;
     EXPECT_EQ(serial[i].trace_jsonl, parallel[i].trace_jsonl) << cells[i].label;
   }
@@ -454,7 +455,7 @@ TEST(GridReplication, LiveReplicasPassedTheSameQosChecksAsOriginals) {
   const auto cfg = replicating_config(17);
   harness::GridSimulation grid(cfg);
   const auto r = grid.run();
-  ASSERT_GT(r.counters.get("replica.created"), 0u);
+  ASSERT_GT(r.counter("replica.created"), 0u);
 
   const replica::ReplicaManager* mgr = grid.replicas();
   ASSERT_NE(mgr, nullptr);
