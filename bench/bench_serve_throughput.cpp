@@ -222,8 +222,9 @@ int main(int argc, char** argv) {
       flags.get_int("warmup", static_cast<std::int64_t>(2 * pool_size)));
   const auto batch = static_cast<std::size_t>(flags.get_int("batch", 64));
   const sim::SimTime tick = sim::SimTime::millis(flags.get_int("tick-ms", 0));
-  const auto probe_budget =
-      static_cast<std::size_t>(flags.get_int("probe-budget", 4096));
+  const auto probe_budget = static_cast<std::size_t>(
+      util::get_int_in(flags, "probe-budget", 4096, 1,
+                       probe::kMaxNeighborBudget, "bench_serve_throughput"));
   const std::string json_out = flags.get("json-out", "");
   util::reject_unknown_flags(flags, "bench_serve_throughput");
 

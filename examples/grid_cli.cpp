@@ -14,6 +14,7 @@
 #include "qsa/metrics/table.hpp"
 #include "qsa/obs/export.hpp"
 #include "qsa/obs/sink.hpp"
+#include "qsa/probe/neighbor_table.hpp"
 #include "qsa/util/flags.hpp"
 
 using namespace qsa;
@@ -42,7 +43,8 @@ void print_usage() {
       "  --churn=C          churn events/min (default 0)\n"
       "  --recovery         enable mid-session departure recovery\n"
       "  --retries=K        admission retries (default 0)\n"
-      "  --probe-budget=M   neighbors probed per peer (default 100)\n"
+      "  --probe-budget=M   neighbors probed per peer, 1..65535\n"
+      "                     (default 100)\n"
       "  --bw-weight=W      bandwidth importance weight (default uniform)\n"
       "  --discovery-cache-ttl=S  requester-side discovery cache TTL in\n"
       "                     seconds (default 0 = off; cached lookups cost\n"
@@ -104,8 +106,8 @@ int main(int argc, char** argv) {
   cfg.churn.events_per_min = flags.get_double("churn", 0);
   cfg.enable_recovery = flags.get_bool("recovery", false);
   cfg.admission_retries = static_cast<int>(flags.get_int("retries", 0));
-  cfg.probe_budget =
-      static_cast<std::size_t>(flags.get_int("probe-budget", 100));
+  cfg.probe_budget = static_cast<std::size_t>(util::get_int_in(
+      flags, "probe-budget", 100, 1, probe::kMaxNeighborBudget, "grid_cli"));
   cfg.bandwidth_weight = flags.get_double("bw-weight", -1);
   cfg.discovery_cache_ttl =
       sim::SimTime::seconds(flags.get_double("discovery-cache-ttl", 0));

@@ -14,6 +14,8 @@
 #                           request.fail.<cause> metric (absent = 0)
 #   SampledTraceIsSubset    every line of a 1-in-4 trace is a line of the
 #                           full trace, and the printed accounting is the same
+#   ProbeBudgetRange        --probe-budget outside 1..65535 exits 2 with a
+#                           message naming the range; the bounds themselves run
 cmake_minimum_required(VERSION 3.16)
 
 file(REMOVE_RECURSE "${WORK}")
@@ -132,6 +134,24 @@ elseif(CASE STREQUAL "SampledTraceIsSubset")
     if(at EQUAL -1)
       message(FATAL_ERROR "sampled span not in the full trace: ${line}")
     endif()
+  endforeach()
+elseif(CASE STREQUAL "ProbeBudgetRange")
+  foreach(budget 0 -1 65536 none)
+    execute_process(COMMAND "${GRID_CLI}" --peers=20 --minutes=1
+                            --probe-budget=${budget}
+                    WORKING_DIRECTORY "${WORK}" RESULT_VARIABLE rc
+                    OUTPUT_VARIABLE stdout ERROR_VARIABLE stderr)
+    if(NOT rc STREQUAL "2")
+      message(FATAL_ERROR "--probe-budget=${budget}: exit ${rc}, want 2\n"
+              "${stdout}${stderr}")
+    endif()
+    if(NOT stderr MATCHES "--probe-budget=.*out of range.*<1\\.\\.65535>")
+      message(FATAL_ERROR "--probe-budget=${budget}: no range message\n"
+              "${stderr}")
+    endif()
+  endforeach()
+  foreach(budget 1 65535)
+    run_cli(--peers=20 --minutes=1 --probe-budget=${budget})
   endforeach()
 else()
   message(FATAL_ERROR "unknown CASE '${CASE}'")

@@ -149,17 +149,18 @@ void NetworkModel::maybe_sweep(std::int64_t epoch) {
   if (epoch <= last_sweep_epoch_) return;
   last_sweep_epoch_ = epoch;
   if (links_.size() <= evict_floor_) return;
-  for (auto it = links_.begin(); it != links_.end();) {
-    // Settled: reservation back at (residue-of) zero and the snapshot older
-    // than the current epoch, so probed() and live() both read as
-    // unreserved — erasing the entry is invisible to every query.
-    if (it->second.live() <= kEvictResidueKbps &&
-        it->second.snapshot_epoch() < epoch) {
-      it = links_.erase(it);
-    } else {
-      ++it;
+  // Two passes: DenseMap's backward-shift erase relocates entries, so
+  // collect the settled keys first, then drop them. Settled: reservation
+  // back at (residue-of) zero and the snapshot older than the current
+  // epoch, so probed() and live() both read as unreserved — erasing the
+  // entry is invisible to every query.
+  std::vector<std::uint64_t> settled;
+  for (const auto& [key, link] : links_) {
+    if (link.live() <= kEvictResidueKbps && link.snapshot_epoch() < epoch) {
+      settled.push_back(key);
     }
   }
+  for (std::uint64_t key : settled) links_.erase(key);
 }
 
 bool NetworkModel::try_reserve(PeerId a, PeerId b, double kbps,
@@ -178,7 +179,8 @@ bool NetworkModel::try_reserve(PeerId a, PeerId b, double kbps,
   const std::int64_t epoch = clock_.epoch(now);
   maybe_sweep(epoch);
   if (kbps > available_kbps(a, b)) return false;
-  const auto [it, inserted] = links_.try_emplace(pair_key(a, b));
+  const auto [it, inserted] =
+      links_.emplace(pair_key(a, b), Snapshotted<double>{});
   if (inserted) ++touched_pairs_;
   it->second.mutate(epoch, [&](double& r) { r += kbps; });
   return true;

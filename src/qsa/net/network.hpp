@@ -30,13 +30,13 @@
 
 #include <cstdint>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "qsa/net/peer.hpp"
 #include "qsa/net/reservations.hpp"
 #include "qsa/sim/time.hpp"
+#include "qsa/util/dense_map.hpp"
 
 namespace qsa::net {
 
@@ -139,7 +139,9 @@ class NetworkModel {
   std::uint64_t seed_;
   ProbeClock clock_;
   NetModelKind kind_;
-  std::unordered_map<std::uint64_t, Snapshotted<double>> links_;
+  /// The reservation ledger, keyed by pair_key(). Flat open addressing:
+  /// every probed bandwidth read is a mix-mask-probe, not a bucket walk.
+  util::DenseMap<std::uint64_t, Snapshotted<double>> links_;
   std::size_t evict_floor_ = kDefaultEvictFloor;
   std::int64_t last_sweep_epoch_ = INT64_MIN;
   std::uint64_t touched_pairs_ = 0;  ///< distinct non-loopback insertions

@@ -171,4 +171,18 @@ sim::SimTime PeerTable::probed_uptime(PeerId id, sim::SimTime now) const {
   return boundary - cold(id).join_time;
 }
 
+ProbedPeer PeerTable::probed(PeerId id, sim::SimTime now) const {
+  QSA_EXPECTS(id < total_);
+  const Page& page = pages_[id / page_size_];
+  if (page.hot == nullptr) return {};  // departed before any visible epoch
+  const std::size_t slot = id % page_size_;
+  const detail::PeerHot& h = page.hot[slot];
+  const detail::PeerCold& c = page.cold[slot];
+  const std::int64_t epoch = clock_.epoch(now);
+  const sim::SimTime boundary =
+      sim::SimTime::millis(epoch * clock_.period().as_millis());
+  return {h.alive || c.departed_at > boundary,
+          h.capacity - h.reserved.probed(epoch), boundary - c.join_time};
+}
+
 }  // namespace qsa::net

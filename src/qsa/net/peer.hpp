@@ -103,6 +103,14 @@ class Peer {
   const detail::PeerCold* cold_;
 };
 
+/// Everything a prober reads about one peer at an instant (see
+/// PeerTable::probed).
+struct ProbedPeer {
+  bool alive = false;             ///< probed_alive()
+  qos::ResourceVector available;  ///< probed_available()
+  sim::SimTime uptime;            ///< probed_uptime()
+};
+
 /// Owns all peers ever seen by a simulation and tracks the alive set with
 /// O(1) insertion/removal and O(1) uniform sampling support.
 class PeerTable {
@@ -170,6 +178,13 @@ class PeerTable {
 
   /// Probe-visible uptime: measured at the epoch boundary a prober last saw.
   [[nodiscard]] sim::SimTime probed_uptime(PeerId id, sim::SimTime now) const;
+
+  /// probed_alive(), probed_available() and probed_uptime() in one read:
+  /// one page lookup and one epoch computation. `available` and `uptime`
+  /// are filled whenever the peer's page is resident, also for a peer that
+  /// no longer probes alive; on a reclaimed page only `alive` (false) is
+  /// set.
+  [[nodiscard]] ProbedPeer probed(PeerId id, sim::SimTime now) const;
 
   // --- footprint accounting (the flat-memory witness) ---
   [[nodiscard]] std::size_t page_size() const noexcept { return page_size_; }

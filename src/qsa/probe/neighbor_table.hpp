@@ -6,9 +6,18 @@
 // path needs them. When the table is full, a new entry may evict the
 // lowest-benefit (then stalest) existing entry, but never one with higher
 // benefit than its own.
+//
+// Storage: at most M dense 16-byte rows, a DenseMap index from peer to row,
+// and a binary max-heap of row numbers in eviction order, so the live victim
+// is the heap root and insert, refresh and erase cost O(log M). Expired
+// entries are reclaimed first; a lower bound on the earliest deadline gates
+// the scan that finds them, so tables with no expired entry never scan.
 #pragma once
 
 #include <cstdint>
+#include <limits>
+#include <optional>
+#include <vector>
 
 #include "qsa/net/peer.hpp"
 #include "qsa/sim/time.hpp"
@@ -22,6 +31,10 @@ enum class NeighborKind : std::uint8_t { kDirect, kIndirect };
 /// std::uint8_t, so callers registering a path must keep its length within
 /// this bound or the hop distance would silently wrap.
 inline constexpr std::size_t kMaxHopIndex = 255;
+
+/// Largest budget M a table accepts: rows and heap slots are 16-bit.
+inline constexpr std::size_t kMaxNeighborBudget =
+    std::numeric_limits<std::uint16_t>::max();
 
 struct NeighborEntry {
   std::uint8_t hop = 1;  ///< i-hop distance along the aggregation flow
@@ -43,7 +56,8 @@ class NeighborTable {
   /// table asserts — per-peer tables are always created with a budget.
   NeighborTable() = default;
 
-  /// `budget` is M, the maximum number of probed neighbors.
+  /// `budget` is M, the maximum number of probed neighbors, in
+  /// [1, kMaxNeighborBudget].
   explicit NeighborTable(std::size_t budget);
 
   /// Inserts or refreshes a neighbor. On refresh the entry keeps the better
@@ -56,27 +70,63 @@ class NeighborTable {
   /// performance information about it).
   [[nodiscard]] bool knows(net::PeerId peer, sim::SimTime now) const;
 
+  /// `peer`'s entry, expired or not; nullopt when the table has none.
+  [[nodiscard]] std::optional<NeighborEntry> find(net::PeerId peer) const;
+
+  /// Calls `fn(peer, entry)` for every entry, in row order (a pure function
+  /// of the operation history).
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    for (const Row& r : rows_) fn(r.peer, r.entry());
+  }
+
   /// Drops expired entries.
   void purge(sim::SimTime now);
 
   /// Removes a specific entry if present.
   void erase(net::PeerId peer);
 
-  [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return rows_.size(); }
   [[nodiscard]] std::size_t budget() const noexcept { return budget_; }
 
-  /// The live entry set. A flat open-addressing map: the per-candidate
-  /// lookups selection performs on every request are a mix-mask-probe over
-  /// contiguous slots, with no per-node allocation and an iteration order
-  /// that is identical across platforms and standard libraries.
-  [[nodiscard]] const util::DenseMap<net::PeerId, NeighborEntry>& entries()
-      const noexcept {
-    return entries_;
-  }
-
  private:
+  struct Row {
+    sim::SimTime expires;
+    net::PeerId peer = net::kNoPeer;
+    std::uint8_t hop = 1;
+    NeighborKind kind = NeighborKind::kDirect;
+    std::uint16_t heap_slot = 0;  ///< this row's position in heap_
+
+    [[nodiscard]] int rank() const noexcept { return benefit_rank(hop, kind); }
+    [[nodiscard]] NeighborEntry entry() const noexcept {
+      return {hop, kind, expires};
+    }
+  };
+  static_assert(sizeof(Row) == 16);
+
+  /// Eviction order: true when row `a` goes before row `b` — higher rank,
+  /// then earlier deadline, then larger PeerId. Total, because PeerIds are
+  /// unique, so the heap root is a pure function of the table's contents.
+  [[nodiscard]] bool evicts_before(std::uint16_t a,
+                                   std::uint16_t b) const noexcept;
+
+  /// Row of the entry with the earliest deadline (largest PeerId among
+  /// ties) if that deadline is at or before `now`, else none. Scans only
+  /// when earliest_ says an entry may have expired, and tightens earliest_.
+  [[nodiscard]] std::optional<std::uint16_t> oldest_expired(sim::SimTime now);
+
+  void insert_row(const Row& row);
+  void erase_row(std::uint16_t r);
+  void place(std::size_t slot, std::uint16_t r) noexcept;
+  void sift_up(std::size_t slot) noexcept;
+  void sift_down(std::size_t slot) noexcept;
+
   std::size_t budget_ = 0;
-  util::DenseMap<net::PeerId, NeighborEntry> entries_;
+  std::vector<Row> rows_;
+  std::vector<std::uint16_t> heap_;  ///< row numbers, max-heap by eviction
+  util::DenseMap<net::PeerId, std::uint16_t> index_;  ///< peer -> row
+  /// Lower bound on every row's deadline (exact after each scan).
+  sim::SimTime earliest_ = sim::SimTime::infinity();
 };
 
 }  // namespace qsa::probe

@@ -8,6 +8,7 @@ namespace qsa::probe {
 NeighborResolution::NeighborResolution(std::size_t budget, sim::SimTime ttl)
     : budget_(budget), ttl_(ttl) {
   QSA_EXPECTS(budget >= 1);
+  QSA_EXPECTS(budget <= kMaxNeighborBudget);
   QSA_EXPECTS(ttl > sim::SimTime::zero());
 }
 
@@ -99,10 +100,10 @@ void NeighborResolution::prepare_selection(
       // refresh resets the soft-state deadline. Expired entries are observed
       // too — at their full TTL-exceeded age — so the histogram reflects how
       // stale the soft state actually got, not just the fresh cases.
-      if (auto it = t.entries().find(candidate); it != t.entries().end()) {
+      if (const auto entry = t.find(candidate)) {
         staleness_at_use_->observe(static_cast<double>(
-            (ttl_ - (it->second.expires - now)).as_millis()));
-        if (it->second.expires <= now && stale_hits_ != nullptr) {
+            (ttl_ - (entry->expires - now)).as_millis()));
+        if (entry->expires <= now && stale_hits_ != nullptr) {
           stale_hits_->add();
         }
       }

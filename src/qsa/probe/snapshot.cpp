@@ -4,13 +4,14 @@ namespace qsa::probe {
 
 PerfSnapshot probe(const net::PeerTable& peers, const net::NetworkModel& net,
                    net::PeerId prober, net::PeerId target, sim::SimTime now) {
+  const net::ProbedPeer row = peers.probed(target, now);
+  if (!row.alive) return {};
   PerfSnapshot s;
-  s.alive = peers.probed_alive(target, now);
-  if (!s.alive) return s;
-  s.available = peers.probed_available(target, now);
+  s.alive = true;
+  s.available = row.available;
   s.bandwidth_kbps = net.probed_available_kbps(target, prober, now);
   s.latency = net.latency(target, prober);
-  s.uptime = peers.probed_uptime(target, now);
+  s.uptime = row.uptime;
   return s;
 }
 

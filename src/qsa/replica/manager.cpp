@@ -149,14 +149,15 @@ ReplicaRecord ReplicaManager::select_host(registry::InstanceId instance,
     if (std::find(providers.begin(), providers.end(), p) != providers.end()) {
       continue;  // already serves this instance
     }
+    const net::ProbedPeer probed = peers_.probed(p, now);
+    if (!probed.alive) continue;
     probe::PerfSnapshot snap;
-    snap.alive = peers_.probed_alive(p, now);
-    if (!snap.alive) continue;
+    snap.alive = true;
     // Host capability: probed headroom must fit another copy's R...
-    snap.available = peers_.probed_available(p, now);
+    snap.available = probed.available;
     if (!inst.resources.fits_within(snap.available)) continue;
     // ...the host must look stable enough to outlive a retirement cycle...
-    snap.uptime = peers_.probed_uptime(p, now);
+    snap.uptime = probed.uptime;
     if (snap.uptime < config_.cooldown) continue;
     // ...and the path from the pool must sustain the instance's bitrate.
     if (anchor == net::kNoPeer || anchor == p) {

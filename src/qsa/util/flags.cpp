@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 
 namespace qsa::util {
 namespace {
@@ -102,6 +103,22 @@ void reject_unknown_choice(std::string_view program, std::string_view name,
                  static_cast<int>(choices[i].size()), choices[i].data());
   }
   std::fprintf(stderr, "\n");
+  std::exit(2);
+}
+
+std::int64_t get_int_in(const Flags& flags, std::string_view name,
+                        std::int64_t def, std::int64_t lo, std::int64_t hi,
+                        std::string_view program) {
+  const std::int64_t v = flags.get_int(name, def);
+  if (v >= lo && v <= hi) return v;
+  const std::string text = flags.raw(name).value_or(std::to_string(v));
+  std::fprintf(stderr,
+               "%.*s: --%.*s=%s is out of range\n"
+               "usage: --%.*s=<%lld..%lld>\n",
+               static_cast<int>(program.size()), program.data(),
+               static_cast<int>(name.size()), name.data(), text.c_str(),
+               static_cast<int>(name.size()), name.data(),
+               static_cast<long long>(lo), static_cast<long long>(hi));
   std::exit(2);
 }
 

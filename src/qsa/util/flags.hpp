@@ -55,6 +55,15 @@ class Flags {
 /// last get*() lookup.
 void reject_unknown_flags(const Flags& flags, std::string_view program);
 
+/// Integer flag lookup bounded to [lo, hi]: `--name=<int>` (or QSA_<NAME>);
+/// absent uses `def`. A value outside the range prints the range to stderr
+/// and exits 2, like an inadmissible get_choice() value — it never wraps
+/// or clamps into a different experiment.
+[[nodiscard]] std::int64_t get_int_in(const Flags& flags,
+                                      std::string_view name, std::int64_t def,
+                                      std::int64_t lo, std::int64_t hi,
+                                      std::string_view program);
+
 /// One admissible value of an enum-valued flag.
 template <typename T>
 struct Choice {

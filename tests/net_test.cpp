@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <utility>
+#include <vector>
 
 #include "qsa/net/network.hpp"
 #include "qsa/net/peer.hpp"
 #include "qsa/net/reservations.hpp"
+#include "qsa/util/rng.hpp"
 
 namespace qsa::net {
 namespace {
@@ -446,6 +449,96 @@ TEST(NetworkModel, EvictionRespectsTheFloor) {
   EXPECT_EQ(net.touched_pairs(), 2u);  // re-insert not double-counted
 }
 
+TEST(NetworkModel, LedgerMatchesMapReference) {
+  // Random reserve/release traffic across epochs, with the sweep running on
+  // every epoch advance, against a brute-force model: per resident pair the
+  // full mutation history (epoch, reserved after), where the probed value in
+  // epoch e is the last value written before e, and a sweep drops pairs at
+  // zero whose last write predates the current epoch.
+  NetworkModel net(7, clock30());
+  net.set_evict_floor(0);
+  ProbeClock clock = clock30();
+  constexpr PeerId kPeers = 8;
+  using History = std::vector<std::pair<std::int64_t, double>>;
+  std::map<std::uint64_t, History> ref;
+  std::vector<bool> self_seen(kPeers, false);
+  std::uint64_t ref_touched = 0;
+  struct Held {
+    PeerId a, b;
+    double kbps;
+  };
+  std::vector<Held> held;
+  auto live = [&](PeerId a, PeerId b) {
+    const auto it = ref.find(NetworkModel::pair_key(a, b));
+    return it == ref.end() ? 0.0 : it->second.back().second;
+  };
+  auto probed = [&](PeerId a, PeerId b, std::int64_t epoch) {
+    const auto it = ref.find(NetworkModel::pair_key(a, b));
+    if (it == ref.end()) return 0.0;
+    double v = 0;
+    for (const auto& [e, after] : it->second) {
+      if (e < epoch) v = after;
+    }
+    return v;
+  };
+  auto sweep = [&](std::int64_t epoch) {
+    std::erase_if(ref, [epoch](const auto& kv) {
+      return kv.second.back().second == 0 && kv.second.back().first < epoch;
+    });
+  };
+  auto write = [&](PeerId a, PeerId b, std::int64_t epoch, double delta) {
+    History& h = ref[NetworkModel::pair_key(a, b)];
+    h.emplace_back(epoch, (h.empty() ? 0.0 : h.back().second) + delta);
+  };
+
+  util::Rng rng(util::derive_seed(3, "ledger-model", 0));
+  constexpr double kAmounts[] = {1, 5, 20, 56, 100, 500, 5000};
+  SimTime now = SimTime::zero();
+  for (int step = 0; step < 3000; ++step) {
+    now += SimTime::seconds(static_cast<double>(rng.index(12)));
+    const std::int64_t epoch = clock.epoch(now);
+    if (held.empty() || rng.bernoulli(0.55)) {
+      const auto a = static_cast<PeerId>(rng.index(kPeers));
+      const auto b = static_cast<PeerId>(rng.index(kPeers));
+      const double kbps = kAmounts[rng.index(std::size(kAmounts))];
+      if (a == b) {
+        ASSERT_TRUE(net.try_reserve(a, b, kbps, now));
+        if (!self_seen[a]) ++ref_touched;
+        self_seen[a] = true;
+      } else {
+        sweep(epoch);
+        const bool fits = kbps <= net.capacity_kbps(a, b) - live(a, b);
+        ASSERT_EQ(net.try_reserve(a, b, kbps, now), fits) << "step " << step;
+        if (fits) {
+          if (!ref.contains(NetworkModel::pair_key(a, b))) ++ref_touched;
+          write(a, b, epoch, kbps);
+          held.push_back({a, b, kbps});
+        }
+      }
+    } else {
+      const std::size_t i = rng.index(held.size());
+      const Held h = held[i];
+      held[i] = held.back();
+      held.pop_back();
+      sweep(epoch);
+      net.release(h.a, h.b, h.kbps, now);
+      write(h.a, h.b, epoch, -h.kbps);
+    }
+    ASSERT_EQ(net.active_pairs(), ref.size()) << "step " << step;
+    ASSERT_EQ(net.touched_pairs(), ref_touched) << "step " << step;
+    for (PeerId a = 0; a < kPeers; ++a) {
+      for (PeerId b = a + 1; b < kPeers; ++b) {
+        const double cap = net.capacity_kbps(a, b);
+        ASSERT_EQ(net.available_kbps(a, b), cap - live(a, b))
+            << "step " << step << " pair " << a << "," << b;
+        ASSERT_EQ(net.probed_available_kbps(a, b, now),
+                  cap - probed(a, b, epoch))
+            << "step " << step << " pair " << a << "," << b;
+      }
+    }
+  }
+}
+
 // ------------------------------------------------- NetworkModel (coords)
 
 TEST(NetworkModelCoords, MarginalsMatchPaperLevelSets) {
@@ -599,6 +692,52 @@ TEST(PeerTablePaging, ResidentFootprintPlateausUnderChurn) {
   // of 16-slot pages, nowhere near the 102 ever allocated.
   EXPECT_LE(peak_pages, 10u);
   EXPECT_LE(t.resident_pages(), 10u);
+}
+
+TEST(PeerTablePaging, ProbedRowMatchesTheThreeReads) {
+  // probed() must equal probed_alive(), probed_available() and
+  // probed_uptime() for every kind of peer a prober can name.
+  PeerTable t(qos::ResourceSchema::paper(), clock30(), /*page_size=*/4);
+  std::vector<PeerId> ids;
+  for (int i = 0; i < 8; ++i) {
+    ids.push_back(t.add_peer(ResourceVector{100, 200},
+                             SimTime::seconds(-10.0 * i)));
+  }
+  // Page 0 (ids 0-3) drains in epoch 0 and is reclaimed once the clock
+  // moves on; on page 1, ids[5] departs in an earlier epoch than the query
+  // and ids[6] in the query's own epoch.
+  for (int i = 0; i < 4; ++i) t.remove_peer(ids[i], SimTime::seconds(10));
+  ASSERT_TRUE(t.try_reserve(ids[4], ResourceVector{30, 40},
+                            SimTime::seconds(40)));
+  t.remove_peer(ids[5], SimTime::seconds(50));
+  ASSERT_TRUE(t.try_reserve(ids[4], ResourceVector{5, 5},
+                            SimTime::seconds(95)));
+  t.remove_peer(ids[6], SimTime::seconds(100));
+  ASSERT_EQ(t.resident_pages(), 1u);  // page 0 is gone
+
+  const SimTime now = SimTime::seconds(110);  // epoch 3, boundary 90 s
+  struct Case {
+    const char* kind;
+    PeerId id;
+    bool alive;
+  };
+  const Case cases[] = {
+      {"alive", ids[4], true},
+      {"departed this epoch", ids[6], true},
+      {"departed in an earlier epoch", ids[5], false},
+      {"on a reclaimed page", ids[0], false},
+  };
+  for (const Case& c : cases) {
+    const ProbedPeer row = t.probed(c.id, now);
+    EXPECT_EQ(row.alive, c.alive) << c.kind;
+    EXPECT_EQ(row.alive, t.probed_alive(c.id, now)) << c.kind;
+    if (c.id == ids[0]) continue;  // the other reads require a resident page
+    EXPECT_EQ(row.available, t.probed_available(c.id, now)) << c.kind;
+    EXPECT_EQ(row.uptime, t.probed_uptime(c.id, now)) << c.kind;
+  }
+  // The epoch-stale availability: the reservation made in epoch 3 is not
+  // yet visible, the one from epoch 1 is.
+  EXPECT_EQ(t.probed(ids[4], now).available, (ResourceVector{70, 160}));
 }
 
 TEST(PeerTablePaging, ReservationsSurviveAcrossPageBoundaries) {

@@ -101,12 +101,12 @@ TEST(NeighborTable, RefreshKeepsBetterRank) {
   NeighborTable t(10);
   t.add(5, 3, NeighborKind::kIndirect, SimTime::zero(), SimTime::minutes(10));
   t.add(5, 1, NeighborKind::kDirect, SimTime::zero(), SimTime::minutes(10));
-  const auto& e = t.entries().at(5);
+  const NeighborEntry e = t.find(5).value();
   EXPECT_EQ(e.hop, 1);
   EXPECT_EQ(e.kind, NeighborKind::kDirect);
   // A later worse-rank notification does not downgrade it.
   t.add(5, 4, NeighborKind::kIndirect, SimTime::zero(), SimTime::minutes(10));
-  EXPECT_EQ(t.entries().at(5).hop, 1);
+  EXPECT_EQ(t.find(5).value().hop, 1);
 }
 
 TEST(NeighborTable, BudgetEnforced) {
@@ -184,9 +184,9 @@ TEST(NeighborTable, ExpiredTiesBreakDeterministically) {
     }
     EXPECT_TRUE(t.add(50, 3, NeighborKind::kIndirect, SimTime::minutes(5),
                       SimTime::minutes(10)));
-    EXPECT_EQ(t.entries().count(9), 0u) << "victim not canonical";
-    EXPECT_EQ(t.entries().count(2), 1u);
-    EXPECT_EQ(t.entries().count(4), 1u);
+    EXPECT_FALSE(t.find(9).has_value()) << "victim not canonical";
+    EXPECT_TRUE(t.find(2).has_value());
+    EXPECT_TRUE(t.find(4).has_value());
   } while (std::next_permutation(order.begin(), order.end()));
 }
 
@@ -197,8 +197,8 @@ TEST(NeighborTable, LongestExpiredIsReclaimedFirst) {
   // Both are expired at t=10; the one that expired first (peer 1) goes.
   EXPECT_TRUE(t.add(3, 1, NeighborKind::kDirect, SimTime::minutes(10),
                     SimTime::minutes(10)));
-  EXPECT_EQ(t.entries().count(1), 0u);
-  EXPECT_EQ(t.entries().count(2), 1u);
+  EXPECT_FALSE(t.find(1).has_value());
+  EXPECT_TRUE(t.find(2).has_value());
 }
 
 TEST(NeighborTable, PurgeDropsExpired) {
@@ -217,6 +217,26 @@ TEST(NeighborTable, EraseRemovesEntry) {
   EXPECT_FALSE(t.knows(1, SimTime::zero()));
 }
 
+TEST(NeighborTable, FillsToTheSlotCap) {
+  // Rows and heap slots are 16-bit: a table at the cap still indexes every
+  // row and evicts through the heap.
+  NeighborTable t(kMaxNeighborBudget);
+  for (PeerId p = 0; p < kMaxNeighborBudget; ++p) {
+    t.add(p, 2, NeighborKind::kDirect, SimTime::zero(), SimTime::minutes(10));
+  }
+  EXPECT_EQ(t.size(), kMaxNeighborBudget);
+  const auto last = static_cast<PeerId>(kMaxNeighborBudget - 1);
+  EXPECT_TRUE(t.add(1'000'000, 1, NeighborKind::kDirect, SimTime::zero(),
+                    SimTime::minutes(10)));
+  EXPECT_EQ(t.size(), kMaxNeighborBudget);
+  EXPECT_FALSE(t.find(last).has_value());  // the largest tied PeerId goes
+  EXPECT_TRUE(t.knows(0, SimTime::zero()));
+}
+
+TEST(NeighborTableDeathTest, BudgetAboveTheSlotCapIsRejected) {
+  EXPECT_DEATH({ NeighborTable t(kMaxNeighborBudget + 1); }, "precondition");
+}
+
 // ----------------------------------------------------- NeighborResolution
 
 TEST(NeighborResolution, RegisterPathFillsRequesterTable) {
@@ -228,10 +248,10 @@ TEST(NeighborResolution, RegisterPathFillsRequesterTable) {
     EXPECT_TRUE(table.knows(static_cast<PeerId>(p), SimTime::zero()));
   }
   // Hop indices recorded as direct neighbors at their distance.
-  EXPECT_EQ(table.entries().at(10).hop, 1);
-  EXPECT_EQ(table.entries().at(20).hop, 2);
-  EXPECT_EQ(table.entries().at(30).hop, 3);
-  EXPECT_EQ(table.entries().at(20).kind, NeighborKind::kDirect);
+  EXPECT_EQ(table.find(10).value().hop, 1);
+  EXPECT_EQ(table.find(20).value().hop, 2);
+  EXPECT_EQ(table.find(30).value().hop, 3);
+  EXPECT_EQ(table.find(20).value().kind, NeighborKind::kDirect);
 }
 
 TEST(NeighborResolution, MessageAccountingCoversNotificationFanout) {
@@ -248,16 +268,16 @@ TEST(NeighborResolution, PrepareSelectionCreatesIndirectEntries) {
   res.prepare_selection(20, candidates, 2, /*direct=*/false, SimTime::zero());
   auto& table = res.table(20);
   EXPECT_TRUE(table.knows(40, SimTime::zero()));
-  EXPECT_EQ(table.entries().at(40).kind, NeighborKind::kIndirect);
-  EXPECT_EQ(table.entries().at(40).hop, 1);  // one hop from the selector
+  EXPECT_EQ(table.find(40).value().kind, NeighborKind::kIndirect);
+  EXPECT_EQ(table.find(40).value().hop, 1);  // one hop from the selector
 }
 
 TEST(NeighborResolution, PrepareSelectionDirectKeepsHopIndex) {
   NeighborResolution res(100, SimTime::minutes(90));
   const std::vector<PeerId> candidates{40};
   res.prepare_selection(1, candidates, 3, /*direct=*/true, SimTime::zero());
-  EXPECT_EQ(res.table(1).entries().at(40).hop, 3);
-  EXPECT_EQ(res.table(1).entries().at(40).kind, NeighborKind::kDirect);
+  EXPECT_EQ(res.table(1).find(40).value().hop, 3);
+  EXPECT_EQ(res.table(1).find(40).value().kind, NeighborKind::kDirect);
 }
 
 TEST(NeighborResolution, PathAtHopIndexBoundaryIsAccepted) {
@@ -269,9 +289,9 @@ TEST(NeighborResolution, PathAtHopIndexBoundaryIsAccepted) {
   }
   res.register_path(1, hops, SimTime::zero());
   const auto& table = res.table(1);
-  EXPECT_EQ(table.entries().at(static_cast<PeerId>(1000)).hop, 1);
+  EXPECT_EQ(table.find(static_cast<PeerId>(1000)).value().hop, 1);
   EXPECT_EQ(
-      table.entries().at(static_cast<PeerId>(1000 + kMaxHopIndex - 1)).hop,
+      table.find(static_cast<PeerId>(1000 + kMaxHopIndex - 1)).value().hop,
       255);
 }
 

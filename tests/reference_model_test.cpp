@@ -3,13 +3,17 @@
 // step by step.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <map>
 #include <queue>
+#include <tuple>
 #include <vector>
 
 #include "qsa/probe/neighbor_table.hpp"
 #include "qsa/qos/vector.hpp"
 #include "qsa/sim/event_queue.hpp"
+#include "qsa/util/expects.hpp"
 #include "qsa/util/rng.hpp"
 #include "qsa/util/small_vec.hpp"
 
@@ -203,10 +207,215 @@ TEST_P(NeighborTableModel, InvariantsUnderRandomOps) {
     }
     // Invariants: never over budget; knows() == unexpired entry.
     ASSERT_LE(table.size(), kBudget) << "step " << step;
-    for (const auto& [p, entry] : table.entries()) {
+    table.for_each([&](net::PeerId p, const probe::NeighborEntry& entry) {
       EXPECT_EQ(table.knows(p, now), entry.expires > now);
       EXPECT_GE(entry.hop, 1);
+    });
+  }
+}
+
+/// Brute-force reference for the eviction index: the entries in a std::map
+/// and, in add(), the three-level victim scan NeighborTable used before its
+/// heap index, copied verbatim.
+class ScanNeighborTable {
+ public:
+  explicit ScanNeighborTable(std::size_t budget) : budget_(budget) {}
+
+  bool add(net::PeerId peer, std::uint8_t hop, probe::NeighborKind kind,
+           sim::SimTime now, sim::SimTime ttl) {
+    using probe::benefit_rank;
+    using probe::NeighborEntry;
+    const sim::SimTime expires = now + ttl;
+    if (auto it = entries_.find(peer); it != entries_.end()) {
+      // Refresh: keep the better benefit, extend the deadline.
+      if (benefit_rank(hop, kind) < benefit_rank(it->second.hop, it->second.kind)) {
+        it->second.hop = hop;
+        it->second.kind = kind;
+      }
+      if (expires > it->second.expires) it->second.expires = expires;
+      return true;
     }
+    if (entries_.size() >= budget_) {
+      // Evict the lowest-benefit entry, breaking ties towards the one expiring
+      // soonest — but never evict something more beneficial than the newcomer.
+      // Every comparison level ends with a PeerId tiebreak: the victim is a
+      // pure function of the table contents, independent of iteration order,
+      // so the evicted peer (and everything downstream of the table's
+      // contents) is reproducible.
+      bool have_victim = false;   // worst live entry
+      bool have_expired = false;  // longest-expired entry, if any
+      net::PeerId victim_peer = net::kNoPeer;
+      NeighborEntry victim_entry;
+      net::PeerId expired_peer = net::kNoPeer;
+      NeighborEntry expired_entry;
+      for (const auto& [p, entry] : entries_) {
+        if (entry.expires <= now) {
+          if (!have_expired || entry.expires < expired_entry.expires ||
+              (entry.expires == expired_entry.expires && p > expired_peer)) {
+            have_expired = true;  // expired: free to reuse regardless of rank
+            expired_peer = p;
+            expired_entry = entry;
+          }
+          continue;
+        }
+        if (!have_victim) {
+          have_victim = true;
+          victim_peer = p;
+          victim_entry = entry;
+          continue;
+        }
+        const int p_rank = benefit_rank(entry.hop, entry.kind);
+        const int victim_rank =
+            benefit_rank(victim_entry.hop, victim_entry.kind);
+        if (p_rank > victim_rank ||
+            (p_rank == victim_rank &&
+             (entry.expires < victim_entry.expires ||
+              (entry.expires == victim_entry.expires && p > victim_peer)))) {
+          victim_peer = p;
+          victim_entry = entry;
+        }
+      }
+      if (have_expired) {
+        victim_peer = expired_peer;
+        victim_entry = expired_entry;
+        have_victim = true;
+      }
+      QSA_ASSERT(have_victim);
+      const bool victim_expired = victim_entry.expires <= now;
+      if (!victim_expired &&
+          benefit_rank(victim_entry.hop, victim_entry.kind) <
+              benefit_rank(hop, kind)) {
+        return false;  // everything in the table beats the newcomer
+      }
+      entries_.erase(victim_peer);
+    }
+    entries_.emplace(peer, NeighborEntry{hop, kind, expires});
+    return true;
+  }
+
+  void erase(net::PeerId peer) { entries_.erase(peer); }
+
+  void purge(sim::SimTime now) {
+    std::erase_if(entries_,
+                  [now](const auto& kv) { return kv.second.expires <= now; });
+  }
+
+  [[nodiscard]] const std::map<net::PeerId, probe::NeighborEntry>& entries()
+      const noexcept {
+    return entries_;
+  }
+
+ private:
+  std::size_t budget_;
+  std::map<net::PeerId, probe::NeighborEntry> entries_;
+};
+
+/// The table's contents as an ordered map, for comparison with the scan.
+std::map<net::PeerId, probe::NeighborEntry> contents(
+    const probe::NeighborTable& table) {
+  std::map<net::PeerId, probe::NeighborEntry> out;
+  table.for_each([&](net::PeerId p, const probe::NeighborEntry& entry) {
+    out.emplace(p, entry);
+  });
+  return out;
+}
+
+/// An entry's fields, comparable and printable.
+std::tuple<int, int, std::int64_t> fields(const probe::NeighborEntry& e) {
+  return {e.hop, static_cast<int>(e.kind), e.expires.as_millis()};
+}
+
+TEST_P(NeighborTableModel, VictimMatchesScanReference) {
+  // Random add / refresh / rank-upgrade / erase / purge sequences drive the
+  // heap-indexed table and the scan side by side. Deadlines are whole
+  // minutes a few minutes out, so rank ties, deadline ties and expired
+  // entries are all common; after every step both must agree on add()'s
+  // verdict and on the full contents (hence on every victim).
+  constexpr std::size_t kBudgets[] = {1, 2, 12, 100};
+  for (const std::size_t budget : kBudgets) {
+    util::Rng rng(util::derive_seed(GetParam(), "nt-victim", budget));
+    probe::NeighborTable table(budget);
+    ScanNeighborTable ref(budget);
+    const std::size_t universe = 3 * budget + 4;
+    sim::SimTime now = sim::SimTime::zero();
+    auto existing = [&]() -> const std::pair<const net::PeerId,
+                                             probe::NeighborEntry>* {
+      if (ref.entries().empty()) return nullptr;
+      auto it = ref.entries().begin();
+      std::advance(it, rng.index(ref.entries().size()));
+      return &*it;
+    };
+    // Outcomes of adds that found the table full, so a run that never
+    // reaches a victim cannot pass vacuously.
+    int rejected = 0;
+    int live_evictions = 0;
+    int expired_evictions = 0;
+    for (int step = 0; step < 4000; ++step) {
+      // About budget/2 operations per minute keeps the table contested.
+      if (rng.bernoulli(0.5 / static_cast<double>(budget))) {
+        now += sim::SimTime::minutes(1);
+      }
+      const sim::SimTime ttl = sim::SimTime::minutes(1 + rng.index(4));
+      auto hop = static_cast<std::uint8_t>(1 + rng.index(4));
+      auto kind = rng.bernoulli(0.5) ? probe::NeighborKind::kDirect
+                                     : probe::NeighborKind::kIndirect;
+      auto peer = static_cast<net::PeerId>(rng.index(universe));
+      const std::size_t op = rng.index(10);
+      if (op <= 5) {  // add, refresh or rank-upgrade
+        if (op == 4) {  // refresh an entry with any rank
+          if (const auto* e = existing()) peer = e->first;
+        } else if (op == 5) {  // upgrade an entry to a strictly better rank
+          if (const auto* e = existing()) {
+            const int rank = probe::benefit_rank(e->second.hop, e->second.kind);
+            if (rank > 0) {
+              peer = e->first;
+              const auto better =
+                  static_cast<int>(rng.index(static_cast<std::size_t>(rank)));
+              hop = static_cast<std::uint8_t>(better / 2 + 1);
+              kind = better % 2 == 0 ? probe::NeighborKind::kDirect
+                                     : probe::NeighborKind::kIndirect;
+            }
+          }
+        }
+        const bool contested = ref.entries().size() >= budget &&
+                               !ref.entries().contains(peer);
+        const bool any_expired = std::any_of(
+            ref.entries().begin(), ref.entries().end(),
+            [now](const auto& kv) { return kv.second.expires <= now; });
+        const bool added = ref.add(peer, hop, kind, now, ttl);
+        ASSERT_EQ(table.add(peer, hop, kind, now, ttl), added)
+            << "budget " << budget << " step " << step;
+        if (contested) {
+          ++(!added ? rejected : any_expired ? expired_evictions
+                                             : live_evictions);
+        }
+      } else if (op <= 7) {
+        const auto* e = op == 6 ? existing() : nullptr;
+        if (e != nullptr) peer = e->first;
+        table.erase(peer);
+        ref.erase(peer);
+      } else if (op == 8) {
+        table.purge(now);
+        ref.purge(now);
+      }  // op 9: time passes with no operation
+      ASSERT_EQ(table.size(), ref.entries().size())
+          << "budget " << budget << " step " << step;
+      const auto got = contents(table);
+      ASSERT_EQ(got.size(), ref.entries().size());
+      for (const auto& [p, want] : ref.entries()) {
+        const auto it = got.find(p);
+        const auto found = table.find(p);
+        ASSERT_TRUE(it != got.end())
+            << "budget " << budget << " step " << step << " peer " << p;
+        ASSERT_TRUE(found.has_value());
+        ASSERT_EQ(fields(it->second), fields(want))
+            << "budget " << budget << " step " << step << " peer " << p;
+        ASSERT_EQ(fields(*found), fields(want));
+      }
+    }
+    EXPECT_GT(rejected, 0) << "budget " << budget;
+    EXPECT_GT(live_evictions, 0) << "budget " << budget;
+    EXPECT_GT(expired_evictions, 0) << "budget " << budget;
   }
 }
 
