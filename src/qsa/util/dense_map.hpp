@@ -1,7 +1,8 @@
 // An open-addressing hash map for integral keys on simulation hot paths
-// (per-event load ledgers, neighbor tables). Compared with unordered_map it
-// stores entries in one flat array — a lookup is a mix, a mask and a short
-// linear probe over contiguous memory, with no per-node allocation.
+// (per-event load ledgers, the link ledger, neighbor-table indexes).
+// Compared with unordered_map it stores entries in one flat array — a
+// lookup is a mix, a mask and a short linear probe over contiguous memory,
+// with no per-node allocation.
 //
 // Determinism: iteration visits the backing array in index order, which is a
 // pure function of the insertion/erase history and the fixed multiplicative
