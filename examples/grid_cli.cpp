@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 
 #include "qsa/harness/grid.hpp"
@@ -100,7 +101,12 @@ int main(int argc, char** argv) {
 
   harness::GridConfig cfg;
   cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
-  cfg.peers = static_cast<std::size_t>(flags.get_int("peers", 1000));
+  // The unsigned knobs are range-checked as they are read, so a negative
+  // value cannot wrap into a huge one; GridConfig::validate() below checks
+  // the rest.
+  constexpr std::int64_t kU32Max = std::numeric_limits<std::uint32_t>::max();
+  cfg.peers = static_cast<std::size_t>(
+      util::get_int_in(flags, "peers", 1000, 1, kU32Max, "grid_cli"));
   cfg.requests.rate_per_min = flags.get_double("rate", 100);
   cfg.horizon = sim::SimTime::minutes(flags.get_double("minutes", 60));
   cfg.churn.events_per_min = flags.get_double("churn", 0);
@@ -129,10 +135,11 @@ int main(int argc, char** argv) {
   const std::string metrics_out = flags.get("metrics-out", "");
   const std::string flight_out = flags.get("flight-out", "");
   const std::string series_out = flags.get("series-out", "");
-  cfg.trace_sample =
-      static_cast<std::uint32_t>(flags.get_int("trace-sample", 1));
-  cfg.flight_recorder = static_cast<std::uint32_t>(flags.get_int(
-      "flight-recorder", flight_out.empty() ? 0 : 8));
+  cfg.trace_sample = static_cast<std::uint32_t>(
+      util::get_int_in(flags, "trace-sample", 1, 1, kU32Max, "grid_cli"));
+  cfg.flight_recorder = static_cast<std::uint32_t>(
+      util::get_int_in(flags, "flight-recorder", flight_out.empty() ? 0 : 8,
+                       0, kU32Max, "grid_cli"));
   cfg.obs_window = sim::SimTime::millis(flags.get_int(
       "obs-window-ms",
       series_out.empty() ? 0 : sim::SimTime::minutes(2).as_millis()));
@@ -179,6 +186,12 @@ int main(int argc, char** argv) {
   if (const auto bad = flags.unknown(); !bad.empty()) {
     for (const auto& f : bad) std::printf("unknown flag --%s\n", f.c_str());
     std::printf("\n");
+    print_usage();
+    return 2;
+  }
+  if (const std::string_view rule = cfg.validate(); !rule.empty()) {
+    std::printf("out-of-range knob: need %.*s\n\n",
+                static_cast<int>(rule.size()), rule.data());
     print_usage();
     return 2;
   }

@@ -16,6 +16,9 @@
 #                           full trace, and the printed accounting is the same
 #   ProbeBudgetRange        --probe-budget outside 1..65535 exits 2 with a
 #                           message naming the range; the bounds themselves run
+#   KnobRanges              every other out-of-range knob exits 2 with the
+#                           GridConfig::validate() rule it breaks (or, for an
+#                           unsigned knob, its range); the bounds themselves run
 cmake_minimum_required(VERSION 3.16)
 
 file(REMOVE_RECURSE "${WORK}")
@@ -153,6 +156,44 @@ elseif(CASE STREQUAL "ProbeBudgetRange")
   foreach(budget 1 65535)
     run_cli(--peers=20 --minutes=1 --probe-budget=${budget})
   endforeach()
+elseif(CASE STREQUAL "KnobRanges")
+  # Each entry: the knobs to pass, separated by '|', then '@' and the
+  # message wanted. Flags are first-occurrence-wins, so the knobs go before
+  # the defaults.
+  set(cases
+      "--peers=0@--peers=0 is out of range"
+      "--peers=-1@--peers=-1 is out of range"
+      "--rate=-5@need requests.rate_per_min >= 0"
+      "--churn=-3@need churn.events_per_min >= 0"
+      "--minutes=-1@need horizon > 0"
+      "--retries=-2@need admission_retries >= 0"
+      "--bw-weight=2@need bandwidth_weight <= 1"
+      "--fault-loss=1.5@need 0 <= faults.\\*_loss <= 1"
+      "--fault-loss=-0.1@need 0 <= faults.\\*_loss <= 1"
+      "--fault-retries=-1@need faults.max_retries >= 0"
+      "--replication|--replica-threshold=-1@need replication.threshold > 0"
+      "--replication|--max-replicas=-1@need replication.max_replicas >= 0"
+      "--trace-sample=0@--trace-sample=0 is out of range"
+      "--flight-recorder=-1@--flight-recorder=-1 is out of range"
+      "--obs-window-ms=-5@need obs_window >= 0")
+  foreach(entry IN LISTS cases)
+    string(REPLACE "@" ";" entry "${entry}")
+    list(GET entry 0 knobs)
+    list(GET entry 1 want)
+    string(REPLACE "|" ";" knobs "${knobs}")
+    execute_process(COMMAND "${GRID_CLI}" ${knobs} --peers=20 --minutes=1
+                    WORKING_DIRECTORY "${WORK}" RESULT_VARIABLE rc
+                    OUTPUT_VARIABLE stdout ERROR_VARIABLE stderr)
+    if(NOT rc STREQUAL "2")
+      message(FATAL_ERROR "${knobs}: exit ${rc}, want 2\n${stdout}${stderr}")
+    endif()
+    if(NOT "${stdout}${stderr}" MATCHES "${want}")
+      message(FATAL_ERROR "${knobs}: no '${want}' message\n${stdout}${stderr}")
+    endif()
+  endforeach()
+  run_cli(--peers=1 --minutes=0.5 --rate=0 --churn=0 --retries=0 --bw-weight=1
+          --fault-loss=1 --fault-retries=0 --trace-sample=1 --flight-recorder=0
+          --obs-window-ms=0)
 else()
   message(FATAL_ERROR "unknown CASE '${CASE}'")
 endif()

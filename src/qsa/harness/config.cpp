@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 
+#include "qsa/probe/neighbor_table.hpp"
 #include "qsa/util/expects.hpp"
 
 namespace qsa::harness {
@@ -27,6 +28,62 @@ std::string_view to_string(DiscoveryKind kind) {
       return "dht";
   }
   return "?";
+}
+
+std::string_view GridConfig::validate() const {
+  // Each rule is the condition that must hold, so a NaN knob breaks it too.
+  const sim::SimTime zero = sim::SimTime::zero();
+  const auto loss_ok = [](double p) { return p >= 0 && p <= 1; };
+  const struct {
+    bool holds;
+    std::string_view rule;
+  } rules[] = {
+      {peers >= 1, "peers >= 1"},
+      {min_capacity >= 0 && min_capacity <= max_capacity,
+       "0 <= min_capacity <= max_capacity"},
+      {max_initial_age_min >= 0, "max_initial_age_min >= 0"},
+      {min_providers >= 1 && min_providers <= max_providers,
+       "1 <= min_providers <= max_providers"},
+      {arrival_hosted_min >= 0 && arrival_hosted_min <= arrival_hosted_max,
+       "0 <= arrival_hosted_min <= arrival_hosted_max"},
+      {probe_period > zero, "probe_period > 0"},
+      {probe_budget >= 1 && probe_budget <= probe::kMaxNeighborBudget,
+       "1 <= probe_budget <= 65535"},
+      {neighbor_ttl > zero, "neighbor_ttl > 0"},
+      {chord_replicas >= 1, "chord_replicas >= 1"},
+      {stabilize_period > zero, "stabilize_period > 0"},
+      {stabilize_fraction > 0 && stabilize_fraction <= 1,
+       "0 < stabilize_fraction <= 1"},
+      {republish_period > zero, "republish_period > 0"},
+      {requests.rate_per_min >= 0, "requests.rate_per_min >= 0"},
+      {churn.events_per_min >= 0, "churn.events_per_min >= 0"},
+      {admission_retries >= 0, "admission_retries >= 0"},
+      {bandwidth_weight <= 1, "bandwidth_weight <= 1 (negative = uniform)"},
+      {discovery_cache_ttl >= zero, "discovery_cache_ttl >= 0"},
+      {index_expiry_epochs >= 1, "index_expiry_epochs >= 1"},
+      {replication.threshold > 0, "replication.threshold > 0"},
+      {replication.retire_fraction >= 0 && replication.retire_fraction <= 1,
+       "0 <= replication.retire_fraction <= 1"},
+      {replication.cooldown > zero, "replication.cooldown > 0"},
+      {replication.max_replicas >= 0, "replication.max_replicas >= 0"},
+      {replication.demand_half_life > zero,
+       "replication.demand_half_life > 0"},
+      {replication.candidate_sample >= 1,
+       "replication.candidate_sample >= 1"},
+      {loss_ok(faults.probe_loss) && loss_ok(faults.notify_loss) &&
+           loss_ok(faults.lookup_loss) && loss_ok(faults.reservation_loss),
+       "0 <= faults.*_loss <= 1"},
+      {faults.max_extra_delay >= zero, "faults.max_extra_delay >= 0"},
+      {faults.max_retries >= 0, "faults.max_retries >= 0"},
+      {faults.backoff_base >= zero, "faults.backoff_base >= 0"},
+      {horizon > zero, "horizon > 0"},
+      {sample_period > zero, "sample_period > 0"},
+      {obs_window >= zero, "obs_window >= 0"},
+  };
+  for (const auto& r : rules) {
+    if (!r.holds) return r.rule;
+  }
+  return {};
 }
 
 void GridConfig::scale(double factor) {

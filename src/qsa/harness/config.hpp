@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "qsa/core/aggregate.hpp"
 #include "qsa/engine/engine.hpp"
@@ -177,6 +178,12 @@ struct GridConfig {
   /// values are wall-clock (non-deterministic), so the gate keeps knobs-off
   /// output byte-identical.
   bool profile = false;
+
+  /// The first rule this config breaks, stated as the condition that must
+  /// hold (e.g. "0 < stabilize_fraction <= 1"); empty when it breaks none.
+  /// GridSimulation requires an empty result, and front ends print the rule
+  /// instead of starting a run with a nonsensical knob.
+  [[nodiscard]] std::string_view validate() const;
 
   /// Scales population-bound knobs (peer count, request rate, churn rate) by
   /// `factor`, preserving per-peer load and churned population fraction so

@@ -19,6 +19,10 @@ GridSimulation::GridSimulation(GridConfig config)
       universe_(registry::QosUniverse::standard(interner_)),
       grid_rng_(util::derive_seed(config_.seed, "grid", 0)),
       recovery_rng_(util::derive_seed(config_.seed, "recovery", 0)) {
+  if (const std::string_view rule = config_.validate(); !rule.empty()) {
+    util::contract_failure("precondition", std::string(rule).c_str(),
+                           __FILE__, __LINE__);
+  }
   // The QoS->resource translator shared by catalog generation.
   translator_ = std::make_unique<qos::AnalyticTranslator>(
       universe_.level, qos::AnalyticTranslator::paper_coefficients());

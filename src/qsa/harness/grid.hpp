@@ -105,6 +105,8 @@ struct ProfileReport {
 
 class GridSimulation {
  public:
+  /// Requires `config.validate()` to be empty: a broken rule aborts with
+  /// the rule as the message.
   explicit GridSimulation(GridConfig config);
   ~GridSimulation();
 

@@ -36,22 +36,102 @@ void ChordRing::compute_fingers(ChordKey at, Node& node) const {
   }
 }
 
-void ChordRing::compute_fingers_sorted(const std::vector<ChordKey>& keys,
-                                       ChordKey at, Node& node) {
-  QSA_EXPECTS(!keys.empty());
-  for (int i = 0; i < kKeyBits; ++i) {
-    const ChordKey target = at + (ChordKey{1} << i);  // wraps mod 2^64
-    const auto it = std::lower_bound(keys.begin(), keys.end(), target);
-    // Same wrap rule as successor(): past the end means the first node.
-    node.fingers[static_cast<std::size_t>(i)] =
-        it == keys.end() ? keys.front() : *it;
+void ChordRing::log_change(ChordKey key) {
+  if (keys_rebuild_) return;
+  changes_.push_back(key);
+  // Past an eighth of the ring (e.g. a bootstrap's deferred joins) the log
+  // stops growing, and the next sync rebuilds keys_ with one map walk
+  // instead of sorting the log and looking each logged key up in the map.
+  if (changes_.size() > std::max<std::size_t>(64, ring_.size() / 8)) {
+    keys_rebuild_ = true;
+    changes_.clear();
   }
 }
 
-void ChordRing::snapshot_keys(std::vector<ChordKey>& out) const {
-  out.clear();
-  out.reserve(ring_.size());
-  for (const auto& [key, node] : ring_) out.push_back(key);  // sorted
+void ChordRing::sync_keys() {
+  if (keys_rebuild_) {
+    keys_.clear();
+    keys_.reserve(ring_.size());
+    for (const auto& [key, node] : ring_) keys_.push_back(key);  // sorted
+    keys_rebuild_ = false;
+  } else if (!changes_.empty()) {
+    std::sort(changes_.begin(), changes_.end());
+    changes_.erase(std::unique(changes_.begin(), changes_.end()),
+                   changes_.end());
+    // Drop every logged key from the snapshot, compacting forward...
+    auto out = std::lower_bound(keys_.begin(), keys_.end(), changes_.front());
+    auto logged = changes_.begin();
+    for (auto in = out; in != keys_.end(); ++in) {
+      while (logged != changes_.end() && *logged < *in) ++logged;
+      if (logged == changes_.end() || *logged != *in) *out++ = *in;
+    }
+    keys_.erase(out, keys_.end());
+    // ...then merge back, from the end, the logged keys the ring holds.
+    // Leave-then-rejoin keeps its key; join-then-leave leaves no trace.
+    std::erase_if(changes_, [this](ChordKey k) { return !ring_.contains(k); });
+    std::size_t kept = keys_.size();
+    std::size_t added = changes_.size();
+    keys_.resize(kept + added);
+    for (std::size_t w = keys_.size(); added > 0;) {
+      if (kept > 0 && keys_[kept - 1] > changes_[added - 1]) {
+        keys_[--w] = keys_[--kept];
+      } else {
+        keys_[--w] = changes_[--added];
+      }
+    }
+    changes_.clear();
+  }
+  QSA_ASSERT(keys_.size() == ring_.size());
+}
+
+void ChordRing::refresh_run(std::size_t first, std::size_t count) {
+  const std::size_t n = keys_.size();
+  QSA_EXPECTS(first < n && count <= n);
+  // Along the run the node keys increase, counting a pass over the ring's
+  // end as a lap. So for each finger index i the targets key + 2^i increase
+  // too (a carry past 2^64 is one more lap), and so do their successors.
+  // Each finger index keeps a forward cursor: one binary search seeds it at
+  // the run's first node, after which it only advances. A position orders
+  // by (lap, key).
+  struct Cursor {
+    std::size_t at;
+    std::size_t laps;
+  };
+  std::array<Cursor, kKeyBits> cursors;
+  for (int i = 0; i < kKeyBits; ++i) {
+    const ChordKey target = keys_[first] + (ChordKey{1} << i);  // wraps
+    const std::size_t laps = target < keys_[first] ? 1 : 0;
+    const auto at = static_cast<std::size_t>(
+        std::lower_bound(keys_.begin(), keys_.end(), target) - keys_.begin());
+    // Past the end, the successor is the first node of the next lap.
+    cursors[static_cast<std::size_t>(i)] =
+        at == n ? Cursor{0, laps + 1} : Cursor{at, laps};
+  }
+  auto it = ring_.find(keys_[first]);
+  std::size_t pos = first;
+  std::size_t laps = 0;
+  for (std::size_t j = 0; j < count; ++j) {
+    const ChordKey key = keys_[pos];
+    QSA_ASSERT(it->first == key);
+    for (int i = 0; i < kKeyBits; ++i) {
+      const ChordKey target = key + (ChordKey{1} << i);  // wraps
+      const std::size_t target_laps = laps + (target < key ? 1 : 0);
+      Cursor& c = cursors[static_cast<std::size_t>(i)];
+      while (c.laps < target_laps ||
+             (c.laps == target_laps && keys_[c.at] < target)) {
+        if (++c.at == n) {
+          c.at = 0;
+          ++c.laps;
+        }
+      }
+      it->second.fingers[static_cast<std::size_t>(i)] = keys_[c.at];
+    }
+    if (++pos == n) {
+      pos = 0;
+      ++laps;
+    }
+    if (++it == ring_.end()) it = ring_.begin();
+  }
 }
 
 void ChordRing::join_impl(net::PeerId peer, bool deferred) {
@@ -84,6 +164,7 @@ void ChordRing::join_impl(net::PeerId peer, bool deferred) {
   QSA_ASSERT(inserted);
   if (!deferred) compute_fingers(key, it->second);
   key_of_peer_.emplace(peer, key);
+  log_change(key);
 }
 
 void ChordRing::join(net::PeerId peer) { join_impl(peer, /*deferred=*/false); }
@@ -107,13 +188,16 @@ void ChordRing::leave(net::PeerId peer) {
   }
   ring_.erase(it);
   key_of_peer_.erase(pit);
+  log_change(key);
 }
 
 void ChordRing::fail(net::PeerId peer) {
   auto pit = key_of_peer_.find(peer);
   if (pit == key_of_peer_.end()) return;
-  ring_.erase(pit->second);  // store vanishes; replicas keep the data alive
+  const ChordKey key = pit->second;
+  ring_.erase(key);  // store vanishes; replicas keep the data alive
   key_of_peer_.erase(pit);
+  log_change(key);
 }
 
 LookupStats ChordRing::route(ChordKey key, net::PeerId from,
@@ -250,51 +334,51 @@ std::vector<std::uint64_t> ChordRing::get(ChordKey key) const {
 void ChordRing::stabilize_round(double fraction) {
   if (ring_.empty()) return;
   QSA_EXPECTS(fraction > 0);
-  const auto count = std::max<std::size_t>(
-      1, static_cast<std::size_t>(
-             std::ceil(fraction * static_cast<double>(ring_.size()))));
-  snapshot_keys(stabilize_scratch_);
-  auto it = ring_.lower_bound(stabilize_cursor_);
-  if (it == ring_.end()) it = ring_.begin();
-  for (std::size_t i = 0; i < count && i < ring_.size(); ++i) {
-    compute_fingers_sorted(stabilize_scratch_, it->first, it->second);
-    ++it;
-    if (it == ring_.end()) it = ring_.begin();
-  }
-  stabilize_cursor_ = it == ring_.end() ? 0 : it->first;
+  sync_keys();
+  const std::size_t n = keys_.size();
+  const auto count = std::min(
+      n, std::max<std::size_t>(
+             1, static_cast<std::size_t>(
+                    std::ceil(fraction * static_cast<double>(n)))));
+  // The round resumes at the first node at or after the cursor (wrapping)
+  // and leaves the cursor on the node after its last.
+  auto first = static_cast<std::size_t>(
+      std::lower_bound(keys_.begin(), keys_.end(), stabilize_cursor_) -
+      keys_.begin());
+  if (first == n) first = 0;
+  refresh_run(first, count);
+  stabilize_cursor_ = keys_[(first + count) % n];
 }
 
 void ChordRing::stabilize_all() {
   if (ring_.empty()) return;
-  snapshot_keys(stabilize_scratch_);
-  if (ring_.size() < kPooledStabilizeMin) {
-    for (auto& [key, node] : ring_) {
-      compute_fingers_sorted(stabilize_scratch_, key, node);
-    }
+  sync_keys();
+  const std::size_t n = keys_.size();
+  if (n < kPooledStabilizeMin) {
+    refresh_run(0, n);
     return;
   }
-  std::vector<Node*> nodes;
-  nodes.reserve(ring_.size());
-  for (auto& [key, node] : ring_) nodes.push_back(&node);
-  // Disjoint contiguous chunks: each worker writes only its own nodes'
-  // finger arrays from the shared read-only snapshot, so the result is the
-  // serial walk's, bit for bit, regardless of scheduling.
+  // Disjoint runs: each worker writes only its own nodes' finger arrays
+  // from the shared read-only snapshot, so the result is the serial run's,
+  // bit for bit, regardless of scheduling.
   const std::size_t chunk = 512;
-  const std::size_t chunks = (nodes.size() + chunk - 1) / chunk;
   util::shared_pool().parallel_for(
-      chunks, [this, &nodes, chunk](std::size_t c) {
+      (n + chunk - 1) / chunk, [this, n, chunk](std::size_t c) {
         const std::size_t lo = c * chunk;
-        const std::size_t hi = std::min(lo + chunk, nodes.size());
-        for (std::size_t i = lo; i < hi; ++i) {
-          compute_fingers_sorted(stabilize_scratch_,
-                                 stabilize_scratch_[i], *nodes[i]);
-        }
+        refresh_run(lo, std::min(chunk, n - lo));
       });
 }
 
 net::PeerId ChordRing::owner_of(ChordKey key) const {
   QSA_EXPECTS(!ring_.empty());
   return successor(key)->second.peer;
+}
+
+const std::array<ChordKey, kKeyBits>& ChordRing::fingers(
+    net::PeerId peer) const {
+  const auto pit = key_of_peer_.find(peer);
+  QSA_EXPECTS(pit != key_of_peer_.end());
+  return ring_.find(pit->second)->second.fingers;
 }
 
 }  // namespace qsa::overlay

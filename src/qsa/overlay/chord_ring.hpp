@@ -78,9 +78,9 @@ class ChordRing final : public LookupService {
   void stabilize_round(double fraction = 0.1) override;
 
   /// Refreshes every finger table (used after bulk bootstrap joins). Every
-  /// node's fingers are a pure function of the shared sorted key snapshot,
-  /// so from kPooledStabilizeMin nodes up the per-node rebuilds fan out
-  /// over util::shared_pool() and land byte-identical to the serial walk.
+  /// node's fingers are a pure function of the sorted key snapshot, so from
+  /// kPooledStabilizeMin nodes up the ring is refreshed in 512-node runs
+  /// over util::shared_pool(), byte-identical to one serial run.
   void stabilize_all() override;
 
   /// Ring size from which stabilize_all() uses the pool; below it the
@@ -90,6 +90,11 @@ class ChordRing final : public LookupService {
   /// The node key owning `key` resolved against the live ring (oracle view,
   /// for tests).
   [[nodiscard]] net::PeerId owner_of(ChordKey key) const override;
+
+  /// `peer`'s finger table as last computed (oracle view, for tests).
+  /// Requires `peer` to be joined.
+  [[nodiscard]] const std::array<ChordKey, kKeyBits>& fingers(
+      net::PeerId peer) const;
 
  private:
   struct Node {
@@ -109,24 +114,32 @@ class ChordRing final : public LookupService {
   [[nodiscard]] Ring::iterator successor(ChordKey key);
 
   void compute_fingers(ChordKey at, Node& node) const;
-  /// Finger recomputation against a sorted snapshot of the ring's keys —
-  /// contiguous binary searches instead of 64 pointer-chasing map walks per
-  /// node; bit-identical results. The stabilize paths refresh many nodes
-  /// per call, which amortizes the snapshot copy.
-  static void compute_fingers_sorted(const std::vector<ChordKey>& keys,
-                                     ChordKey at, Node& node);
-  void snapshot_keys(std::vector<ChordKey>& out) const;
   /// Shared join body; `deferred` skips the finger computation.
   void join_impl(net::PeerId peer, bool deferred);
   void replicate_insert(Ring::iterator owner_it, ChordKey key,
                         std::uint64_t value);
+
+  /// Notes that `key` joined or left, for the next sync_keys().
+  void log_change(ChordKey key);
+  /// Brings keys_ in step with ring_: merges the change log into it, or
+  /// rebuilds it from the map once the log has overflowed.
+  void sync_keys();
+  /// Recomputes the fingers of the `count` ring-consecutive nodes starting
+  /// at keys_[first] (wrapping; count <= ring size) from a synced keys_.
+  void refresh_run(std::size_t first, std::size_t count);
 
   std::uint64_t seed_;
   int replicas_;
   Ring ring_;
   std::unordered_map<net::PeerId, ChordKey> key_of_peer_;
   ChordKey stabilize_cursor_ = 0;
-  std::vector<ChordKey> stabilize_scratch_;  // grow-only snapshot buffer
+  // The member keys, sorted; equal to ring_'s after sync_keys(). Between
+  // syncs, changes_ lists every key that joined or left since (a key may
+  // appear more than once), unless keys_rebuild_ is set: the log
+  // overflowed, was dropped, and the next sync rebuilds from the map.
+  std::vector<ChordKey> keys_;
+  std::vector<ChordKey> changes_;
+  bool keys_rebuild_ = false;
 };
 
 }  // namespace qsa::overlay

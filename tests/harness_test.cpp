@@ -1,7 +1,10 @@
 // Experiment runner, config scaling, and harness-level helpers.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
+#include <string_view>
+#include <utility>
 
 #include "qsa/harness/experiment.hpp"
 
@@ -52,6 +55,85 @@ TEST(GridConfigScale, EnvScaleParsesVariable) {
   ::setenv("QSA_SCALE", "garbage", 1);
   EXPECT_DOUBLE_EQ(GridConfig::env_scale(0.5), 0.5);
   ::unsetenv("QSA_SCALE");
+}
+
+TEST(GridConfigValidate, DefaultAndBoundaryConfigsPass) {
+  EXPECT_EQ(GridConfig{}.validate(), "");
+  GridConfig c = tiny_config();
+  EXPECT_EQ(c.validate(), "");
+  c.stabilize_fraction = 1;
+  c.bandwidth_weight = 1;
+  c.faults.set_all_loss(1);
+  c.faults.max_retries = 0;
+  c.admission_retries = 0;
+  c.requests.rate_per_min = 0;
+  c.replication.max_replicas = 0;
+  c.obs_window = sim::SimTime::zero();
+  EXPECT_EQ(c.validate(), "");
+}
+
+TEST(GridConfigValidate, NamesTheBrokenRule) {
+  using Edit = void (*)(GridConfig&);
+  const std::pair<Edit, std::string_view> cases[] = {
+      {[](GridConfig& c) { c.peers = 0; }, "peers >= 1"},
+      {[](GridConfig& c) { c.min_providers = c.max_providers + 1; },
+       "1 <= min_providers <= max_providers"},
+      {[](GridConfig& c) { c.probe_budget = 0; },
+       "1 <= probe_budget <= 65535"},
+      {[](GridConfig& c) { c.stabilize_period = sim::SimTime::zero(); },
+       "stabilize_period > 0"},
+      {[](GridConfig& c) { c.stabilize_fraction = 0; },
+       "0 < stabilize_fraction <= 1"},
+      {[](GridConfig& c) { c.stabilize_fraction = 1.5; },
+       "0 < stabilize_fraction <= 1"},
+      {[](GridConfig& c) { c.requests.rate_per_min = -5; },
+       "requests.rate_per_min >= 0"},
+      {[](GridConfig& c) { c.requests.rate_per_min = std::nan(""); },
+       "requests.rate_per_min >= 0"},
+      {[](GridConfig& c) { c.churn.events_per_min = -3; },
+       "churn.events_per_min >= 0"},
+      {[](GridConfig& c) { c.admission_retries = -2; },
+       "admission_retries >= 0"},
+      {[](GridConfig& c) { c.bandwidth_weight = 2; },
+       "bandwidth_weight <= 1 (negative = uniform)"},
+      {[](GridConfig& c) { c.replication.threshold = -1; },
+       "replication.threshold > 0"},
+      {[](GridConfig& c) { c.replication.max_replicas = -1; },
+       "replication.max_replicas >= 0"},
+      {[](GridConfig& c) { c.faults.set_all_loss(1.5); },
+       "0 <= faults.*_loss <= 1"},
+      {[](GridConfig& c) { c.faults.set_all_loss(-0.1); },
+       "0 <= faults.*_loss <= 1"},
+      {[](GridConfig& c) { c.faults.max_retries = -1; },
+       "faults.max_retries >= 0"},
+      {[](GridConfig& c) { c.horizon = sim::SimTime::minutes(-1); },
+       "horizon > 0"},
+      {[](GridConfig& c) { c.obs_window = sim::SimTime::millis(-5); },
+       "obs_window >= 0"},
+  };
+  for (const auto& [edit, rule] : cases) {
+    GridConfig c = tiny_config();
+    edit(c);
+    EXPECT_EQ(c.validate(), rule);
+  }
+  // Several broken rules: the first in declaration order is named.
+  GridConfig c = tiny_config();
+  c.horizon = sim::SimTime::zero();
+  c.stabilize_fraction = 0;
+  EXPECT_EQ(c.validate(), "0 < stabilize_fraction <= 1");
+}
+
+TEST(GridConfigDeathTest, GridSimulationRejectsABrokenRule) {
+  GridConfig c = tiny_config();
+  c.stabilize_fraction = 0;
+  EXPECT_DEATH({ GridSimulation grid(c); },
+               "precondition violated: \\(0 < stabilize_fraction <= 1\\)");
+  c = tiny_config();
+  c.stabilize_period = sim::SimTime::zero();
+  EXPECT_DEATH({ GridSimulation grid(c); }, "stabilize_period > 0");
+  c = tiny_config();
+  c.peers = 0;
+  EXPECT_DEATH({ GridSimulation grid(c); }, "peers >= 1");
 }
 
 TEST(AlgorithmComparison, BuildsThreeCells) {

@@ -4,12 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cmath>
 #include <iterator>
 #include <map>
 #include <queue>
+#include <string>
 #include <tuple>
 #include <vector>
 
+#include "qsa/overlay/chord_ring.hpp"
 #include "qsa/probe/neighbor_table.hpp"
 #include "qsa/qos/vector.hpp"
 #include "qsa/sim/event_queue.hpp"
@@ -421,6 +425,182 @@ TEST_P(NeighborTableModel, VictimMatchesScanReference) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, NeighborTableModel,
                          ::testing::Values(1, 2, 3, 4));
+
+// ------------------------------------------------------------ ChordRing
+
+using overlay::ChordKey;
+using overlay::ChordRing;
+using overlay::kKeyBits;
+using Fingers = std::array<ChordKey, kKeyBits>;
+
+/// The finger routine ChordRing used before its cursor sweep, verbatim
+/// except that it writes a bare array: 64 independent binary searches over
+/// a sorted snapshot of the member keys.
+void compute_fingers_sorted(const std::vector<ChordKey>& keys, ChordKey at,
+                            Fingers& fingers) {
+  QSA_EXPECTS(!keys.empty());
+  for (int i = 0; i < kKeyBits; ++i) {
+    const ChordKey target = at + (ChordKey{1} << i);  // wraps mod 2^64
+    const auto it = std::lower_bound(keys.begin(), keys.end(), target);
+    // Same wrap rule as successor(): past the end means the first node.
+    fingers[static_cast<std::size_t>(i)] =
+        it == keys.end() ? keys.front() : *it;
+  }
+}
+
+/// A ChordRing under test and its membership, shadowed in a std::map.
+class ShadowedRing {
+ public:
+  explicit ShadowedRing(std::uint64_t seed) : seed_(seed), ring_(seed) {}
+
+  void join(net::PeerId peer, bool deferred) {
+    deferred ? ring_.join_deferred(peer) : ring_.join(peer);
+    members_.emplace(overlay::node_key(seed_, peer), peer);
+  }
+
+  void leave(net::PeerId peer, bool abrupt) {
+    abrupt ? ring_.fail(peer) : ring_.leave(peer);
+    members_.erase(overlay::node_key(seed_, peer));
+  }
+
+  /// A member picked by `rng`; requires a non-empty ring.
+  net::PeerId any_member(util::Rng& rng) const {
+    auto it = members_.begin();
+    std::advance(it, rng.index(members_.size()));
+    return it->second;
+  }
+
+  /// Nodes one stabilize_round(fraction) refreshes.
+  std::size_t round_size(double fraction) const {
+    const std::size_t n = members_.size();
+    return std::min(n, std::max<std::size_t>(
+                           1, static_cast<std::size_t>(std::ceil(
+                                  fraction * static_cast<double>(n)))));
+  }
+
+  /// Rounds until every member has been refreshed since the last change.
+  void full_pass(double fraction) {
+    for (std::size_t done = 0; done < members_.size();
+         done += round_size(fraction)) {
+      ring_.stabilize_round(fraction);
+    }
+  }
+
+  /// Members whose fingers differ from the reference over a fresh walk of
+  /// the membership map; the first one is described in `first`.
+  std::size_t mismatches(std::string& first) const {
+    std::vector<ChordKey> keys;
+    for (const auto& [key, peer] : members_) keys.push_back(key);
+    std::size_t bad = 0;
+    for (const auto& [key, peer] : members_) {
+      Fingers want;
+      compute_fingers_sorted(keys, key, want);
+      const Fingers& got = ring_.fingers(peer);
+      if (got == want) continue;
+      if (bad++ == 0) {
+        const auto i = std::mismatch(got.begin(), got.end(), want.begin())
+                           .first - got.begin();
+        first = "peer " + std::to_string(peer) + " finger " +
+                std::to_string(i) + ": " + std::to_string(got[i]) +
+                " want " + std::to_string(want[i]);
+      }
+    }
+    return bad;
+  }
+
+  ChordRing& ring() { return ring_; }
+  std::size_t size() const { return members_.size(); }
+  bool has(net::PeerId peer) const {
+    return members_.contains(overlay::node_key(seed_, peer));
+  }
+
+ private:
+  std::uint64_t seed_;
+  ChordRing ring_;
+  std::map<ChordKey, net::PeerId> members_;
+};
+
+class ChordFingerModel : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(ChordFingerModel, SweepMatchesSortedSearchReference) {
+  std::size_t compared = 0;
+  // Rounds: random joins, deferred joins, leaves and failures between
+  // stabilize rounds of every size, then a full pass with no change, after
+  // which every node's fingers must equal the reference's. Each epoch also
+  // has a peer leave and rejoin between two rounds, and some epochs a burst
+  // of deferred joins past the change log's bound.
+  constexpr double kFractions[] = {0.01, 0.05, 0.1, 0.3, 0.5, 1.0, 1.7};
+  for (const double fraction : kFractions) {
+    util::Rng rng(util::derive_seed(GetParam(), "chord-sweep",
+                                    static_cast<std::uint64_t>(fraction * 100)));
+    ShadowedRing model(util::derive_seed(GetParam(), "chord-ring", 0));
+    constexpr net::PeerId kUniverse = 600;
+    for (net::PeerId p = 0; p < 150; ++p) {
+      model.join(p, /*deferred=*/true);
+    }
+    model.ring().stabilize_all();
+    for (int epoch = 0; epoch < 12; ++epoch) {
+      const int steps = static_cast<int>(rng.index(40));
+      for (int step = 0; step < steps; ++step) {
+        const auto peer = static_cast<net::PeerId>(rng.index(kUniverse));
+        if (!model.has(peer)) {
+          model.join(peer, rng.bernoulli(0.5));
+        } else if (model.size() > 1) {
+          model.leave(peer, rng.bernoulli(0.5));
+        }
+        if (rng.bernoulli(0.2)) model.ring().stabilize_round(fraction);
+      }
+      const net::PeerId back = model.any_member(rng);
+      model.leave(back, rng.bernoulli(0.5));
+      model.join(back, rng.bernoulli(0.5));
+      model.ring().stabilize_round(fraction);
+      if (epoch % 4 == 3) {
+        for (net::PeerId p = 0; p < kUniverse; ++p) {
+          if (!model.has(p)) model.join(p, /*deferred=*/true);
+        }
+      }
+      model.full_pass(fraction);
+      std::string first;
+      ASSERT_EQ(model.mismatches(first), 0u)
+          << "fraction " << fraction << " epoch " << epoch << ": " << first;
+      compared += model.size();
+    }
+  }
+  // stabilize_all(): the smallest rings (every finger wraps) and one past
+  // the pool threshold, with a last chunk shorter than the others.
+  constexpr std::size_t kSizes[] = {1, 2, 3, 17,
+                                    ChordRing::kPooledStabilizeMin + 555};
+  for (const std::size_t size : kSizes) {
+    util::Rng rng(util::derive_seed(GetParam(), "chord-all", size));
+    ShadowedRing model(util::derive_seed(GetParam(), "chord-all-ring", size));
+    for (net::PeerId p = 0; p < size; ++p) {
+      model.join(p, rng.bernoulli(0.5));
+    }
+    model.ring().stabilize_all();
+    std::string first;
+    ASSERT_EQ(model.mismatches(first), 0u) << "size " << size << ": " << first;
+    compared += size;
+    // Churn that keeps the size, merged (not rebuilt: it stays under the
+    // change log's bound) by the next stabilize_all().
+    for (std::size_t step = 0; step < 2 + size / 64; ++step) {
+      const net::PeerId out = model.any_member(rng);
+      model.leave(out, rng.bernoulli(0.5));
+      model.join(static_cast<net::PeerId>(size + step), rng.bernoulli(0.5));
+      if (step % 3 == 0) {  // and a peer that leaves and comes back
+        const net::PeerId back = model.any_member(rng);
+        model.leave(back, rng.bernoulli(0.5));
+        model.join(back, rng.bernoulli(0.5));
+      }
+    }
+    model.ring().stabilize_all();
+    ASSERT_EQ(model.mismatches(first), 0u)
+        << "size " << size << " after churn: " << first;
+    compared += size;
+  }
+  EXPECT_GT(compared, 10'000u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ChordFingerModel, ::testing::Values(1, 2, 3));
 
 }  // namespace
 }  // namespace qsa
