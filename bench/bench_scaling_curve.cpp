@@ -11,12 +11,10 @@
 // resident slot count. tools/check_scaling.py gates CI on the wall ceiling
 // and on RSS growing no faster than the population does.
 //
-// Flags: --ns=N1,N2,...   populations (default 10000,100000,1000000)
-//        --minutes=M      horizon per cell (default 10)
-//        --rate=R         requests/min at N=10^4; scaled by N/10^4
-//        --churn=C        churn events/min at N=10^4; scaled by N/10^4
-//        --net-model=K    paper | coords (default coords: O(N) state)
-//        --seed=S, --json-out=FILE, --csv
+// Flags: see print_usage(). Every cell's configuration is checked against
+// GridConfig::validate() before the first fork, so a bad knob (or a --ns
+// entry that is not an integer in 1..2^32-1) prints the rule and the usage
+// and exits 2 instead of aborting every child.
 //
 // The banner and the JSON header record hw_threads (the host's hardware
 // threads): the Chord finger rebuild in bootstrap fans out over the shared
@@ -25,10 +23,13 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -139,24 +140,53 @@ bool run_cell(const harness::GridConfig& cfg, CellResult& out) {
   return parsed == 11;
 }
 
-std::vector<std::size_t> parse_ns(const std::string& list) {
-  std::vector<std::size_t> ns;
+void print_usage() {
+  std::printf(
+      "bench_scaling_curve — one grid cell per population, each in a forked\n"
+      "child (wall, peak RSS and footprints vs N)\n\n"
+      "  --ns=N1,N2,...   populations, each an integer in 1..4294967295\n"
+      "                   (default 10000,100000,1000000)\n"
+      "  --minutes=M      horizon per cell (default 10)\n"
+      "  --rate=R         requests/min at N=10^4; scaled by N/10^4\n"
+      "                   (default 100)\n"
+      "  --churn=C        churn events/min at N=10^4; scaled by N/10^4\n"
+      "                   (default 10)\n"
+      "  --net-model=K    paper | coords (default coords: O(N) state)\n"
+      "  --seed=S         root seed (default 42)\n"
+      "  --json-out=FILE  also write the cells as JSON\n"
+      "  --csv            also print the table as CSV\n");
+}
+
+/// Splits `list` on commas into populations. Returns the first entry that
+/// is not an integer in 1..2^32-1 (PeerIds are 32-bit), or nullopt.
+std::optional<std::string> parse_ns(const std::string& list,
+                                    std::vector<std::size_t>& ns) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint32_t>::max();
   std::size_t pos = 0;
-  while (pos < list.size()) {
+  while (pos <= list.size()) {
     std::size_t next = list.find(',', pos);
     if (next == std::string::npos) next = list.size();
     const std::string tok = list.substr(pos, next - pos);
-    if (!tok.empty()) ns.push_back(std::stoull(tok));
+    std::uint64_t n = 0;
+    const char* end = tok.data() + tok.size();
+    const auto [stop, ec] = std::from_chars(tok.data(), end, n);
+    if (ec != std::errc{} || stop != end || n < 1 || n > kMax) return tok;
+    ns.push_back(static_cast<std::size_t>(n));
     pos = next + 1;
   }
-  return ns;
+  return std::nullopt;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   util::Flags flags(argc, argv);
-  const auto ns = parse_ns(flags.get("ns", "10000,100000,1000000"));
+  if (flags.help()) {
+    print_usage();
+    return 0;
+  }
+  std::vector<std::size_t> ns;
+  const auto bad_n = parse_ns(flags.get("ns", "10000,100000,1000000"), ns);
   const double minutes = flags.get_double("minutes", 10);
   const double base_rate = flags.get_double("rate", 100);
   const double base_churn = flags.get_double("churn", 10);
@@ -172,9 +202,23 @@ int main(int argc, char** argv) {
                        net::NetModelKind::kCoords, "bench_scaling_curve");
   const std::string model_name(net::to_string(model));
   util::reject_unknown_flags(flags, "bench_scaling_curve");
-  if (ns.empty()) {
-    std::fprintf(stderr, "--ns must name at least one population\n");
+  if (bad_n) {
+    std::printf("bad --ns entry '%s': need an integer in 1..4294967295\n\n",
+                bad_n->c_str());
+    print_usage();
     return 2;
+  }
+  std::vector<harness::GridConfig> configs;
+  for (const std::size_t n : ns) {
+    configs.push_back(
+        make_config(n, minutes, base_rate, base_churn, model, seed));
+    if (const std::string_view rule = configs.back().validate();
+        !rule.empty()) {
+      std::printf("out-of-range knob for N=%zu: need %.*s\n\n", n,
+                  static_cast<int>(rule.size()), rule.data());
+      print_usage();
+      return 2;
+    }
   }
 
   std::printf("=== Scaling curve: wall/RSS/footprints vs population ===\n");
@@ -185,9 +229,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(seed));
 
   std::vector<CellResult> cells;
-  for (const std::size_t n : ns) {
-    const auto cfg =
-        make_config(n, minutes, base_rate, base_churn, model, seed);
+  for (const auto& cfg : configs) {
     CellResult cell;
     if (!run_cell(cfg, cell)) return 1;
     std::printf("N=%-9llu bootstrap %9.1f ms (joins %8.1f, overlay %8.1f)  "

@@ -10,7 +10,6 @@ PerfSnapshot probe(const net::PeerTable& peers, const net::NetworkModel& net,
   s.alive = true;
   s.available = row.available;
   s.bandwidth_kbps = net.probed_available_kbps(target, prober, now);
-  s.latency = net.latency(target, prober);
   s.uptime = row.uptime;
   return s;
 }

@@ -15,7 +15,6 @@ struct PerfSnapshot {
   bool alive = false;              ///< liveness as of the last probe
   qos::ResourceVector available;   ///< RA: end-system resource availability
   double bandwidth_kbps = 0;       ///< beta: available bandwidth target->prober
-  sim::SimTime latency;            ///< measured network latency
   sim::SimTime uptime;             ///< time connected, per the last probe
 };
 

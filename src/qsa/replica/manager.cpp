@@ -160,13 +160,9 @@ ReplicaRecord ReplicaManager::select_host(registry::InstanceId instance,
     snap.uptime = probed.uptime;
     if (snap.uptime < config_.cooldown) continue;
     // ...and the path from the pool must sustain the instance's bitrate.
-    if (anchor == net::kNoPeer || anchor == p) {
-      snap.bandwidth_kbps = inst.bandwidth_kbps;
-      snap.latency = sim::SimTime::zero();
-    } else {
-      snap.bandwidth_kbps = net_.probed_available_kbps(p, anchor, now);
-      snap.latency = net_.latency(p, anchor);
-    }
+    snap.bandwidth_kbps = anchor == net::kNoPeer || anchor == p
+                              ? inst.bandwidth_kbps
+                              : net_.probed_available_kbps(p, anchor, now);
     if (snap.bandwidth_kbps < inst.bandwidth_kbps) continue;
 
     const double phi = selector_.phi(snap, inst);

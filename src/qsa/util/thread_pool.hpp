@@ -1,8 +1,8 @@
 // The process's one worker pool. Three subsystems share it — the experiment
 // harness (independent simulation cells), the serving loop's per-shard
-// request threads, and the Chord overlay's bootstrap finger rebuild on big
-// rings — so there is exactly one place that owns threads (see
-// shared_pool()).
+// request threads, and the Chord ring's bootstrap finger rebuild on big
+// rings (ChordRing::stabilize_all, one run per ring-index block) — so there
+// is exactly one place that owns threads (see shared_pool()).
 //
 // Individual simulations stay deterministic under any worker count because
 // parallelism is only ever applied to index-pure work: results are stored by

@@ -36,7 +36,6 @@ TEST_F(SnapshotFixture, CapturesAvailabilityAndUptime) {
   EXPECT_EQ(s.available, (ResourceVector{800, 800}));
   // Epoch boundary at t=60: uptime = 60s + 5min.
   EXPECT_EQ(s.uptime, SimTime::seconds(360));
-  EXPECT_EQ(s.latency, net.latency(b, a));
   EXPECT_DOUBLE_EQ(s.bandwidth_kbps, net.capacity_kbps(a, b));
 }
 

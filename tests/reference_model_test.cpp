@@ -9,10 +9,15 @@
 #include <iterator>
 #include <map>
 #include <queue>
+#include <set>
 #include <string>
 #include <tuple>
+#include <unordered_map>
 #include <vector>
 
+#include "qsa/fault/fault.hpp"
+#include "qsa/net/network.hpp"
+#include "qsa/overlay/chord_id.hpp"
 #include "qsa/overlay/chord_ring.hpp"
 #include "qsa/probe/neighbor_table.hpp"
 #include "qsa/qos/vector.hpp"
@@ -20,6 +25,7 @@
 #include "qsa/util/expects.hpp"
 #include "qsa/util/rng.hpp"
 #include "qsa/util/small_vec.hpp"
+#include "qsa/util/thread_pool.hpp"
 
 namespace qsa {
 namespace {
@@ -528,7 +534,7 @@ TEST_P(ChordFingerModel, SweepMatchesSortedSearchReference) {
   // stabilize rounds of every size, then a full pass with no change, after
   // which every node's fingers must equal the reference's. Each epoch also
   // has a peer leave and rejoin between two rounds, and some epochs a burst
-  // of deferred joins past the change log's bound.
+  // of deferred joins that fills the universe.
   constexpr double kFractions[] = {0.01, 0.05, 0.1, 0.3, 0.5, 1.0, 1.7};
   for (const double fraction : kFractions) {
     util::Rng rng(util::derive_seed(GetParam(), "chord-sweep",
@@ -580,8 +586,8 @@ TEST_P(ChordFingerModel, SweepMatchesSortedSearchReference) {
     std::string first;
     ASSERT_EQ(model.mismatches(first), 0u) << "size " << size << ": " << first;
     compared += size;
-    // Churn that keeps the size, merged (not rebuilt: it stays under the
-    // change log's bound) by the next stabilize_all().
+    // Churn that keeps the size, then a second stabilize_all() over the
+    // index the joins and departures edited in place.
     for (std::size_t step = 0; step < 2 + size / 64; ++step) {
       const net::PeerId out = model.any_member(rng);
       model.leave(out, rng.bernoulli(0.5));
@@ -601,6 +607,720 @@ TEST_P(ChordFingerModel, SweepMatchesSortedSearchReference) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChordFingerModel, ::testing::Values(1, 2, 3));
+
+// ------------------------------------------------- ChordRing (whole ring)
+
+/// The map-based ChordRing the flat one replaced, verbatim but for its
+/// name: a std::map of ~600-byte nodes with key fingers, a peer -> key hash
+/// map, and a sorted key vector kept in step by a change log.
+namespace map_ring {
+using namespace overlay;
+
+class MapChordRing final : public LookupService {
+ public:
+  /// `replicas` >= 1: each stored value lives on the owner plus
+  /// (replicas - 1) immediate successors so abrupt failures rarely lose it.
+  explicit MapChordRing(std::uint64_t seed, int replicas = 2);
+
+  /// Adds `peer` to the ring and pulls the key range it now owns from its
+  /// successor. Computes the new node's fingers immediately (Chord's join
+  /// does the same via lookups).
+  void join(net::PeerId peer) override;
+
+  /// Bulk-bootstrap join: same membership/store effect as join(), but the
+  /// finger table is left unset (self-pointing, which routing treats as "no
+  /// useful finger") until the stabilize_all() that ends the bootstrap
+  /// recomputes every table anyway. Joining N peers this way is O(N log N)
+  /// map inserts instead of O(N * 64 log N) finger lookups.
+  void join_deferred(net::PeerId peer) override;
+
+  /// Graceful departure: hands stored keys to the successor, then leaves.
+  void leave(net::PeerId peer) override;
+
+  /// Abrupt failure: the node vanishes with its store; replicas on
+  /// successors keep surviving copies reachable.
+  void fail(net::PeerId peer) override;
+
+  [[nodiscard]] bool contains(net::PeerId peer) const override;
+  [[nodiscard]] std::size_t size() const override { return ring_.size(); }
+
+  /// Routes from `from`'s node to the owner of `key`, counting hops and, if
+  /// `net` is given, summing per-hop latency. Requires a non-empty ring and
+  /// `from` to be joined.
+  [[nodiscard]] LookupStats route(
+      ChordKey key, net::PeerId from,
+      const net::NetworkModel* net = nullptr) const override;
+
+  /// Stores `value` under `key` (owner + replicas).
+  void insert(ChordKey key, std::uint64_t value) override;
+
+  /// Removes `value` from `key` everywhere it is replicated.
+  void erase(ChordKey key, std::uint64_t value) override;
+
+  /// Values stored under `key` at its current owner (what a lookup returns).
+  [[nodiscard]] std::vector<std::uint64_t> get(ChordKey key) const override;
+
+  /// Refreshes the finger tables of roughly `fraction` of the nodes,
+  /// cycling through the ring across calls (periodic stabilization).
+  void stabilize_round(double fraction = 0.1) override;
+
+  /// Refreshes every finger table (used after bulk bootstrap joins). Every
+  /// node's fingers are a pure function of the sorted key snapshot, so from
+  /// kPooledStabilizeMin nodes up the ring is refreshed in 512-node runs
+  /// over util::shared_pool(), byte-identical to one serial run.
+  void stabilize_all() override;
+
+  /// Ring size from which stabilize_all() uses the pool; below it the
+  /// chunk bookkeeping costs more than it saves.
+  static constexpr std::size_t kPooledStabilizeMin = 2048;
+
+  /// The node key owning `key` resolved against the live ring (oracle view,
+  /// for tests).
+  [[nodiscard]] net::PeerId owner_of(ChordKey key) const override;
+
+  /// `peer`'s finger table as last computed (oracle view, for tests).
+  /// Requires `peer` to be joined.
+  [[nodiscard]] const std::array<ChordKey, kKeyBits>& fingers(
+      net::PeerId peer) const;
+
+ private:
+  struct Node {
+    net::PeerId peer = net::kNoPeer;
+    // finger[i] targets key + 2^i. Inline array (not a heap vector): one
+    // allocation per node instead of two, which matters at 10^6 joins. A
+    // finger equal to the node's own key means "unset/useless" — routing
+    // skips it (deferred joins fill the whole table with the own key).
+    std::array<ChordKey, kKeyBits> fingers{};
+    std::map<ChordKey, std::set<std::uint64_t>> store;
+  };
+
+  using Ring = std::map<ChordKey, Node>;
+
+  /// First live node at or after `key` (wrapping). Requires non-empty ring.
+  [[nodiscard]] Ring::const_iterator successor(ChordKey key) const;
+  [[nodiscard]] Ring::iterator successor(ChordKey key);
+
+  void compute_fingers(ChordKey at, Node& node) const;
+  /// Shared join body; `deferred` skips the finger computation.
+  void join_impl(net::PeerId peer, bool deferred);
+  void replicate_insert(Ring::iterator owner_it, ChordKey key,
+                        std::uint64_t value);
+
+  /// Notes that `key` joined or left, for the next sync_keys().
+  void log_change(ChordKey key);
+  /// Brings keys_ in step with ring_: merges the change log into it, or
+  /// rebuilds it from the map once the log has overflowed.
+  void sync_keys();
+  /// Recomputes the fingers of the `count` ring-consecutive nodes starting
+  /// at keys_[first] (wrapping; count <= ring size) from a synced keys_.
+  void refresh_run(std::size_t first, std::size_t count);
+
+  std::uint64_t seed_;
+  int replicas_;
+  Ring ring_;
+  std::unordered_map<net::PeerId, ChordKey> key_of_peer_;
+  ChordKey stabilize_cursor_ = 0;
+  // The member keys, sorted; equal to ring_'s after sync_keys(). Between
+  // syncs, changes_ lists every key that joined or left since (a key may
+  // appear more than once), unless keys_rebuild_ is set: the log
+  // overflowed, was dropped, and the next sync rebuilds from the map.
+  std::vector<ChordKey> keys_;
+  std::vector<ChordKey> changes_;
+  bool keys_rebuild_ = false;
+};
+
+MapChordRing::MapChordRing(std::uint64_t seed, int replicas)
+    : seed_(seed), replicas_(replicas) {
+  QSA_EXPECTS(replicas >= 1);
+}
+
+MapChordRing::Ring::const_iterator MapChordRing::successor(ChordKey key) const {
+  QSA_EXPECTS(!ring_.empty());
+  auto it = ring_.lower_bound(key);
+  return it == ring_.end() ? ring_.begin() : it;
+}
+
+MapChordRing::Ring::iterator MapChordRing::successor(ChordKey key) {
+  QSA_EXPECTS(!ring_.empty());
+  auto it = ring_.lower_bound(key);
+  return it == ring_.end() ? ring_.begin() : it;
+}
+
+bool MapChordRing::contains(net::PeerId peer) const {
+  return key_of_peer_.contains(peer);
+}
+
+void MapChordRing::compute_fingers(ChordKey at, Node& node) const {
+  for (int i = 0; i < kKeyBits; ++i) {
+    const ChordKey target = at + (ChordKey{1} << i);  // wraps mod 2^64
+    node.fingers[static_cast<std::size_t>(i)] = successor(target)->first;
+  }
+}
+
+void MapChordRing::log_change(ChordKey key) {
+  if (keys_rebuild_) return;
+  changes_.push_back(key);
+  // Past an eighth of the ring (e.g. a bootstrap's deferred joins) the log
+  // stops growing, and the next sync rebuilds keys_ with one map walk
+  // instead of sorting the log and looking each logged key up in the map.
+  if (changes_.size() > std::max<std::size_t>(64, ring_.size() / 8)) {
+    keys_rebuild_ = true;
+    changes_.clear();
+  }
+}
+
+void MapChordRing::sync_keys() {
+  if (keys_rebuild_) {
+    keys_.clear();
+    keys_.reserve(ring_.size());
+    for (const auto& [key, node] : ring_) keys_.push_back(key);  // sorted
+    keys_rebuild_ = false;
+  } else if (!changes_.empty()) {
+    std::sort(changes_.begin(), changes_.end());
+    changes_.erase(std::unique(changes_.begin(), changes_.end()),
+                   changes_.end());
+    // Drop every logged key from the snapshot, compacting forward...
+    auto out = std::lower_bound(keys_.begin(), keys_.end(), changes_.front());
+    auto logged = changes_.begin();
+    for (auto in = out; in != keys_.end(); ++in) {
+      while (logged != changes_.end() && *logged < *in) ++logged;
+      if (logged == changes_.end() || *logged != *in) *out++ = *in;
+    }
+    keys_.erase(out, keys_.end());
+    // ...then merge back, from the end, the logged keys the ring holds.
+    // Leave-then-rejoin keeps its key; join-then-leave leaves no trace.
+    std::erase_if(changes_, [this](ChordKey k) { return !ring_.contains(k); });
+    std::size_t kept = keys_.size();
+    std::size_t added = changes_.size();
+    keys_.resize(kept + added);
+    for (std::size_t w = keys_.size(); added > 0;) {
+      if (kept > 0 && keys_[kept - 1] > changes_[added - 1]) {
+        keys_[--w] = keys_[--kept];
+      } else {
+        keys_[--w] = changes_[--added];
+      }
+    }
+    changes_.clear();
+  }
+  QSA_ASSERT(keys_.size() == ring_.size());
+}
+
+void MapChordRing::refresh_run(std::size_t first, std::size_t count) {
+  const std::size_t n = keys_.size();
+  QSA_EXPECTS(first < n && count <= n);
+  // Along the run the node keys increase, counting a pass over the ring's
+  // end as a lap. So for each finger index i the targets key + 2^i increase
+  // too (a carry past 2^64 is one more lap), and so do their successors.
+  // Each finger index keeps a forward cursor: one binary search seeds it at
+  // the run's first node, after which it only advances. A position orders
+  // by (lap, key).
+  struct Cursor {
+    std::size_t at;
+    std::size_t laps;
+  };
+  std::array<Cursor, kKeyBits> cursors;
+  for (int i = 0; i < kKeyBits; ++i) {
+    const ChordKey target = keys_[first] + (ChordKey{1} << i);  // wraps
+    const std::size_t laps = target < keys_[first] ? 1 : 0;
+    const auto at = static_cast<std::size_t>(
+        std::lower_bound(keys_.begin(), keys_.end(), target) - keys_.begin());
+    // Past the end, the successor is the first node of the next lap.
+    cursors[static_cast<std::size_t>(i)] =
+        at == n ? Cursor{0, laps + 1} : Cursor{at, laps};
+  }
+  auto it = ring_.find(keys_[first]);
+  std::size_t pos = first;
+  std::size_t laps = 0;
+  for (std::size_t j = 0; j < count; ++j) {
+    const ChordKey key = keys_[pos];
+    QSA_ASSERT(it->first == key);
+    for (int i = 0; i < kKeyBits; ++i) {
+      const ChordKey target = key + (ChordKey{1} << i);  // wraps
+      const std::size_t target_laps = laps + (target < key ? 1 : 0);
+      Cursor& c = cursors[static_cast<std::size_t>(i)];
+      while (c.laps < target_laps ||
+             (c.laps == target_laps && keys_[c.at] < target)) {
+        if (++c.at == n) {
+          c.at = 0;
+          ++c.laps;
+        }
+      }
+      it->second.fingers[static_cast<std::size_t>(i)] = keys_[c.at];
+    }
+    if (++pos == n) {
+      pos = 0;
+      ++laps;
+    }
+    if (++it == ring_.end()) it = ring_.begin();
+  }
+}
+
+void MapChordRing::join_impl(net::PeerId peer, bool deferred) {
+  QSA_EXPECTS(!contains(peer));
+  const ChordKey key = node_key(seed_, peer);
+  QSA_EXPECTS(!ring_.contains(key));  // 64-bit collisions: astronomically rare
+  Node node;
+  node.peer = peer;
+  // Self-pointing fingers mean "unset": routing skips them and falls back
+  // to the successor walk. join() overwrites them below; join_deferred()
+  // leaves them for stabilize_all().
+  node.fingers.fill(key);
+  if (!ring_.empty()) {
+    // The new node takes over the key range (predecessor, key] from its
+    // successor.
+    auto succ = successor(key);
+    auto pred = succ == ring_.begin() ? std::prev(ring_.end()) : std::prev(succ);
+    const ChordKey pred_key = pred->first;
+    for (auto it = succ->second.store.begin();
+         it != succ->second.store.end();) {
+      if (in_interval_oc(pred_key, key, it->first)) {
+        node.store.emplace(it->first, std::move(it->second));
+        it = succ->second.store.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  }
+  auto [it, inserted] = ring_.emplace(key, std::move(node));
+  QSA_ASSERT(inserted);
+  if (!deferred) compute_fingers(key, it->second);
+  key_of_peer_.emplace(peer, key);
+  log_change(key);
+}
+
+void MapChordRing::join(net::PeerId peer) { join_impl(peer, /*deferred=*/false); }
+
+void MapChordRing::join_deferred(net::PeerId peer) {
+  join_impl(peer, /*deferred=*/true);
+}
+
+void MapChordRing::leave(net::PeerId peer) {
+  auto pit = key_of_peer_.find(peer);
+  if (pit == key_of_peer_.end()) return;
+  const ChordKey key = pit->second;
+  auto it = ring_.find(key);
+  QSA_ASSERT(it != ring_.end());
+  if (ring_.size() > 1) {
+    // Graceful handoff of the store to the successor.
+    auto next = std::next(it) == ring_.end() ? ring_.begin() : std::next(it);
+    for (auto& [k, values] : it->second.store) {
+      next->second.store[k].insert(values.begin(), values.end());
+    }
+  }
+  ring_.erase(it);
+  key_of_peer_.erase(pit);
+  log_change(key);
+}
+
+void MapChordRing::fail(net::PeerId peer) {
+  auto pit = key_of_peer_.find(peer);
+  if (pit == key_of_peer_.end()) return;
+  const ChordKey key = pit->second;
+  ring_.erase(key);  // store vanishes; replicas keep the data alive
+  key_of_peer_.erase(pit);
+  log_change(key);
+}
+
+LookupStats MapChordRing::route(ChordKey key, net::PeerId from,
+                             const net::NetworkModel* net) const {
+  QSA_EXPECTS(!ring_.empty());
+  const auto fit = key_of_peer_.find(from);
+  QSA_EXPECTS(fit != key_of_peer_.end());
+
+  LookupStats stats;
+  auto cur = ring_.find(fit->second);
+  QSA_ASSERT(cur != ring_.end());
+
+  // Safety bound: greedy finger routing plus successor-walk fallback always
+  // terminates, but a bound keeps a corrupted ring from hanging a run.
+  const int max_hops = kKeyBits + static_cast<int>(ring_.size()) + 2;
+  while (stats.hops <= max_hops) {
+    auto next_on_ring =
+        std::next(cur) == ring_.end() ? ring_.begin() : std::next(cur);
+    if (cur->first == key || ring_.size() == 1) {
+      stats.owner = cur->second.peer;
+      return stats;
+    }
+    // Are we ourselves responsible? (key in (predecessor, us])
+    auto pred = cur == ring_.begin() ? std::prev(ring_.end()) : std::prev(cur);
+    if (in_interval_oc(pred->first, cur->first, key)) {
+      stats.owner = cur->second.peer;
+      return stats;
+    }
+    if (in_interval_oc(cur->first, next_on_ring->first, key)) {
+      // The key lives on our immediate successor: final hop. The successor
+      // is the only correct destination, so a dropped message here has no
+      // alternate route — the retries inside deliver_hop are the budget.
+      if (!deliver_hop(cur->second.peer, next_on_ring->second.peer, stats,
+                       net)) {
+        return stats;  // owner stays kNoPeer: the lookup failed
+      }
+      if (net != nullptr) {
+        stats.latency +=
+            net->latency(cur->second.peer, next_on_ring->second.peer);
+      }
+      ++stats.hops;
+      stats.owner = next_on_ring->second.peer;
+      return stats;
+    }
+    // Closest preceding live finger; the runner-up (next qualifying finger,
+    // else the successor walk) is kept as the alternate route for when the
+    // hop message to the primary is lost.
+    Ring::const_iterator next = ring_.end();
+    Ring::const_iterator alternate = ring_.end();
+    for (int i = kKeyBits - 1; i >= 0; --i) {
+      const ChordKey f = cur->second.fingers[static_cast<std::size_t>(i)];
+      if (f == cur->first) continue;  // unset (deferred/fresh) finger
+      if (!in_interval_oo(cur->first, key, f)) continue;
+      auto fnode = ring_.find(f);
+      if (fnode == ring_.end()) continue;  // stale finger: node departed
+      if (next == ring_.end()) {
+        next = fnode;
+        if (!faults_active()) break;  // no alternate needed
+        continue;
+      }
+      if (fnode != next) {
+        alternate = fnode;
+        break;
+      }
+    }
+    if (next == ring_.end()) {
+      next = next_on_ring;  // successor-walk fallback
+    } else if (alternate == ring_.end() && next != next_on_ring) {
+      alternate = next_on_ring;
+    }
+    if (!deliver_hop(cur->second.peer, next->second.peer, stats, net)) {
+      if (alternate == ring_.end()) return stats;  // lookup failed
+      note_reroute();
+      if (!deliver_hop(cur->second.peer, alternate->second.peer, stats, net)) {
+        return stats;  // alternate unreachable too: lookup failed
+      }
+      next = alternate;
+    }
+    if (net != nullptr) {
+      stats.latency += net->latency(cur->second.peer, next->second.peer);
+    }
+    ++stats.hops;
+    cur = next;
+  }
+  // Unreachable with a consistent ring; report the oracle owner so callers
+  // still make progress.
+  stats.owner = successor(key)->second.peer;
+  return stats;
+}
+
+void MapChordRing::replicate_insert(Ring::iterator owner_it, ChordKey key,
+                                 std::uint64_t value) {
+  auto it = owner_it;
+  const int copies = std::min<int>(replicas_, static_cast<int>(ring_.size()));
+  for (int i = 0; i < copies; ++i) {
+    it->second.store[key].insert(value);
+    ++it;
+    if (it == ring_.end()) it = ring_.begin();
+  }
+}
+
+void MapChordRing::insert(ChordKey key, std::uint64_t value) {
+  QSA_EXPECTS(!ring_.empty());
+  replicate_insert(successor(key), key, value);
+}
+
+void MapChordRing::erase(ChordKey key, std::uint64_t value) {
+  if (ring_.empty()) return;
+  // Erase from the owner and a few extra successors: replica placement may
+  // have drifted under churn. Leftover copies beyond this window are
+  // harmless (get() reads only the owner).
+  auto it = successor(key);
+  const int window =
+      std::min<int>(replicas_ + 2, static_cast<int>(ring_.size()));
+  for (int i = 0; i < window; ++i) {
+    auto sit = it->second.store.find(key);
+    if (sit != it->second.store.end()) {
+      sit->second.erase(value);
+      if (sit->second.empty()) it->second.store.erase(sit);
+    }
+    ++it;
+    if (it == ring_.end()) it = ring_.begin();
+  }
+}
+
+std::vector<std::uint64_t> MapChordRing::get(ChordKey key) const {
+  if (ring_.empty()) return {};
+  const auto it = successor(key);
+  const auto sit = it->second.store.find(key);
+  if (sit == it->second.store.end()) return {};
+  return {sit->second.begin(), sit->second.end()};
+}
+
+void MapChordRing::stabilize_round(double fraction) {
+  if (ring_.empty()) return;
+  QSA_EXPECTS(fraction > 0);
+  sync_keys();
+  const std::size_t n = keys_.size();
+  const auto count = std::min(
+      n, std::max<std::size_t>(
+             1, static_cast<std::size_t>(
+                    std::ceil(fraction * static_cast<double>(n)))));
+  // The round resumes at the first node at or after the cursor (wrapping)
+  // and leaves the cursor on the node after its last.
+  auto first = static_cast<std::size_t>(
+      std::lower_bound(keys_.begin(), keys_.end(), stabilize_cursor_) -
+      keys_.begin());
+  if (first == n) first = 0;
+  refresh_run(first, count);
+  stabilize_cursor_ = keys_[(first + count) % n];
+}
+
+void MapChordRing::stabilize_all() {
+  if (ring_.empty()) return;
+  sync_keys();
+  const std::size_t n = keys_.size();
+  if (n < kPooledStabilizeMin) {
+    refresh_run(0, n);
+    return;
+  }
+  // Disjoint runs: each worker writes only its own nodes' finger arrays
+  // from the shared read-only snapshot, so the result is the serial run's,
+  // bit for bit, regardless of scheduling.
+  const std::size_t chunk = 512;
+  util::shared_pool().parallel_for(
+      (n + chunk - 1) / chunk, [this, n, chunk](std::size_t c) {
+        const std::size_t lo = c * chunk;
+        refresh_run(lo, std::min(chunk, n - lo));
+      });
+}
+
+net::PeerId MapChordRing::owner_of(ChordKey key) const {
+  QSA_EXPECTS(!ring_.empty());
+  return successor(key)->second.peer;
+}
+
+const std::array<ChordKey, kKeyBits>& MapChordRing::fingers(
+    net::PeerId peer) const {
+  const auto pit = key_of_peer_.find(peer);
+  QSA_EXPECTS(pit != key_of_peer_.end());
+  return ring_.find(pit->second)->second.fingers;
+}
+
+
+}  // namespace map_ring
+
+using map_ring::MapChordRing;
+
+/// The flat ring and the map ring driven through the same operations. Each
+/// has its own copy of the fault plan, whose drop draws are a sequence.
+class RingPair {
+ public:
+  RingPair(std::uint64_t seed, const fault::FaultConfig& faults)
+      : flat_plan_(seed, faults),
+        map_plan_(seed, faults),
+        flat_(seed),
+        map_(seed) {
+    flat_.set_faults(&flat_plan_);
+    map_.set_faults(&map_plan_);
+  }
+
+  /// Applies `op` to both rings.
+  template <typename Op>
+  void apply(Op op) {
+    op(flat_);
+    op(map_);
+  }
+
+  [[nodiscard]] const MapChordRing& reference() const { return map_; }
+  [[nodiscard]] std::uint64_t reroutes() const {
+    return map_plan_.stats().rerouted;
+  }
+
+  /// The first observable on which the rings differ, or "" if none does:
+  /// size, membership over `universe`, every member's fingers, then owner,
+  /// stored values and routes (owner, hops, latency) for the `data` keys,
+  /// member keys and random keys, and last the fault draws the routes made.
+  std::string diff(util::Rng& rng, net::PeerId universe,
+                   const std::vector<ChordKey>& data, std::uint64_t seed,
+                   const net::NetworkModel& net) const {
+    if (flat_.size() != map_.size()) {
+      return "size " + std::to_string(flat_.size()) + " want " +
+             std::to_string(map_.size());
+    }
+    std::vector<net::PeerId> members;
+    for (net::PeerId p = 0; p < universe; ++p) {
+      if (flat_.contains(p) != map_.contains(p)) {
+        return "contains(" + std::to_string(p) + ")";
+      }
+      if (map_.contains(p)) members.push_back(p);
+    }
+    for (const net::PeerId p : members) {
+      if (flat_.fingers(p) != map_.fingers(p)) {
+        return "fingers of peer " + std::to_string(p);
+      }
+    }
+    if (members.empty()) return {};
+    for (std::size_t i = 0; i < data.size() + 24; ++i) {
+      const net::PeerId member = members[rng.index(members.size())];
+      ChordKey key = rng();
+      if (i < data.size()) {
+        key = data[i];
+      } else if (i % 3 == 0) {
+        key = overlay::node_key(seed, member) + rng.index(3) - 1;
+      }
+      if (flat_.owner_of(key) != map_.owner_of(key)) {
+        return "owner_of(" + std::to_string(key) + ")";
+      }
+      if (flat_.get(key) != map_.get(key)) {
+        return "get(" + std::to_string(key) + ")";
+      }
+      const net::PeerId from = members[rng.index(members.size())];
+      const overlay::LookupStats got = flat_.route(key, from, &net);
+      const overlay::LookupStats want = map_.route(key, from, &net);
+      if (got.owner != want.owner || got.hops != want.hops ||
+          got.latency != want.latency) {
+        return "route(" + std::to_string(key) + ", " + std::to_string(from) +
+               "): owner " + std::to_string(got.owner) + " hops " +
+               std::to_string(got.hops) + " latency " +
+               std::to_string(got.latency.as_millis()) + ", want " +
+               std::to_string(want.owner) + " / " +
+               std::to_string(want.hops) + " / " +
+               std::to_string(want.latency.as_millis());
+      }
+    }
+    const fault::FaultStats& a = flat_plan_.stats();
+    const fault::FaultStats& b = map_plan_.stats();
+    if (a.total_attempts() != b.total_attempts() ||
+        a.total_dropped() != b.total_dropped() || a.rerouted != b.rerouted) {
+      return "fault draws";
+    }
+    return {};
+  }
+
+ private:
+  fault::FaultPlan flat_plan_;
+  fault::FaultPlan map_plan_;
+  ChordRing flat_;
+  MapChordRing map_;
+};
+
+class ChordRingModel : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(ChordRingModel, MatchesMapRingReference) {
+  // Per ring size, with and without lookup loss: a bootstrap (deferred joins
+  // from empty, or a mix of joins and deferred joins), then random joins,
+  // deferred joins, leaves, failures, inserts, erases, stabilize rounds of
+  // every size and full rebuilds, with a peer that leaves and rejoins. Every
+  // observable is compared after every step (bootstrap joins of the big ring
+  // are compared once, at its end).
+  constexpr std::size_t kSizes[] = {1, 2, 3, 17,
+                                    ChordRing::kPooledStabilizeMin + 555};
+  constexpr double kFractions[] = {0.01, 0.05, 0.1, 0.3, 0.5, 1.0, 1.7};
+  const net::NetworkModel net(5, net::ProbeClock(sim::SimTime::seconds(30)));
+  std::size_t compared = 0;
+  for (const std::size_t size : kSizes) {
+    for (const bool lossy : {false, true}) {
+      const std::uint64_t seed = util::derive_seed(
+          GetParam(), "chord-ring-model", size * 2 + (lossy ? 1 : 0));
+      util::Rng rng(seed);
+      fault::FaultConfig faults;
+      if (lossy) {
+        faults.lookup_loss = 0.2;
+        faults.max_retries = 1;
+      }
+      RingPair rings(seed, faults);
+      const auto universe = static_cast<net::PeerId>(size + size / 4 + 3);
+      std::vector<ChordKey> data;
+      for (std::uint64_t i = 0; i < 6; ++i) {
+        data.push_back(overlay::data_key(seed, i));
+      }
+      const bool small = size <= 17;
+      const auto differs = [&](const std::string& step) -> std::string {
+        ++compared;
+        const std::string what = rings.diff(rng, universe, data, seed, net);
+        if (what.empty()) return {};
+        return "size " + std::to_string(size) + (lossy ? " lossy" : "") +
+               ", after " + step + ": " + what;
+      };
+      const auto any = [&](bool member) {
+        for (;;) {
+          const auto p = static_cast<net::PeerId>(rng.index(universe));
+          if (rings.reference().contains(p) == member) return p;
+        }
+      };
+
+      const bool all_deferred = (size + (lossy ? 1 : 0)) % 2 == 0;
+      for (net::PeerId p = 0; p < size; ++p) {
+        const bool deferred = all_deferred || rng.bernoulli(0.5);
+        rings.apply([&](auto& ring) {
+          deferred ? ring.join_deferred(p) : ring.join(p);
+        });
+        if (small) {
+          ASSERT_EQ(differs("bootstrap join " + std::to_string(p)), "");
+        }
+      }
+      rings.apply([](auto& ring) { ring.stabilize_all(); });
+      ASSERT_EQ(differs("bootstrap stabilize_all"), "");
+
+      const int steps = small ? 400 : 80;
+      for (int s = 0; s < steps; ++s) {
+        const std::size_t members = rings.reference().size();
+        const auto op = rng.index(9);
+        std::string step;
+        if (op <= 1 && members < universe) {
+          const net::PeerId p = any(false);
+          const bool deferred = op == 1;
+          rings.apply([&](auto& ring) {
+            deferred ? ring.join_deferred(p) : ring.join(p);
+          });
+          step = (deferred ? "join_deferred " : "join ") + std::to_string(p);
+        } else if (op <= 3 && members > 0) {
+          const net::PeerId p = any(true);
+          const bool abrupt = op == 3;
+          rings.apply([&](auto& ring) {
+            abrupt ? ring.fail(p) : ring.leave(p);
+          });
+          step = (abrupt ? "fail " : "leave ") + std::to_string(p);
+        } else if (op == 4 && members > 0) {
+          const ChordKey key = data[rng.index(data.size())];
+          const std::uint64_t value = rng.index(4);
+          rings.apply([&](auto& ring) { ring.insert(key, value); });
+          step = "insert " + std::to_string(key);
+        } else if (op == 5) {
+          const ChordKey key = data[rng.index(data.size())];
+          const std::uint64_t value = rng.index(4);
+          rings.apply([&](auto& ring) { ring.erase(key, value); });
+          step = "erase " + std::to_string(key);
+        } else if (op == 6) {
+          const double fraction = kFractions[rng.index(std::size(kFractions))];
+          rings.apply([&](auto& ring) { ring.stabilize_round(fraction); });
+          step = "stabilize_round " + std::to_string(fraction);
+        } else if (op == 7) {
+          rings.apply([](auto& ring) { ring.stabilize_all(); });
+          step = "stabilize_all";
+        } else if (members > 0) {
+          // A peer leaves (or fails) and rejoins under the same key.
+          const net::PeerId p = any(true);
+          const bool abrupt = rng.bernoulli(0.5);
+          rings.apply([&](auto& ring) {
+            abrupt ? ring.fail(p) : ring.leave(p);
+          });
+          ASSERT_EQ(differs("rejoin's departure of " + std::to_string(p)), "");
+          const bool deferred = rng.bernoulli(0.5);
+          rings.apply([&](auto& ring) {
+            deferred ? ring.join_deferred(p) : ring.join(p);
+          });
+          step = "rejoin " + std::to_string(p);
+        } else {
+          continue;
+        }
+        ASSERT_EQ(differs(step), "");
+      }
+      if (lossy && size > 3) {
+        EXPECT_GT(rings.reroutes(), 0u) << "size " << size;
+      }
+    }
+  }
+  EXPECT_GT(compared, 3'000u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ChordRingModel, ::testing::Values(1, 2, 3));
 
 }  // namespace
 }  // namespace qsa
