@@ -3,14 +3,18 @@
 // standard experiment header block.
 //
 // Every bench accepts:
-//   --scale=F     population scale factor (default 0.1; 1 = paper scale;
-//                 also via env QSA_SCALE). Peer count, request rate and
-//                 churn rate scale together, preserving the figures' shape.
+//   --scale=F     population scale factor, > 0 (default 0.1; 1 = paper
+//                 scale; also via env QSA_SCALE). Peer count, request rate
+//                 and churn rate scale together, preserving the figures'
+//                 shape.
 //   --seed=N      root seed (default 42)
-//   --threads=N   experiment-runner threads (default: hardware)
+//   --threads=N   experiment-runner threads, 0..1024 (default 0: hardware)
 #pragma once
 
 #include <cstdio>
+#include <cstdlib>
+#include <string>
+#include <string_view>
 
 #include "qsa/harness/experiment.hpp"
 #include "qsa/util/flags.hpp"
@@ -26,12 +30,24 @@ struct BenchOptions {
 /// Reads the shared options off the caller's Flags instance. Benches pass
 /// their one Flags object here and to their own get*() calls, so the
 /// unknown-flag check (util::reject_unknown_flags, called after the last
-/// lookup) sees the full vocabulary.
-inline BenchOptions parse_options(util::Flags& flags) {
+/// lookup) sees the full vocabulary. A scale <= 0 or a thread count outside
+/// 0..1024 prints the range to stderr and exits 2, before any worker
+/// starts.
+inline BenchOptions parse_options(util::Flags& flags,
+                                  std::string_view program) {
   BenchOptions opt;
   opt.scale = flags.get_double("scale", harness::GridConfig::env_scale(0.1));
+  if (opt.scale <= 0) {
+    std::fprintf(stderr,
+                 "%.*s: --scale=%s is out of range\nusage: --scale=<number "
+                 "> 0>\n",
+                 static_cast<int>(program.size()), program.data(),
+                 flags.get("scale", "").c_str());
+    std::exit(2);
+  }
   opt.seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
-  opt.threads = static_cast<std::size_t>(flags.get_int("threads", 0));
+  opt.threads = static_cast<std::size_t>(
+      util::get_int_in(flags, "threads", 0, 0, 1024, program));
   return opt;
 }
 

@@ -78,7 +78,7 @@ CellStats run_cell(const qsa::harness::GridConfig& cfg, int repeats) {
 int main(int argc, char** argv) {
   using namespace qsa;
   util::Flags flags(argc, argv);
-  const auto opt = bench::parse_options(flags);
+  const auto opt = bench::parse_options(flags, "bench_obs_overhead");
 
   auto off = bench::paper_config(opt);
   off.horizon = sim::SimTime::minutes(flags.get_double("minutes", 60));

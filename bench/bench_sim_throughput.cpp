@@ -1,6 +1,6 @@
 // Event-engine throughput (google-benchmark): the slab/indexed-heap
-// EventQueue in two steady-state shapes, plus a whole-grid wall-clock row.
-// CI archives the rows as absolute numbers in BENCH_sim.json.
+// EventQueue in two steady-state shapes. CI archives the rows as absolute
+// numbers in BENCH_sim.json.
 //
 //   * Hold/N        — schedule+pop with N events always pending (the
 //                     simulator's timer/workload mix),
@@ -10,7 +10,6 @@
 
 #include <cstdint>
 
-#include "qsa/harness/grid.hpp"
 #include "qsa/sim/event_queue.hpp"
 #include "qsa/sim/time.hpp"
 
@@ -64,30 +63,6 @@ void BM_EventQueueCancelHeavy(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2);
 }
 BENCHMARK(BM_EventQueueCancelHeavy)->Arg(256)->Arg(4096)->Arg(65536);
-
-// Whole-grid wall-clock: the fig5-shaped workload at a laptop scale, with
-// its events/sec as a counter.
-void BM_GridWallclock(benchmark::State& state) {
-  double events = 0;
-  for (auto _ : state) {
-    harness::GridConfig cfg;
-    cfg.seed = 11;
-    cfg.peers = 500;
-    cfg.min_providers = 10;
-    cfg.max_providers = 20;
-    cfg.apps.applications = 5;
-    cfg.requests.rate_per_min = static_cast<double>(state.range(0));
-    cfg.churn.events_per_min = 6;
-    cfg.horizon = sim::SimTime::minutes(10);
-    harness::GridSimulation grid(cfg);
-    const auto r = grid.run();
-    benchmark::DoNotOptimize(r.requests);
-    events += static_cast<double>(grid.simulator().executed_events());
-  }
-  state.counters["events_per_sec"] =
-      benchmark::Counter(events, benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_GridWallclock)->Arg(60)->Arg(240)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -917,7 +917,7 @@ bool print_report(const Report& report, bool csv) {
 
 int main(int argc, char** argv) {
   util::Flags flags(argc, argv);
-  const bench::BenchOptions opt = bench::parse_options(flags);
+  const bench::BenchOptions opt = bench::parse_options(flags, "paper");
   const bool csv = flags.get_bool("csv", false);
   const std::string metrics_out = flags.get("metrics-out", "");
   const auto selected = select_studies(flags);

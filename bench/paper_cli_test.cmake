@@ -9,6 +9,8 @@
 #   UnknownNameExits2     an unknown study name or flag exits 2
 #   UnwritableSidecarFails  a --metrics-out file that cannot be opened
 #                         exits 2; one that cannot be written exits 1
+#   BadKnobExits2         --scale <= 0 and --threads outside 0..1024 exit 2
+#                         with the range, before any study runs
 cmake_minimum_required(VERSION 3.16)
 
 file(REMOVE_RECURSE "${WORK}")
@@ -53,6 +55,29 @@ elseif(CASE STREQUAL "UnwritableSidecarFails")
   if(EXISTS /dev/full)
     run_paper("${WORK}" 1 --scale=0.03 --only=overlay --metrics-out=/dev/full)
   endif()
+elseif(CASE STREQUAL "BadKnobExits2")
+  # Each entry: the knob, '@', and the message wanted. The scale entries
+  # come first, so a parser that accepts bad values fails the case before
+  # --threads=1025 could reach a thread pool.
+  set(cases
+      "--scale=0@--scale=0 is out of range"
+      "--scale=-1@--scale=-1 is out of range"
+      "--threads=-1@--threads=-1 is out of range.*<0\\.\\.1024>"
+      "--threads=1025@--threads=1025 is out of range.*<0\\.\\.1024>")
+  foreach(entry IN LISTS cases)
+    string(REPLACE "@" ";" entry "${entry}")
+    list(GET entry 0 knob)
+    list(GET entry 1 want)
+    execute_process(COMMAND "${PAPER}" ${knob} --only=overlay
+                    WORKING_DIRECTORY "${WORK}" RESULT_VARIABLE rc
+                    OUTPUT_VARIABLE stdout ERROR_VARIABLE stderr)
+    if(NOT rc STREQUAL "2")
+      message(FATAL_ERROR "${knob}: exit ${rc}, want 2\n${stdout}${stderr}")
+    endif()
+    if(NOT stderr MATCHES "${want}")
+      message(FATAL_ERROR "${knob}: no '${want}' message\n${stderr}")
+    endif()
+  endforeach()
 else()
   message(FATAL_ERROR "unknown CASE '${CASE}'")
 endif()

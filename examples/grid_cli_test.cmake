@@ -18,7 +18,9 @@
 #                           message naming the range; the bounds themselves run
 #   KnobRanges              every other out-of-range knob exits 2 with the
 #                           GridConfig::validate() rule it breaks (or, for an
-#                           unsigned knob, its range); the bounds themselves run
+#                           unsigned knob, its range), and so does a numeric
+#                           knob whose value is not wholly a number; the
+#                           bounds themselves run
 cmake_minimum_required(VERSION 3.16)
 
 file(REMOVE_RECURSE "${WORK}")
@@ -175,7 +177,9 @@ elseif(CASE STREQUAL "KnobRanges")
       "--replication|--max-replicas=-1@need replication.max_replicas >= 0"
       "--trace-sample=0@--trace-sample=0 is out of range"
       "--flight-recorder=-1@--flight-recorder=-1 is out of range"
-      "--obs-window-ms=-5@need obs_window >= 0")
+      "--obs-window-ms=-5@need obs_window >= 0"
+      "--seed=abc@--seed=abc is not a 64-bit integer"
+      "--rate=30x@--rate=30x is not a finite number")
   foreach(entry IN LISTS cases)
     string(REPLACE "@" ";" entry "${entry}")
     list(GET entry 0 knobs)

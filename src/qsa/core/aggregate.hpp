@@ -85,10 +85,11 @@ class AggregationAlgorithm {
   virtual ~AggregationAlgorithm() = default;
   [[nodiscard]] virtual AggregationPlan aggregate(const ServiceRequest& request,
                                                   sim::SimTime now) = 0;
-  /// Writes the plan into `out`, reusing its buffers. The serving loop's
-  /// entry point: QSA overrides it allocation-free; the default wrapper
-  /// (the baselines) move-assigns a fresh plan. Results are identical to
-  /// aggregate() either way.
+  /// Writes the plan into `out`, reusing its buffers. ServingEngine's
+  /// serve_into entry point: QSA overrides it allocation-free once warm
+  /// (ServingEngine.WarmFrozenServeIntoAllocatesNothing); the default
+  /// wrapper (the baselines) move-assigns a fresh plan. Results are
+  /// identical to aggregate() either way.
   virtual void aggregate_into(const ServiceRequest& request, sim::SimTime now,
                               AggregationPlan& out) {
     out = aggregate(request, now);

@@ -4,8 +4,8 @@
 // things: probe-epoch snapshots, neighbor soft-state TTLs, and the
 // discovery cache TTL. Behind this seam the identical pipeline runs under
 // the discrete-event simulator (the harness adapts sim::Simulator::now)
-// and under a real request loop (a ManualClock advanced by the batcher, or
-// frozen for steady-state throughput measurement).
+// and under a standalone request loop (a ManualClock advanced once per
+// batch, or frozen to pin the world's soft state).
 #pragma once
 
 #include "qsa/sim/time.hpp"
@@ -20,8 +20,8 @@ class Clock {
   [[nodiscard]] virtual sim::SimTime now() const = 0;
 };
 
-/// A clock the caller advances explicitly. The serving request loop ticks
-/// it once per batch; tests drive TTL expiry with it deterministically.
+/// A clock the caller advances explicitly. A request loop ticks it once
+/// per batch; tests drive TTL expiry with it deterministically.
 class ManualClock final : public Clock {
  public:
   ManualClock() = default;

@@ -5,7 +5,7 @@
 // assembled behind injected seams:
 //
 //   * time comes from an engine::Clock (the harness adapts the simulator's
-//     clock; the serving loop drives a ManualClock);
+//     clock; a standalone request loop drives a ManualClock);
 //   * randomness is the algorithm's own deterministic RNG, derived from
 //     EngineConfig::seed with the same labels the harness always used, so a
 //     simulation routed through the engine is byte-identical to the
@@ -16,7 +16,7 @@
 //
 // One ServingEngine serves one logical requester stream on one thread; a
 // multi-threaded server runs one engine per shard over a shared immutable
-// world (see engine/serve.hpp).
+// world and merges the shards' engine::ServeStats (engine/serve.hpp).
 #pragma once
 
 #include <cstdint>
@@ -94,8 +94,8 @@ class ServingEngine {
     algorithm_->aggregate_into(request, now, out);
   }
 
-  /// Clock-driven entry points (the serving loop's): time is read from the
-  /// injected Clock. Requires EngineDeps::clock.
+  /// Clock-driven entry points (a standalone request loop's): time is read
+  /// from the injected Clock. Requires EngineDeps::clock.
   [[nodiscard]] core::AggregationPlan serve(
       const core::ServiceRequest& request) {
     QSA_EXPECTS(clock_ != nullptr);

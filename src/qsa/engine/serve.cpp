@@ -1,11 +1,5 @@
 #include "qsa/engine/serve.hpp"
 
-#include <chrono>
-#include <vector>
-
-#include "qsa/util/expects.hpp"
-#include "qsa/util/thread_pool.hpp"
-
 namespace qsa::engine {
 
 void ServeStats::count(const core::AggregationPlan& plan) noexcept {
@@ -38,92 +32,6 @@ void ServeStats::merge(const ServeStats& other) noexcept {
   fail_selection += other.fail_selection;
   lookup_hops += other.lookup_hops;
   random_fallback_hops += other.random_fallback_hops;
-}
-
-namespace {
-
-/// Serves `count` requests from the pool (cycled), batching clock ticks.
-/// `pool_at` carries the round-robin cursor across phases. Stats and
-/// latency are recorded only when `counted`.
-void run_phase(const ShardLoop& loop, std::uint64_t count, bool counted,
-               std::size_t& pool_at, core::AggregationPlan& plan,
-               ServeStats& stats) {
-  const std::size_t batch = loop.batch > 0 ? loop.batch : 1;
-  std::uint64_t served = 0;
-  while (served < count) {
-    if (loop.tick > sim::SimTime::zero()) loop.clock->advance(loop.tick);
-    const std::uint64_t burst =
-        std::min<std::uint64_t>(batch, count - served);
-    for (std::uint64_t b = 0; b < burst; ++b) {
-      const core::ServiceRequest& request = loop.pool[pool_at];
-      pool_at = pool_at + 1 == loop.pool.size() ? 0 : pool_at + 1;
-      if (counted && loop.latency_us != nullptr) {
-        const auto t0 = std::chrono::steady_clock::now();
-        loop.engine->serve_into(request, plan);
-        const auto t1 = std::chrono::steady_clock::now();
-        loop.latency_us->observe(
-            std::chrono::duration<double, std::micro>(t1 - t0).count());
-      } else {
-        loop.engine->serve_into(request, plan);
-      }
-      if (counted) stats.count(plan);
-    }
-    served += burst;
-  }
-}
-
-void check_loop(const ShardLoop& loop) {
-  QSA_EXPECTS(loop.engine != nullptr);
-  QSA_EXPECTS(loop.clock != nullptr);
-  QSA_EXPECTS(!loop.pool.empty());
-}
-
-}  // namespace
-
-ServeStats serve_shard(const ShardLoop& loop) {
-  check_loop(loop);
-  ServeStats stats;
-  core::AggregationPlan plan;
-  std::size_t pool_at = 0;
-  run_phase(loop, loop.warmup, /*counted=*/false, pool_at, plan, stats);
-  run_phase(loop, loop.requests, /*counted=*/true, pool_at, plan, stats);
-  return stats;
-}
-
-ServeStats serve_parallel(std::span<const ShardLoop> shards,
-                          const std::function<void()>& on_steady) {
-  QSA_EXPECTS(!shards.empty());
-  for (const ShardLoop& loop : shards) check_loop(loop);
-
-  util::ThreadPool& pool = util::shared_pool();
-
-  // Per-shard loop state, built before the steady boundary so the counted
-  // region performs no allocation: the cursors and scratch plans persist
-  // across the two parallel_for phases, and both phase closures are
-  // materialized up front (the measured one must not be constructed after
-  // on_steady — a >16-byte capture would heap-allocate its target).
-  std::vector<ServeStats> stats(shards.size());
-  std::vector<core::AggregationPlan> plans(shards.size());
-  std::vector<std::size_t> cursors(shards.size(), 0);
-  const std::function<void(std::size_t)> warm_fn = [&](std::size_t i) {
-    run_phase(shards[i], shards[i].warmup, /*counted=*/false, cursors[i],
-              plans[i], stats[i]);
-  };
-  const std::function<void(std::size_t)> counted_fn = [&](std::size_t i) {
-    run_phase(shards[i], shards[i].requests, /*counted=*/true, cursors[i],
-              plans[i], stats[i]);
-  };
-
-  // Two pool phases with a natural barrier between them: parallel_for
-  // returns only when every shard's warmup is done. The warmup phase also
-  // primes the pool's task slab, so the counted phase reuses its capacity.
-  pool.parallel_for(shards.size(), warm_fn);
-  if (on_steady) on_steady();
-  pool.parallel_for(shards.size(), counted_fn);
-
-  ServeStats merged;
-  for (const ServeStats& s : stats) merged.merge(s);
-  return merged;
 }
 
 }  // namespace qsa::engine

@@ -1,23 +1,15 @@
-// The batched thread-per-shard request loop (DESIGN.md §13): each shard
-// owns one ServingEngine (plus its directory view, neighbor tables, and
-// ManualClock) and drains a pregenerated request pool in batches, ticking
-// the clock once per batch. Shards share only immutable world state, so
-// the loop runs lock-free; stats and latency histograms are per-shard and
-// merged by the caller.
+// Outcome accounting for a request loop driving ServingEngine::serve_into
+// (DESIGN.md §13). A loop keeps one ServeStats per shard thread and merges
+// them when the threads join.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <span>
 
 #include "qsa/core/aggregate.hpp"
-#include "qsa/engine/clock.hpp"
-#include "qsa/engine/engine.hpp"
-#include "qsa/obs/histogram.hpp"
 
 namespace qsa::engine {
 
-/// Outcome accounting of one serving loop. Mergeable across shards.
+/// Outcome accounting of one shard's request loop. Mergeable across shards.
 struct ServeStats {
   std::uint64_t requests = 0;
   std::uint64_t ok = 0;
@@ -29,47 +21,6 @@ struct ServeStats {
 
   void count(const core::AggregationPlan& plan) noexcept;
   void merge(const ServeStats& other) noexcept;
-
-  [[nodiscard]] double success_ratio() const noexcept {
-    return requests == 0
-               ? 1.0
-               : static_cast<double>(ok) / static_cast<double>(requests);
-  }
 };
-
-/// One shard's loop parameters. The engine/clock/pool are borrowed; the
-/// pool is cycled round-robin until `requests` have been served.
-struct ShardLoop {
-  ServingEngine* engine = nullptr;
-  ManualClock* clock = nullptr;
-  std::span<const core::ServiceRequest> pool;
-  std::uint64_t warmup = 0;    ///< uncounted requests served first
-  std::uint64_t requests = 0;  ///< counted requests after warmup
-  std::size_t batch = 64;      ///< requests per clock tick
-  /// Clock advance per batch. Zero freezes the clock: the world snapshot
-  /// (probe epochs, uptimes, TTLs) is pinned, which makes the measured
-  /// phase a strict replay of the warmed-up state — the configuration the
-  /// zero-allocation gate runs under.
-  sim::SimTime tick = sim::SimTime::zero();
-  /// Optional host-wall-clock latency per serve() call, in microseconds.
-  obs::Histogram* latency_us = nullptr;
-};
-
-/// Runs one shard's loop on the calling thread: warmup first, then the
-/// counted phase. The warmup fills every cache/table/scratch buffer the
-/// steady state touches, so the counted phase of a frozen-clock loop
-/// performs no heap allocation.
-[[nodiscard]] ServeStats serve_shard(const ShardLoop& loop);
-
-/// Runs every shard on the shared worker pool (util::shared_pool) as two
-/// parallel_for phases with per-shard cursors carried across them. All
-/// shards finish warmup before any enters its counted phase; `on_steady`,
-/// when given, runs exactly once — on the calling thread, between the
-/// phases, before any counted request — so callers can snapshot allocation
-/// counters or start a wall clock at the steady-state boundary. Everything
-/// after on_steady is allocation-free: the pool's task slab and the phase
-/// closures are built during warmup. Returns the merged stats.
-[[nodiscard]] ServeStats serve_parallel(std::span<const ShardLoop> shards,
-                                        const std::function<void()>& on_steady = {});
 
 }  // namespace qsa::engine

@@ -78,10 +78,11 @@ GridSimulation::GridSimulation(GridConfig config)
   }
 
   // The composition+selection hot path lives in the sim-free serving
-  // facade; the simulation is one of its drivers (the serving loop is the
-  // other). Constructed before the observe block: the engine sets the
-  // directory's cache TTL, which must precede directory_->set_metrics (the
-  // cache counters are gated on the TTL cache being enabled).
+  // facade; the simulation is one of its drivers (a standalone request loop
+  // over a ManualClock is another). Constructed before the observe block:
+  // the engine sets the directory's cache TTL, which must precede
+  // directory_->set_metrics (the cache counters are gated on the TTL cache
+  // being enabled).
   {
     engine::EngineConfig ec;
     ec.seed = config_.seed;

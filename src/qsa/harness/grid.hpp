@@ -155,7 +155,8 @@ class GridSimulation {
     return index_.get();
   }
   /// The sim-free serving facade the simulation routes every aggregation
-  /// through (the same engine a serving loop runs; DESIGN.md §13).
+  /// through (the same engine a standalone request loop drives; DESIGN.md
+  /// §13).
   [[nodiscard]] engine::ServingEngine& engine() noexcept { return *engine_; }
   /// The compatibility/cost memo tables; non-null iff
   /// `config.compose_caches` is set.

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <system_error>
 
 namespace qsa::util {
 namespace {
@@ -17,6 +20,25 @@ std::string env_name(std::string_view flag) {
                                  static_cast<unsigned char>(c))));
   }
   return out;
+}
+
+/// Parses all of `text` as a T; false on trailing text or overflow.
+template <typename T>
+bool parse_whole(const std::string& text, T& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc() && ptr == end;
+}
+
+/// A numeric flag whose value is not wholly a `kind` prints the flag and
+/// value and exits 2, like get_int_in() and get_choice(): it never runs
+/// the prefix it could parse, or zero.
+[[noreturn]] void reject_number(std::string_view name, const std::string& value,
+                                const char* kind) {
+  std::fprintf(stderr, "--%.*s=%s is not %s\n",
+               static_cast<int>(name.size()), name.data(), value.c_str(),
+               kind);
+  std::exit(2);
 }
 
 }  // namespace
@@ -109,9 +131,10 @@ void reject_unknown_choice(std::string_view program, std::string_view name,
 std::int64_t get_int_in(const Flags& flags, std::string_view name,
                         std::int64_t def, std::int64_t lo, std::int64_t hi,
                         std::string_view program) {
-  const std::int64_t v = flags.get_int(name, def);
-  if (v >= lo && v <= hi) return v;
-  const std::string text = flags.raw(name).value_or(std::to_string(v));
+  const std::optional<std::string> value = flags.raw(name);
+  std::int64_t v = def;
+  if ((!value || parse_whole(*value, v)) && v >= lo && v <= hi) return v;
+  const std::string text = value.value_or(std::to_string(v));
   std::fprintf(stderr,
                "%.*s: --%.*s=%s is out of range\n"
                "usage: --%.*s=<%lld..%lld>\n",
@@ -130,13 +153,19 @@ std::string Flags::get(std::string_view name, std::string_view def) const {
 std::int64_t Flags::get_int(std::string_view name, std::int64_t def) const {
   auto v = raw(name);
   if (!v) return def;
-  return std::strtoll(v->c_str(), nullptr, 10);
+  std::int64_t out = 0;
+  if (!parse_whole(*v, out)) reject_number(name, *v, "a 64-bit integer");
+  return out;
 }
 
 double Flags::get_double(std::string_view name, double def) const {
   auto v = raw(name);
   if (!v) return def;
-  return std::strtod(v->c_str(), nullptr);
+  double out = 0;
+  if (!parse_whole(*v, out) || !std::isfinite(out)) {
+    reject_number(name, *v, "a finite number");
+  }
+  return out;
 }
 
 bool Flags::get_bool(std::string_view name, bool def) const {

@@ -20,6 +20,9 @@ class Flags {
 
   [[nodiscard]] std::string get(std::string_view name,
                                 std::string_view def) const;
+  /// Numeric lookups. A value that is not wholly a number of the type (text
+  /// after the digits, overflow, or for get_double a non-finite value)
+  /// prints the flag and its value to stderr and exits with status 2.
   [[nodiscard]] std::int64_t get_int(std::string_view name,
                                      std::int64_t def) const;
   [[nodiscard]] double get_double(std::string_view name, double def) const;
@@ -56,9 +59,10 @@ class Flags {
 void reject_unknown_flags(const Flags& flags, std::string_view program);
 
 /// Integer flag lookup bounded to [lo, hi]: `--name=<int>` (or QSA_<NAME>);
-/// absent uses `def`. A value outside the range prints the range to stderr
-/// and exits 2, like an inadmissible get_choice() value — it never wraps
-/// or clamps into a different experiment.
+/// absent uses `def`. A value outside the range, or one that is not wholly
+/// an integer, prints the range to stderr and exits 2, like an inadmissible
+/// get_choice() value — it never wraps or clamps into a different
+/// experiment.
 [[nodiscard]] std::int64_t get_int_in(const Flags& flags,
                                       std::string_view name, std::int64_t def,
                                       std::int64_t lo, std::int64_t hi,

@@ -2,11 +2,24 @@
 
 #include <algorithm>
 #include <atomic>
-#include <utility>
-
-#include "qsa/util/expects.hpp"
 
 namespace qsa::util {
+
+struct ThreadPool::ForLoop {
+  std::atomic<std::size_t> next{0};
+  std::size_t n = 0;
+  const std::function<void(std::size_t)>* fn = nullptr;
+  /// Queued or running driver tasks that still point here; guarded by the
+  /// pool mutex.
+  std::size_t drivers_left = 0;
+
+  void drive() {
+    for (std::size_t i;
+         (i = next.fetch_add(1, std::memory_order_relaxed)) < n;) {
+      (*fn)(i);
+    }
+  }
+};
 
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
@@ -28,44 +41,6 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::submit(std::function<void()> task) {
-  QSA_EXPECTS(task != nullptr);
-  {
-    std::lock_guard lock(mu_);
-    compact_locked();
-    fifo_.push_back(Task{std::move(task), nullptr});
-    ++in_flight_;
-  }
-  task_ready_.notify_one();
-}
-
-void ThreadPool::wait() {
-  std::unique_lock lock(mu_);
-  all_done_.wait(lock, [this] { return in_flight_ == 0; });
-}
-
-namespace {
-
-/// Shared state of one parallel_for call, on the caller's stack. Driver
-/// tasks capture only a pointer to it, which keeps them inside
-/// std::function's small-buffer storage — parallel_for on a warm pool never
-/// touches the allocator (the serving benchmark gates this).
-struct ForLoop {
-  std::atomic<std::size_t> next{0};
-  std::size_t n = 0;
-  const std::function<void(std::size_t)>* fn = nullptr;
-  std::size_t drivers_left = 0;  ///< guarded by the pool mutex
-};
-
-void drive(ForLoop& loop) {
-  for (std::size_t i;
-       (i = loop.next.fetch_add(1, std::memory_order_relaxed)) < loop.n;) {
-    (*loop.fn)(i);
-  }
-}
-
-}  // namespace
-
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
@@ -76,80 +51,43 @@ void ThreadPool::parallel_for(std::size_t n,
   ForLoop loop;
   loop.n = n;
   loop.fn = &fn;
-  const std::size_t drivers =
-      workers_.empty() ? 0 : std::min(n, workers_.size());
-  const void* tag = &loop;
+  const std::size_t drivers = std::min(n, workers_.size());
   if (drivers > 0) {
     {
       std::lock_guard lock(mu_);
-      compact_locked();
-      for (std::size_t d = 0; d < drivers; ++d) {
-        fifo_.push_back(Task{[this, &loop] {
-                               drive(loop);
-                               std::lock_guard inner(mu_);
-                               --loop.drivers_left;
-                             },
-                             tag});
-      }
+      queue_.insert(queue_.end(), drivers, &loop);
       loop.drivers_left = drivers;
-      in_flight_ += drivers;
     }
     task_ready_.notify_all();
   }
-  drive(loop);
-  // Every iteration is claimed; cancel drivers still sitting in the queue
+  loop.drive();
+  // Every iteration is claimed; drop drivers still sitting in the queue
   // (they would only discover next >= n anyway, and behind a long-running
   // outer task that discovery could be arbitrarily late), then wait out the
   // ones a worker is actually executing.
   std::unique_lock lock(mu_);
-  for (std::size_t i = fifo_head_; i < fifo_.size(); ++i) {
-    if (fifo_[i].tag == tag) {
-      fifo_[i] = Task{};
-      --loop.drivers_left;
-      --in_flight_;
-    }
-  }
-  if (in_flight_ == 0) all_done_.notify_all();
-  all_done_.wait(lock, [&loop] { return loop.drivers_left == 0; });
-}
-
-void ThreadPool::compact_locked() {
-  if (fifo_head_ == fifo_.size()) {
-    // Drained: rewind in place. Capacity is retained, so steady-state
-    // submit/run cycles never touch the allocator.
-    fifo_.clear();
-    fifo_head_ = 0;
-  } else if (fifo_head_ >= 1024 && fifo_head_ * 2 >= fifo_.size()) {
-    fifo_.erase(fifo_.begin(),
-                fifo_.begin() + static_cast<std::ptrdiff_t>(fifo_head_));
-    fifo_head_ = 0;
-  }
+  loop.drivers_left -= std::erase(queue_, &loop);
+  driver_done_.wait(lock, [&loop] { return loop.drivers_left == 0; });
 }
 
 void ThreadPool::worker_loop() {
   for (;;) {
-    Task task;
+    ForLoop* loop = nullptr;
     {
       std::unique_lock lock(mu_);
-      for (;;) {
-        task_ready_.wait(
-            lock, [this] { return stop_ || fifo_head_ < fifo_.size(); });
-        if (fifo_head_ == fifo_.size()) return;  // stop_ and drained
-        task = std::move(fifo_[fifo_head_]);
-        ++fifo_head_;
-        compact_locked();
-        if (task.fn != nullptr) break;  // null = cancelled driver, skip
-      }
+      task_ready_.wait(lock, [this] { return stop_ || !queue_.empty(); });
+      if (queue_.empty()) return;  // stop_ and drained
+      loop = queue_.front();
+      queue_.pop_front();
     }
-    task.fn();
+    loop->drive();
     {
       std::lock_guard lock(mu_);
-      --in_flight_;
+      --loop->drivers_left;
     }
-    // Both kinds of waiter park on all_done_: wait() callers watch
-    // in_flight_, parallel_for callers watch their drivers_left (already
-    // decremented inside the task), so every completion broadcasts.
-    all_done_.notify_all();
+    // The caller may return (and free `loop`) as soon as the count it waits
+    // on reaches zero; only pool members are touched from here on.
+    driver_done_.notify_all();
   }
 }
 

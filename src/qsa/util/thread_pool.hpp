@@ -1,8 +1,8 @@
-// The process's one worker pool. Three subsystems share it — the experiment
-// harness (independent simulation cells), the serving loop's per-shard
-// request threads, and the Chord ring's bootstrap finger rebuild on big
-// rings (ChordRing::stabilize_all, one run per ring-index block) — so there
-// is exactly one place that owns threads (see shared_pool()).
+// The process's one worker pool. Two subsystems share it — the experiment
+// harness (independent simulation cells) and the Chord ring's bootstrap
+// finger rebuild on big rings (ChordRing::stabilize_all, one run per
+// ring-index block) — so there is exactly one place that owns threads (see
+// shared_pool()).
 //
 // Individual simulations stay deterministic under any worker count because
 // parallelism is only ever applied to index-pure work: results are stored by
@@ -19,6 +19,7 @@
 
 #include <condition_variable>
 #include <cstddef>
+#include <deque>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -37,14 +38,6 @@ class ThreadPool {
 
   [[nodiscard]] std::size_t size() const noexcept { return workers_.size(); }
 
-  /// Enqueues a task. Must not be called after wait() has begun draining on
-  /// another thread unless externally synchronized.
-  void submit(std::function<void()> task);
-
-  /// Blocks until every submitted task has finished. Do not call from inside
-  /// a pool task (it would wait on itself); nested code uses parallel_for.
-  void wait();
-
   /// Runs fn(i) for i in [0, n) across the pool *and* the calling thread,
   /// returning when every iteration has finished. Safe to call from inside a
   /// pool task. Exceptions escaping fn terminate (simulation tasks must not
@@ -52,35 +45,23 @@ class ThreadPool {
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
  private:
-  /// A queue entry. `tag` identifies the parallel_for batch a driver task
-  /// belongs to (null for plain submits) so an impatient caller can cancel
-  /// drivers that never got picked up; a cancelled entry has a null fn and
-  /// is skipped by workers.
-  struct Task {
-    std::function<void()> fn;
-    const void* tag = nullptr;
-  };
+  /// One parallel_for call's shared state, on its caller's stack.
+  struct ForLoop;
 
-  /// Pops-from-the-front vector FIFO: once drained it rewinds to index 0,
-  /// so steady-state submit/run cycles reuse capacity instead of allocating
-  /// (the serving benchmark gates zero allocations on this path).
-  void compact_locked();
   void worker_loop();
 
   std::vector<std::thread> workers_;
-  std::vector<Task> fifo_;
-  std::size_t fifo_head_ = 0;
+  /// Queued driver tasks, one entry per worker a parallel_for asked to help.
+  std::deque<ForLoop*> queue_;
   std::mutex mu_;
   std::condition_variable task_ready_;
-  std::condition_variable all_done_;
-  std::size_t in_flight_ = 0;
+  std::condition_variable driver_done_;
   bool stop_ = false;
 };
 
 /// The process-wide shared pool (one worker per hardware thread), created on
-/// first use. ExperimentRunner, engine::serve_parallel, and
-/// ChordRing::stabilize_all all draw from this single pool rather than
-/// spawning their own threads.
+/// first use. ExperimentRunner and ChordRing::stabilize_all both draw from
+/// this single pool rather than spawning their own threads.
 [[nodiscard]] ThreadPool& shared_pool();
 
 }  // namespace qsa::util

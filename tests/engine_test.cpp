@@ -1,13 +1,14 @@
 // The sim-free serving facade (qsa::engine): parity between the
 // simulator-driven adapter and a standalone engine over the same world,
-// determinism of the batched shard loop, and the ManualClock / discovery-
-// cache TTL seam.
+// the allocation-free steady state of a warmed serve_into loop, and the
+// ManualClock / discovery-cache TTL seam.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <type_traits>
 #include <vector>
 
+#include "count_allocations.hpp"
 #include "qsa/engine/clock.hpp"
 #include "qsa/engine/engine.hpp"
 #include "qsa/engine/serve.hpp"
@@ -33,8 +34,8 @@ harness::GridConfig small_config(std::uint64_t seed) {
   return c;
 }
 
-/// The bench's request-pool recipe: the simulator workload's fire() shape
-/// (app, QoS level, requester, duration) on an independent RNG stream.
+/// A standalone request pool: the simulator workload's fire() shape (app,
+/// QoS level, requester, duration) on an independent RNG stream.
 std::vector<core::ServiceRequest> make_pool(harness::GridSimulation& grid,
                                             std::uint64_t seed,
                                             std::size_t shard,
@@ -107,16 +108,6 @@ void expect_plans_equal(const core::AggregationPlan& a,
   EXPECT_EQ(a.random_fallback_hops, b.random_fallback_hops);
 }
 
-void expect_stats_equal(const ServeStats& a, const ServeStats& b) {
-  EXPECT_EQ(a.requests, b.requests);
-  EXPECT_EQ(a.ok, b.ok);
-  EXPECT_EQ(a.fail_discovery, b.fail_discovery);
-  EXPECT_EQ(a.fail_composition, b.fail_composition);
-  EXPECT_EQ(a.fail_selection, b.fail_selection);
-  EXPECT_EQ(a.lookup_hops, b.lookup_hops);
-  EXPECT_EQ(a.random_fallback_hops, b.random_fallback_hops);
-}
-
 // ------------------------------------------------------- sim/engine parity
 
 TEST(ServingEngine, StandaloneServeMatchesSimAdapter) {
@@ -155,57 +146,44 @@ TEST(ServingEngine, ServeIntoMatchesServeAndReusesBuffers) {
   }
 }
 
-// --------------------------------------------------------- shard loop
+// ------------------------------------------------ steady-state allocations
 
-TEST(ServeLoop, ShardLoopIsDeterministic) {
-  const auto cfg = small_config(13);
+TEST(ServingEngine, WarmFrozenServeIntoAllocatesNothing) {
+  // Once every pooled request has been served, a serve_into loop runs out
+  // of grow-only scratch, the discovery cache and the neighbor tables. The
+  // clock stays frozen, so no probe epoch, neighbor TTL or cached discovery
+  // rolls over, and M = 4096 is large enough that no table evicts. With an
+  // advancing clock or the paper's M = 100 the loop refills soft state,
+  // which does allocate.
+  harness::GridConfig cfg;
+  cfg.seed = 42;
+  cfg.scale(0.05);  // the paper's world at 500 peers
+  cfg.probe_budget = 4096;
   harness::GridSimulation grid(cfg);
+  auto ec = grid_engine_config(cfg);
+  ec.discovery_cache_ttl = SimTime::minutes(10);
+  Shard shard(grid, ec);
+  const auto pool = make_pool(grid, cfg.seed, 0, 512);
 
-  const auto run = [&]() {
-    Shard shard(grid, grid_engine_config(cfg));
-    const auto pool = make_pool(grid, cfg.seed, 0, 64);
-    ShardLoop loop;
-    loop.engine = shard.engine.get();
-    loop.clock = &shard.clock;
-    loop.pool = pool;
-    loop.warmup = 32;
-    loop.requests = 256;
-    loop.batch = 16;
-    loop.tick = SimTime::seconds(1);
-    return serve_shard(loop);
+  core::AggregationPlan plan;
+  std::size_t next = 0;
+  const auto serve_next = [&] {
+    shard.engine->serve_into(pool[next], plan);
+    next = next + 1 == pool.size() ? 0 : next + 1;
   };
+  for (int i = 0; i < 1024; ++i) serve_next();  // warmup: each request twice
 
-  const ServeStats first = run();
-  const ServeStats second = run();
-  EXPECT_EQ(first.requests, 256u);
-  expect_stats_equal(first, second);
-}
+  // The counted window holds no EXPECTs: gtest allocates on a failure.
+  ServeStats stats;
+  const std::uint64_t before = test::allocation_count();
+  for (int i = 0; i < 20'000; ++i) {
+    serve_next();
+    stats.count(plan);
+  }
+  const std::uint64_t during = test::allocation_count() - before;
 
-TEST(ServeLoop, SingleShardParallelMatchesSerial) {
-  const auto cfg = small_config(17);
-  harness::GridSimulation grid(cfg);
-  Shard serial(grid, grid_engine_config(cfg));
-  Shard threaded(grid, grid_engine_config(cfg));
-  const auto pool = make_pool(grid, cfg.seed, 0, 64);
-
-  const auto make_loop = [&](Shard& shard) {
-    ShardLoop loop;
-    loop.engine = shard.engine.get();
-    loop.clock = &shard.clock;
-    loop.pool = pool;
-    loop.warmup = 16;
-    loop.requests = 128;
-    loop.batch = 8;
-    return loop;
-  };
-
-  const ServeStats direct = serve_shard(make_loop(serial));
-  const ShardLoop loops[] = {make_loop(threaded)};
-  int steady_calls = 0;
-  const ServeStats parallel =
-      serve_parallel(loops, [&]() noexcept { ++steady_calls; });
-  EXPECT_EQ(steady_calls, 1);
-  expect_stats_equal(direct, parallel);
+  EXPECT_EQ(during, 0u) << "a warm frozen-clock serve_into hit the heap";
+  EXPECT_GT(stats.ok, 0u) << "a loop of failures proves nothing";
 }
 
 TEST(ServeStats, CountClassifiesAndMergeAdds) {
@@ -227,7 +205,6 @@ TEST(ServeStats, CountClassifiesAndMergeAdds) {
   EXPECT_EQ(s.fail_selection, 1u);
   EXPECT_EQ(s.lookup_hops, 12u);
   EXPECT_EQ(s.random_fallback_hops, 4u);
-  EXPECT_DOUBLE_EQ(s.success_ratio(), 0.25);
 
   ServeStats merged = s;
   merged.merge(s);

@@ -6,61 +6,12 @@
 // reports, not just wrong orders.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
+#include "count_allocations.hpp"
 #include "qsa/sim/event_queue.hpp"
 #include "qsa/sim/time.hpp"
-
-// --- global allocation counter ------------------------------------------
-// Replacing operator new/delete for the whole test binary: every heap
-// allocation anywhere bumps the counter, so the steady-state test measures
-// a window with no EXPECTs (gtest allocates on failure) and asserts after.
-namespace {
-std::atomic<std::uint64_t> g_news{0};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  ++g_news;
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void* operator new(std::size_t n, std::align_val_t al) {
-  ++g_news;
-  void* p = nullptr;
-  if (posix_memalign(&p, static_cast<std::size_t>(al), n ? n : 1) != 0) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-void* operator new[](std::size_t n, std::align_val_t al) {
-  return ::operator new(n, al);
-}
-// GCC 12 at -O3 sometimes inlines a std::vector's whole round trip —
-// allocation through this replaced malloc-backed operator new, release
-// through the sized delete below — and then reports the intentional
-// malloc/free pairing as -Wmismatched-new-delete. Replaced global
-// new/delete are matched by definition; silence the false positive at
-// the definitions it is attributed to.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-#pragma GCC diagnostic pop
 
 namespace qsa::sim {
 namespace {
@@ -79,7 +30,7 @@ TEST(EventQueueEngine, SteadyStateAllocatesNothing) {
   // live count — cancels always target a known-pending event so the
   // population never drifts. No EXPECTs inside (gtest may allocate);
   // collect, then assert.
-  const std::uint64_t before = g_news.load();
+  const std::uint64_t before = test::allocation_count();
   for (int round = 0; round < 10'000; ++round) {
     auto f = q.pop();
     f.action();
@@ -93,7 +44,7 @@ TEST(EventQueueEngine, SteadyStateAllocatesNothing) {
     }
     q.schedule(f.time + SimTime::millis(1 + round % 7), [&fired] { ++fired; });
   }
-  const std::uint64_t during = g_news.load() - before;
+  const std::uint64_t during = test::allocation_count() - before;
 
   EXPECT_EQ(during, 0u) << "steady-state schedule/pop/cancel hit the heap";
   EXPECT_EQ(q.slot_capacity(), warm_capacity);

@@ -456,33 +456,57 @@ TEST(FlagsDeathTest, GetChoiceUsageListsChoices) {
               ::testing::ExitedWithCode(2), "--fruit=apple\\|banana");
 }
 
-// --------------------------------------------------------- ThreadPool
-
-TEST(ThreadPool, RunsAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&count] { ++count; });
-  }
-  pool.wait();
-  EXPECT_EQ(count.load(), 100);
+TEST(Flags, NumericLookupsParseWholeValues) {
+  const char* argv[] = {"prog", "--a=-7", "--b=2.5e3", "--c=-0.25",
+                        "--d=9223372036854775807"};
+  Flags f(5, argv);
+  EXPECT_EQ(f.get_int("a", 0), -7);
+  EXPECT_DOUBLE_EQ(f.get_double("b", 0), 2500.0);
+  EXPECT_DOUBLE_EQ(f.get_double("c", 0), -0.25);
+  EXPECT_EQ(f.get_int("d", 0), INT64_MAX);
 }
+
+TEST(FlagsDeathTest, GetIntExitsTwoUnlessWhollyAnInteger) {
+  // strtoll read "abc" as 0 and "12x" as 12: the run silently used a
+  // different seed than the one asked for.
+  for (const char* arg : {"--seed=abc", "--seed=12x", "--seed=", "--seed=1.5",
+                          "--seed=9223372036854775808"}) {
+    const char* argv[] = {"prog", arg};
+    Flags f(2, argv);
+    EXPECT_EXIT((void)f.get_int("seed", 42), ::testing::ExitedWithCode(2),
+                std::string(arg) + " is not a 64-bit integer")
+        << arg;
+  }
+}
+
+TEST(FlagsDeathTest, GetDoubleExitsTwoUnlessWhollyAFiniteNumber) {
+  for (const char* arg :
+       {"--rate=30x", "--rate=abc", "--rate=", "--rate=1e999", "--rate=nan"}) {
+    const char* argv[] = {"prog", arg};
+    Flags f(2, argv);
+    EXPECT_EXIT((void)f.get_double("rate", 100), ::testing::ExitedWithCode(2),
+                std::string(arg) + " is not a finite number")
+        << arg;
+  }
+}
+
+TEST(FlagsDeathTest, EnvironmentValueIsCheckedToo) {
+  ::setenv("QSA_SCALE_TEXT", "abc", 1);
+  const char* argv[] = {"prog"};
+  Flags f(1, argv);
+  EXPECT_EXIT((void)f.get_double("scale-text", 0.1),
+              ::testing::ExitedWithCode(2),
+              "--scale-text=abc is not a finite number");
+  ::unsetenv("QSA_SCALE_TEXT");
+}
+
+// --------------------------------------------------------- ThreadPool
 
 TEST(ThreadPool, ParallelForCoversAllIndices) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(64);
   pool.parallel_for(64, [&](std::size_t i) { ++hits[i]; });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, WaitIsReusable) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  pool.submit([&count] { ++count; });
-  pool.wait();
-  pool.submit([&count] { ++count; });
-  pool.wait();
-  EXPECT_EQ(count.load(), 2);
 }
 
 TEST(ThreadPool, SizeReflectsWorkerCount) {
@@ -514,17 +538,6 @@ TEST(ThreadPool, NestedParallelForOnSingleWorkerPool) {
     pool.parallel_for(4, [&](std::size_t) { ++inner_total; });
   });
   EXPECT_EQ(inner_total.load(), 16);
-}
-
-TEST(ThreadPool, SubmitsInterleaveWithParallelFor) {
-  ThreadPool pool(4);
-  std::atomic<int> submitted{0};
-  std::atomic<int> looped{0};
-  for (int i = 0; i < 32; ++i) pool.submit([&submitted] { ++submitted; });
-  pool.parallel_for(64, [&](std::size_t) { ++looped; });
-  pool.wait();
-  EXPECT_EQ(submitted.load(), 32);
-  EXPECT_EQ(looped.load(), 64);
 }
 
 TEST(ThreadPool, ParallelForResultsAreIndexPure) {
