@@ -4,9 +4,10 @@
 //
 // Every bench accepts:
 //   --scale=F     population scale factor, > 0 (default 0.1; 1 = paper
-//                 scale; also via env QSA_SCALE). Peer count, request rate
-//                 and churn rate scale together, preserving the figures'
-//                 shape.
+//                 scale). Like every flag it is also read from the
+//                 environment (QSA_SCALE), and a value that is not wholly a
+//                 finite number exits 2. Peer count, request rate and churn
+//                 rate scale together, preserving the figures' shape.
 //   --seed=N      root seed (default 42)
 //   --threads=N   experiment-runner threads, 0..1024 (default 0: hardware)
 #pragma once
@@ -36,7 +37,7 @@ struct BenchOptions {
 inline BenchOptions parse_options(util::Flags& flags,
                                   std::string_view program) {
   BenchOptions opt;
-  opt.scale = flags.get_double("scale", harness::GridConfig::env_scale(0.1));
+  opt.scale = flags.get_double("scale", 0.1);
   if (opt.scale <= 0) {
     std::fprintf(stderr,
                  "%.*s: --scale=%s is out of range\nusage: --scale=<number "

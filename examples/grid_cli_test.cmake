@@ -19,7 +19,8 @@
 #   KnobRanges              every other out-of-range knob exits 2 with the
 #                           GridConfig::validate() rule it breaks (or, for an
 #                           unsigned knob, its range), and so does a numeric
-#                           knob whose value is not wholly a number; the
+#                           knob whose value is not wholly a number or a
+#                           boolean knob whose value is not a boolean; the
 #                           bounds themselves run
 cmake_minimum_required(VERSION 3.16)
 
@@ -179,7 +180,8 @@ elseif(CASE STREQUAL "KnobRanges")
       "--flight-recorder=-1@--flight-recorder=-1 is out of range"
       "--obs-window-ms=-5@need obs_window >= 0"
       "--seed=abc@--seed=abc is not a 64-bit integer"
-      "--rate=30x@--rate=30x is not a finite number")
+      "--rate=30x@--rate=30x is not a finite number"
+      "--recovery=ture@--recovery=ture is not a boolean")
   foreach(entry IN LISTS cases)
     string(REPLACE "@" ";" entry "${entry}")
     list(GET entry 0 knobs)

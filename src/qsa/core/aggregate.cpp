@@ -52,6 +52,18 @@ bool discover_candidates(const GridServices& services,
   return true;
 }
 
+void eligible_providers(const registry::PlacementMap& placement,
+                        registry::InstanceId instance,
+                        const std::vector<net::PeerId>& excluded,
+                        std::vector<net::PeerId>& out) {
+  out.clear();
+  for (net::PeerId p : placement.providers(instance)) {
+    if (std::find(excluded.begin(), excluded.end(), p) == excluded.end()) {
+      out.push_back(p);
+    }
+  }
+}
+
 QsaAlgorithm::QsaAlgorithm(GridServices services, qos::TupleWeights weights,
                            qos::ResourceSchema schema, std::uint64_t seed,
                            QsaOptions options,
@@ -64,13 +76,6 @@ QsaAlgorithm::QsaAlgorithm(GridServices services, qos::TupleWeights weights,
   QSA_EXPECTS(services.catalog && services.placement && services.discovery &&
               services.peers && services.net && services.neighbors);
   composer_.set_cache(compose_cache);
-}
-
-AggregationPlan QsaAlgorithm::aggregate(const ServiceRequest& request,
-                                        sim::SimTime now) {
-  AggregationPlan plan;
-  aggregate_into(request, now, plan);
-  return plan;
 }
 
 void QsaAlgorithm::aggregate_into(const ServiceRequest& request,
@@ -110,17 +115,9 @@ void QsaAlgorithm::aggregate_into(const ServiceRequest& request,
   const std::size_t layers = plan.instances.size();
   if (hop_candidates_.size() < layers) hop_candidates_.resize(layers);
   for (std::size_t hop = 1; hop <= layers; ++hop) {
-    const registry::InstanceId inst = plan.instances[layers - hop];
-    auto providers = services_.placement->providers(inst);
     auto& cands = hop_candidates_[hop - 1];
-    cands.clear();
-    for (net::PeerId p : providers) {
-      if (std::find(request.excluded_hosts.begin(),
-                    request.excluded_hosts.end(),
-                    p) == request.excluded_hosts.end()) {
-        cands.push_back(p);
-      }
-    }
+    eligible_providers(*services_.placement, plan.instances[layers - hop],
+                       request.excluded_hosts, cands);
     if (cands.empty()) {
       plan.failure = FailureCause::kSelection;
       return;

@@ -83,18 +83,12 @@ struct AggregationPlan {
 class AggregationAlgorithm {
  public:
   virtual ~AggregationAlgorithm() = default;
-  [[nodiscard]] virtual AggregationPlan aggregate(const ServiceRequest& request,
-                                                  sim::SimTime now) = 0;
-  /// Writes the plan into `out`, reusing its buffers. ServingEngine's
-  /// serve_into entry point: QSA overrides it allocation-free once warm
-  /// (ServingEngine.WarmFrozenServeIntoAllocatesNothing); the default
-  /// wrapper (the baselines) move-assigns a fresh plan. Results are
-  /// identical to aggregate() either way.
+  /// The one aggregation entry point: resets `out` and writes the plan for
+  /// `request` into it, reusing its buffers. QSA is allocation-free once
+  /// warm (ServingEngine.WarmFrozenServeIntoAllocatesNothing); the
+  /// baselines' DFS may still allocate.
   virtual void aggregate_into(const ServiceRequest& request, sim::SimTime now,
-                              AggregationPlan& out) {
-    out = aggregate(request, now);
-  }
-  [[nodiscard]] virtual std::string_view name() const = 0;
+                              AggregationPlan& out) = 0;
   /// Live load balancing (replication tier): algorithms that rank hosts may
   /// discount loaded candidates. No-op for algorithms without a ranking.
   virtual void set_load_signal(PeerSelector::LoadSignal) {}
@@ -126,14 +120,11 @@ class QsaAlgorithm final : public AggregationAlgorithm {
                QsaOptions options = {},
                cache::ComposeCache* compose_cache = nullptr);
 
-  [[nodiscard]] AggregationPlan aggregate(const ServiceRequest& request,
-                                          sim::SimTime now) override;
-  /// The hot-path entry point: steady state (warm discovery cache, warmed
-  /// neighbor tables, previously seen path lengths) performs no heap
-  /// allocation — the scratch below grows to a plateau and is reused.
+  /// Steady state (warm discovery cache, warmed neighbor tables,
+  /// previously seen path lengths) performs no heap allocation — the
+  /// scratch below grows to a plateau and is reused.
   void aggregate_into(const ServiceRequest& request, sim::SimTime now,
                       AggregationPlan& out) override;
-  [[nodiscard]] std::string_view name() const override { return "qsa"; }
 
   [[nodiscard]] const QcsComposer& composer() const noexcept {
     return composer_;
@@ -166,5 +157,15 @@ bool discover_candidates(const GridServices& services,
                          const ServiceRequest& request, sim::SimTime now,
                          std::vector<std::vector<registry::InstanceId>>& out,
                          AggregationPlan& plan);
+
+/// The providers of `instance` that `excluded` does not name, in the
+/// placement map's (sorted) order, written into `out` (cleared first, its
+/// buffer reused). Shared by QSA and the baselines. Order matters: with no
+/// exclusions `out` is the raw provider list, so a draw over it consumes
+/// the same RNG stream as a draw over the providers.
+void eligible_providers(const registry::PlacementMap& placement,
+                        registry::InstanceId instance,
+                        const std::vector<net::PeerId>& excluded,
+                        std::vector<net::PeerId>& out);
 
 }  // namespace qsa::core

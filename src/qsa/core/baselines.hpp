@@ -1,4 +1,5 @@
-// The paper's two comparison heuristics (Section 4.1):
+// The paper's two comparison heuristics (Section 4.1), one pipeline with
+// two policies:
 //
 //  * random — picks a random QoS-consistent service path (ignoring
 //    aggregated resource cost) and a uniformly random provider peer per hop
@@ -26,35 +27,35 @@ namespace qsa::core {
 [[nodiscard]] CompositionResult compose_first(const QcsComposer& composer,
                                               const CompositionRequest& req);
 
-class RandomAlgorithm final : public AggregationAlgorithm {
- public:
-  RandomAlgorithm(GridServices services, qos::TupleWeights weights,
-                  qos::ResourceSchema schema, std::uint64_t seed,
-                  cache::ComposeCache* compose_cache = nullptr);
+/// Which Section 4.1 heuristic a BaselineAlgorithm runs.
+enum class BaselinePolicy : std::uint8_t { kRandom, kFixed };
 
-  [[nodiscard]] AggregationPlan aggregate(const ServiceRequest& request,
-                                          sim::SimTime now) override;
-  [[nodiscard]] std::string_view name() const override { return "random"; }
+/// Both baselines: discover candidates, compose a path by DFS, then place
+/// one provider per instance, source to sink, among the providers the
+/// request has not excluded. The policy decides three things: whether the
+/// DFS is shuffled (compose_random) or ordered (compose_first), whether
+/// the provider is a uniform draw or the lowest id, and whether each hop
+/// counts as a random-fallback hop (random only). Random draws one shuffle
+/// per layer, then one provider per instance; fixed draws nothing.
+class BaselineAlgorithm final : public AggregationAlgorithm {
+ public:
+  BaselineAlgorithm(BaselinePolicy policy, GridServices services,
+                    qos::TupleWeights weights, qos::ResourceSchema schema,
+                    std::uint64_t seed,
+                    cache::ComposeCache* compose_cache = nullptr);
+
+  void aggregate_into(const ServiceRequest& request, sim::SimTime now,
+                      AggregationPlan& out) override;
 
  private:
+  BaselinePolicy policy_;
   GridServices services_;
   QcsComposer composer_;  // reused only for cost bookkeeping + satisfy checks
   util::Rng rng_;
-};
 
-class FixedAlgorithm final : public AggregationAlgorithm {
- public:
-  FixedAlgorithm(GridServices services, qos::TupleWeights weights,
-                 qos::ResourceSchema schema,
-                 cache::ComposeCache* compose_cache = nullptr);
-
-  [[nodiscard]] AggregationPlan aggregate(const ServiceRequest& request,
-                                          sim::SimTime now) override;
-  [[nodiscard]] std::string_view name() const override { return "fixed"; }
-
- private:
-  GridServices services_;
-  QcsComposer composer_;
+  // Per-request scratch, grow-only like QsaAlgorithm's.
+  std::vector<std::vector<registry::InstanceId>> candidates_;
+  std::vector<net::PeerId> eligible_;
 };
 
 }  // namespace qsa::core

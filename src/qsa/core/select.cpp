@@ -27,28 +27,19 @@ double PeerSelector::phi(const probe::PerfSnapshot& snap,
 
 net::PeerId PeerSelector::filter_pass(
     const registry::ServiceInstance& instance, sim::SimTime session_duration,
-    bool with_uptime, util::Rng& rng) const {
+    bool with_uptime) const {
   net::PeerId best = net::kNoPeer;
   double best_phi = 0;
-  std::size_t qualified = 0;
   for (const Known& k : known_) {
     if (!k.snap.alive) continue;
     if (with_uptime && k.snap.uptime < session_duration) continue;
     if (!instance.resources.fits_within(k.snap.available)) continue;
     if (k.snap.bandwidth_kbps < instance.bandwidth_kbps) continue;
-    ++qualified;
-    if (options_.use_phi_ranking) {
-      const double value = phi(k.snap, instance);
-      if (best == net::kNoPeer || value > best_phi ||
-          (value == best_phi && k.peer < best)) {
-        best = k.peer;
-        best_phi = value;
-      }
-    } else if (best == net::kNoPeer || rng.index(qualified) == 0) {
-      // Reservoir-sample a uniform survivor when Phi ranking is ablated.
-      // The short-circuit means the first survivor draws nothing, exactly
-      // as the pre-refactor loop did: RNG streams are unchanged.
+    const double value = phi(k.snap, instance);
+    if (best == net::kNoPeer || value > best_phi ||
+        (value == best_phi && k.peer < best)) {
       best = k.peer;
+      best_phi = value;
     }
   }
   return best;
@@ -86,9 +77,9 @@ HopSelection PeerSelector::select_hop(
   // identical pass never executed either (it broke out), but it cost a
   // dead-code guard on every call and read as if it could.
   net::PeerId best =
-      filter_pass(instance, session_duration, options_.use_uptime_filter, rng);
+      filter_pass(instance, session_duration, options_.use_uptime_filter);
   if (best == net::kNoPeer && options_.use_uptime_filter) {
-    best = filter_pass(instance, session_duration, /*with_uptime=*/false, rng);
+    best = filter_pass(instance, session_duration, /*with_uptime=*/false);
   }
   if (best != net::kNoPeer) return HopSelection{best, false};
 

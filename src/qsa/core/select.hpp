@@ -36,11 +36,10 @@ struct HopSelection {
   [[nodiscard]] bool ok() const noexcept { return peer != net::kNoPeer; }
 };
 
-/// Selector options; the defaults are the full QSA behaviour, the switches
-/// drive the ablation benches.
+/// Selector options; the default is the full QSA behaviour, the switch
+/// drives the uptime ablation.
 struct SelectorOptions {
-  bool use_uptime_filter = true;   ///< match uptime against session duration
-  bool use_phi_ranking = true;     ///< false: uniform pick among survivors
+  bool use_uptime_filter = true;  ///< match uptime against session duration
 };
 
 class PeerSelector {
@@ -92,7 +91,7 @@ class PeerSelector {
   /// One filter+rank pass over known_. Returns the winner or kNoPeer.
   [[nodiscard]] net::PeerId filter_pass(
       const registry::ServiceInstance& instance, sim::SimTime session_duration,
-      bool with_uptime, util::Rng& rng) const;
+      bool with_uptime) const;
 
   qos::TupleWeights weights_;
   qos::ResourceSchema schema_;

@@ -34,8 +34,7 @@ std::string_view to_string(AlgorithmKind kind) {
 
 ServingEngine::ServingEngine(const EngineConfig& config,
                              const EngineDeps& deps)
-    : config_(config),
-      clock_(deps.clock),
+    : clock_(deps.clock),
       weights_(make_weights(config.bandwidth_weight,
                             deps.peers != nullptr ? deps.peers->schema().kinds()
                                                   : 0)) {
@@ -43,8 +42,8 @@ ServingEngine::ServingEngine(const EngineConfig& config,
               deps.net && deps.neighbors);
   // Cache wiring precedes any metrics attachment: the directory gates its
   // cache counters on whether the TTL cache is enabled.
-  deps.directory->set_cache_ttl(config_.discovery_cache_ttl);
-  if (config_.compose_caches) {
+  deps.directory->set_cache_ttl(config.discovery_cache_ttl);
+  if (config.compose_caches) {
     compose_cache_ = std::make_unique<cache::ComposeCache>();
   }
 
@@ -57,22 +56,18 @@ ServingEngine::ServingEngine(const EngineConfig& config,
   // Seed-derivation labels are load-bearing: they match the pre-engine
   // harness exactly, so simulations routed through the facade replay the
   // same RNG streams bit for bit.
-  switch (config_.algorithm) {
-    case AlgorithmKind::kQsa:
-      algorithm_ = std::make_unique<core::QsaAlgorithm>(
-          services, weights_, deps.peers->schema(),
-          util::derive_seed(config_.seed, "algo", 0), config_.qsa_options,
-          compose_cache_.get());
-      break;
-    case AlgorithmKind::kRandom:
-      algorithm_ = std::make_unique<core::RandomAlgorithm>(
-          services, weights_, deps.peers->schema(),
-          util::derive_seed(config_.seed, "algo", 0), compose_cache_.get());
-      break;
-    case AlgorithmKind::kFixed:
-      algorithm_ = std::make_unique<core::FixedAlgorithm>(
-          services, weights_, deps.peers->schema(), compose_cache_.get());
-      break;
+  const std::uint64_t algo_seed = util::derive_seed(config.seed, "algo", 0);
+  if (config.algorithm == AlgorithmKind::kQsa) {
+    algorithm_ = std::make_unique<core::QsaAlgorithm>(
+        services, weights_, deps.peers->schema(), algo_seed,
+        config.qsa_options, compose_cache_.get());
+  } else {
+    algorithm_ = std::make_unique<core::BaselineAlgorithm>(
+        config.algorithm == AlgorithmKind::kRandom
+            ? core::BaselinePolicy::kRandom
+            : core::BaselinePolicy::kFixed,
+        services, weights_, deps.peers->schema(), algo_seed,
+        compose_cache_.get());
   }
 }
 

@@ -84,18 +84,14 @@ class ServingEngine {
   /// entry point).
   [[nodiscard]] core::AggregationPlan aggregate(
       const core::ServiceRequest& request, sim::SimTime now) {
-    return algorithm_->aggregate(request, now);
-  }
-
-  /// Allocation-free variant: reuses `out`'s buffers (see
-  /// AggregationAlgorithm::aggregate_into).
-  void aggregate_into(const core::ServiceRequest& request, sim::SimTime now,
-                      core::AggregationPlan& out) {
-    algorithm_->aggregate_into(request, now, out);
+    core::AggregationPlan plan;
+    algorithm_->aggregate_into(request, now, plan);
+    return plan;
   }
 
   /// Clock-driven entry points (a standalone request loop's): time is read
-  /// from the injected Clock. Requires EngineDeps::clock.
+  /// from the injected Clock. Requires EngineDeps::clock. serve_into reuses
+  /// `out`'s buffers (see AggregationAlgorithm::aggregate_into).
   [[nodiscard]] core::AggregationPlan serve(
       const core::ServiceRequest& request) {
     QSA_EXPECTS(clock_ != nullptr);
@@ -104,7 +100,7 @@ class ServingEngine {
   void serve_into(const core::ServiceRequest& request,
                   core::AggregationPlan& out) {
     QSA_EXPECTS(clock_ != nullptr);
-    aggregate_into(request, clock_->now(), out);
+    algorithm_->aggregate_into(request, clock_->now(), out);
   }
 
   [[nodiscard]] core::AggregationAlgorithm& algorithm() noexcept {
@@ -117,8 +113,6 @@ class ServingEngine {
   [[nodiscard]] const qos::TupleWeights& weights() const noexcept {
     return weights_;
   }
-  [[nodiscard]] const EngineConfig& config() const noexcept { return config_; }
-  [[nodiscard]] const Clock* clock() const noexcept { return clock_; }
 
   /// Attaches observability to the engine-owned pieces (the compose cache's
   /// hit/miss counters). Gated on the cache existing, so knobs-off metric
@@ -128,7 +122,6 @@ class ServingEngine {
   }
 
  private:
-  EngineConfig config_;
   const Clock* clock_ = nullptr;
   qos::TupleWeights weights_;
   std::unique_ptr<cache::ComposeCache> compose_cache_;

@@ -1,7 +1,6 @@
 #include "qsa/harness/config.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "qsa/probe/neighbor_table.hpp"
 #include "qsa/util/expects.hpp"
@@ -39,18 +38,12 @@ std::string_view GridConfig::validate() const {
     std::string_view rule;
   } rules[] = {
       {peers >= 1, "peers >= 1"},
-      {min_capacity >= 0 && min_capacity <= max_capacity,
-       "0 <= min_capacity <= max_capacity"},
-      {max_initial_age_min >= 0, "max_initial_age_min >= 0"},
       {min_providers >= 1 && min_providers <= max_providers,
        "1 <= min_providers <= max_providers"},
-      {arrival_hosted_min >= 0 && arrival_hosted_min <= arrival_hosted_max,
-       "0 <= arrival_hosted_min <= arrival_hosted_max"},
       {probe_period > zero, "probe_period > 0"},
       {probe_budget >= 1 && probe_budget <= probe::kMaxNeighborBudget,
        "1 <= probe_budget <= 65535"},
       {neighbor_ttl > zero, "neighbor_ttl > 0"},
-      {chord_replicas >= 1, "chord_replicas >= 1"},
       {stabilize_period > zero, "stabilize_period > 0"},
       {stabilize_fraction > 0 && stabilize_fraction <= 1,
        "0 < stabilize_fraction <= 1"},
@@ -92,14 +85,6 @@ void GridConfig::scale(double factor) {
       200, static_cast<std::size_t>(static_cast<double>(peers) * factor));
   requests.rate_per_min *= factor;
   churn.events_per_min *= factor;
-}
-
-double GridConfig::env_scale(double def) {
-  if (const char* env = std::getenv("QSA_SCALE")) {
-    const double v = std::strtod(env, nullptr);
-    if (v > 0) return v;
-  }
-  return def;
 }
 
 }  // namespace qsa::harness

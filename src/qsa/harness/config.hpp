@@ -45,9 +45,6 @@ struct GridConfig {
 
   // --- population ---
   std::size_t peers = 10'000;          ///< paper: 10^4
-  double min_capacity = 100;           ///< per-kind units, paper: [100,100]
-  double max_capacity = 1000;          ///< paper: [1000,1000]
-  double max_initial_age_min = 180;    ///< pre-aged uptime at t=0
 
   // --- network model ---
   /// How pair latency/bandwidth derive from the seed: kPaper is the paper's
@@ -60,8 +57,6 @@ struct GridConfig {
   // --- placement ---
   int min_providers = 40;              ///< paper: 40 peers per instance
   int max_providers = 80;              ///< paper: 80
-  int arrival_hosted_min = 2;          ///< instances a churn arrival hosts
-  int arrival_hosted_max = 5;
 
   // --- probing & neighbor maintenance ---
   sim::SimTime probe_period = sim::SimTime::seconds(30);
@@ -70,7 +65,6 @@ struct GridConfig {
 
   // --- overlay ---
   OverlayKind overlay = OverlayKind::kChord;
-  int chord_replicas = 4;
   sim::SimTime stabilize_period = sim::SimTime::seconds(30);
   double stabilize_fraction = 0.1;
   sim::SimTime republish_period = sim::SimTime::minutes(2);
@@ -171,12 +165,14 @@ struct GridConfig {
   /// keeps the run byte-identical to a build without the recorder.
   sim::SimTime obs_window = sim::SimTime::zero();
 
-  /// Wall-clock phase profiling: times bootstrap and the event loop with the
-  /// host's monotonic clock and — when `observe` provides a registry —
-  /// exports `perf.wall_ms.{bootstrap,run}`, `perf.events_per_sec` and the
-  /// `sim.queue_peak` capacity watermark as gauges. Off by default; the
-  /// values are wall-clock (non-deterministic), so the gate keeps knobs-off
-  /// output byte-identical.
+  /// Wall-clock phase profiling export. The run always times bootstrap, the
+  /// event loop, aggregation and admission with the host's monotonic clock
+  /// (GridSimulation::profile_report()); this flag — when `observe`
+  /// provides a registry — exports them as `perf.wall_ms.*` gauges with
+  /// `perf.events_per_sec` and the `sim.queue_peak` capacity watermark, and
+  /// adds the two `perf.*` live series. Off by default; the values are
+  /// wall-clock (non-deterministic), so the gate keeps knobs-off output
+  /// byte-identical.
   bool profile = false;
 
   /// The first rule this config breaks, stated as the condition that must
@@ -189,9 +185,6 @@ struct GridConfig {
   /// `factor`, preserving per-peer load and churned population fraction so
   /// the figures keep their shape at laptop scale.
   void scale(double factor);
-
-  /// Reads QSA_SCALE (default `def`) and applies it.
-  static double env_scale(double def = 1.0);
 };
 
 }  // namespace qsa::harness

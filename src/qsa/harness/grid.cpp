@@ -13,6 +13,37 @@
 #include "qsa/workload/generator.hpp"
 
 namespace qsa::harness {
+namespace {
+
+// Population and overlay parameters shared by every grid.
+constexpr double kMinCapacity = 100;       ///< per-kind units, paper: [100,100]
+constexpr double kMaxCapacity = 1000;      ///< paper: [1000,1000]
+constexpr double kMaxInitialAgeMin = 180;  ///< pre-aged uptime at t = 0
+constexpr int kArrivalHostedMin = 2;  ///< instances a churn arrival hosts
+constexpr int kArrivalHostedMax = 5;
+constexpr int kOverlayReplicas = 4;  ///< every overlay's key replication factor
+
+/// Adds the host wall time of its scope, in milliseconds, to `ms`. The one
+/// timing path of a run: the ProfileReport fields are always measured, and
+/// GridConfig::profile gates only their export.
+class ScopedWallTimer {
+ public:
+  explicit ScopedWallTimer(double& ms) noexcept
+      : ms_(ms), t0_(Clock::now()) {}
+  ~ScopedWallTimer() {
+    ms_ += std::chrono::duration<double, std::milli>(Clock::now() - t0_)
+               .count();
+  }
+  ScopedWallTimer(const ScopedWallTimer&) = delete;
+  ScopedWallTimer& operator=(const ScopedWallTimer&) = delete;
+
+ private:
+  using Clock = std::chrono::steady_clock;
+  double& ms_;
+  Clock::time_point t0_;
+};
+
+}  // namespace
 
 GridSimulation::GridSimulation(GridConfig config)
     : config_(std::move(config)),
@@ -41,16 +72,15 @@ GridSimulation::GridSimulation(GridConfig config)
   switch (config_.overlay) {
     case OverlayKind::kChord:
       ring_ = std::make_unique<overlay::ChordRing>(
-          util::derive_seed(config_.seed, "chord", 0), config_.chord_replicas);
+          util::derive_seed(config_.seed, "chord", 0), kOverlayReplicas);
       break;
     case OverlayKind::kCan:
       ring_ = std::make_unique<overlay::CanOverlay>(
-          util::derive_seed(config_.seed, "can", 0), config_.chord_replicas);
+          util::derive_seed(config_.seed, "can", 0), kOverlayReplicas);
       break;
     case OverlayKind::kPastry:
       ring_ = std::make_unique<overlay::PastryOverlay>(
-          util::derive_seed(config_.seed, "pastry", 0),
-          config_.chord_replicas);
+          util::derive_seed(config_.seed, "pastry", 0), kOverlayReplicas);
       break;
   }
   directory_ = std::make_unique<registry::ServiceDirectory>(
@@ -213,71 +243,58 @@ GridSimulation::GridSimulation(GridConfig config)
         if (tracer_ != nullptr && trace != 0) tracer_->finish(trace);
       });
 
-  if (config_.profile) {
-    const auto t0 = std::chrono::steady_clock::now();
-    bootstrap();
-    profile_.bootstrap_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - t0)
-            .count();
-  } else {
-    bootstrap();
-  }
+  ScopedWallTimer timer(profile_.bootstrap_ms);
+  bootstrap();
 }
 
 GridSimulation::~GridSimulation() = default;
 
 void GridSimulation::bootstrap() {
-  using WallClock = std::chrono::steady_clock;
-  const auto phase_ms = [](WallClock::time_point t0) {
-    return std::chrono::duration<double, std::milli>(WallClock::now() - t0)
-        .count();
-  };
-
   // Peers, pre-aged so uptimes are meaningful at t = 0. Deferred joins:
   // nothing routes until the stabilize below, which (re)builds every
   // finger table wholesale — per-join finger computation would be thrown
   // away, and skipping it roughly halves million-peer bootstrap. The RNG
   // draws are a strict sequence, so this loop stays serial.
-  auto t = WallClock::now();
-  peers_->reserve(config_.peers);
-  for (std::size_t i = 0; i < config_.peers; ++i) {
-    const double tier =
-        grid_rng_.uniform(config_.min_capacity, config_.max_capacity);
-    const double age_min = grid_rng_.uniform(0.0, config_.max_initial_age_min);
-    const net::PeerId id =
-        peers_->add_peer(qos::ResourceVector{tier, tier},
-                         sim::SimTime::minutes(-age_min));
-    ring_->join_deferred(id);
+  {
+    ScopedWallTimer timer(profile_.bootstrap_peers_ms);
+    peers_->reserve(config_.peers);
+    for (std::size_t i = 0; i < config_.peers; ++i) {
+      const double tier = grid_rng_.uniform(kMinCapacity, kMaxCapacity);
+      const double age_min = grid_rng_.uniform(0.0, kMaxInitialAgeMin);
+      const net::PeerId id =
+          peers_->add_peer(qos::ResourceVector{tier, tier},
+                           sim::SimTime::minutes(-age_min));
+      ring_->join_deferred(id);
+    }
   }
-  profile_.bootstrap_peers_ms = phase_ms(t);
 
   // Finger-table rebuild: per-node state is a pure function of the
   // membership snapshot, so the overlay may fan it out over the shared pool
   // with byte-identical results (Chord does from 2048 nodes up).
-  t = WallClock::now();
-  ring_->stabilize_all();
-  profile_.bootstrap_overlay_ms = phase_ms(t);
+  {
+    ScopedWallTimer timer(profile_.bootstrap_overlay_ms);
+    ring_->stabilize_all();
+  }
 
   // Placement: each instance gets 40-80 distinct random providers.
-  t = WallClock::now();
-  for (registry::InstanceId inst = 0; inst < catalog_.instance_count();
-       ++inst) {
-    const int copies = static_cast<int>(grid_rng_.uniform_int(
-        config_.min_providers, config_.max_providers));
-    const auto& alive = peers_->alive_ids();
-    std::unordered_set<net::PeerId> chosen;
-    while (static_cast<int>(chosen.size()) <
-           std::min<int>(copies, static_cast<int>(alive.size()))) {
-      chosen.insert(alive[grid_rng_.index(alive.size())]);
+  {
+    ScopedWallTimer timer(profile_.bootstrap_placement_ms);
+    for (registry::InstanceId inst = 0; inst < catalog_.instance_count();
+         ++inst) {
+      const int copies = static_cast<int>(grid_rng_.uniform_int(
+          config_.min_providers, config_.max_providers));
+      const auto& alive = peers_->alive_ids();
+      std::unordered_set<net::PeerId> chosen;
+      while (static_cast<int>(chosen.size()) <
+             std::min<int>(copies, static_cast<int>(alive.size()))) {
+        chosen.insert(alive[grid_rng_.index(alive.size())]);
+      }
+      for (net::PeerId p : chosen) placement_.add_provider(inst, p);
     }
-    for (net::PeerId p : chosen) placement_.add_provider(inst, p);
   }
-  profile_.bootstrap_placement_ms = phase_ms(t);
 
-  t = WallClock::now();
+  ScopedWallTimer timer(profile_.bootstrap_publish_ms);
   discovery().publish_all();
-  profile_.bootstrap_publish_ms = phase_ms(t);
 }
 
 core::AggregationPlan GridSimulation::submit_request(
@@ -361,13 +378,8 @@ void GridSimulation::handle_request(const core::ServiceRequest& request) {
   core::FailureCause cause = core::FailureCause::kNone;
   for (int tries = 0; tries <= config_.admission_retries; ++tries) {
     core::AggregationPlan plan;
-    if (config_.profile) {
-      const auto t0 = std::chrono::steady_clock::now();
-      plan = engine_->aggregate(attempt, now);
-      profile_.aggregate_ms += std::chrono::duration<double, std::milli>(
-                                   std::chrono::steady_clock::now() - t0)
-                                   .count();
-    } else {
+    {
+      ScopedWallTimer timer(profile_.aggregate_ms);
       plan = engine_->aggregate(attempt, now);
     }
     result_.lookup_hops += static_cast<std::uint64_t>(plan.lookup_hops);
@@ -408,13 +420,8 @@ void GridSimulation::handle_request(const core::ServiceRequest& request) {
     }
 
     net::PeerId blamed = net::kNoPeer;
-    if (config_.profile) {
-      const auto t0 = std::chrono::steady_clock::now();
-      cause = manager_->start_session(attempt, plan, &blamed);
-      profile_.admission_ms += std::chrono::duration<double, std::milli>(
-                                   std::chrono::steady_clock::now() - t0)
-                                   .count();
-    } else {
+    {
+      ScopedWallTimer timer(profile_.admission_ms);
       cause = manager_->start_session(attempt, plan, &blamed);
     }
     const bool will_retry = cause == core::FailureCause::kAdmission &&
@@ -511,14 +518,13 @@ void GridSimulation::depart_peer(net::PeerId peer) {
 }
 
 net::PeerId GridSimulation::arrive_peer() {
-  const double tier =
-      grid_rng_.uniform(config_.min_capacity, config_.max_capacity);
+  const double tier = grid_rng_.uniform(kMinCapacity, kMaxCapacity);
   const net::PeerId id = peers_->add_peer(qos::ResourceVector{tier, tier},
                                           simulator_.now());
   ring_->join(id);
   // A newcomer contributes a few instance copies.
-  const int hosted = static_cast<int>(grid_rng_.uniform_int(
-      config_.arrival_hosted_min, config_.arrival_hosted_max));
+  const int hosted = static_cast<int>(
+      grid_rng_.uniform_int(kArrivalHostedMin, kArrivalHostedMax));
   for (int i = 0; i < hosted && catalog_.instance_count() > 0; ++i) {
     placement_.add_provider(
         static_cast<registry::InstanceId>(
@@ -619,15 +625,10 @@ GridResult GridSimulation::run() {
       [this] { arrive_peer(); });
   churn.start(horizon);
 
-  if (config_.profile) {
+  {
     // Wall-clock the event loop alone: periodic registration above and the
     // accounting below are one-shot, the loop is where the engine lives.
-    const auto t0 = std::chrono::steady_clock::now();
-    simulator_.run_until(horizon);
-    profile_.run_ms = std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
-  } else {
+    ScopedWallTimer timer(profile_.run_ms);
     simulator_.run_until(horizon);
   }
 
@@ -777,33 +778,29 @@ GridResult GridSimulation::run() {
     metrics_->add("obs.requests_sampled", tracer_->sampled_requests());
   }
 
+  profile_.events = simulator_.executed_events();
+  profile_.events_per_sec =
+      profile_.run_ms > 0
+          ? static_cast<double>(profile_.events) * 1000.0 / profile_.run_ms
+          : 0;
+  profile_.queue_peak = simulator_.max_pending_events();
   // Profiling export, gated on its own flag: the values are host wall-clock,
   // so keeping them out of the default metric set preserves byte-identical
   // knobs-off output.
-  if (config_.profile) {
-    profile_.events = simulator_.executed_events();
-    profile_.events_per_sec =
-        profile_.run_ms > 0
-            ? static_cast<double>(profile_.events) * 1000.0 / profile_.run_ms
-            : 0;
-    profile_.queue_peak = simulator_.max_pending_events();
-    if (metrics_ != nullptr) {
-      metrics_->set("perf.wall_ms.bootstrap", profile_.bootstrap_ms);
-      metrics_->set("perf.wall_ms.bootstrap_peers",
-                    profile_.bootstrap_peers_ms);
-      metrics_->set("perf.wall_ms.bootstrap_overlay",
-                    profile_.bootstrap_overlay_ms);
-      metrics_->set("perf.wall_ms.bootstrap_placement",
-                    profile_.bootstrap_placement_ms);
-      metrics_->set("perf.wall_ms.bootstrap_publish",
-                    profile_.bootstrap_publish_ms);
-      metrics_->set("perf.wall_ms.run", profile_.run_ms);
-      metrics_->set("perf.wall_ms.aggregate", profile_.aggregate_ms);
-      metrics_->set("perf.wall_ms.admission", profile_.admission_ms);
-      metrics_->set("perf.events_per_sec", profile_.events_per_sec);
-      metrics_->set("sim.queue_peak",
-                    static_cast<double>(profile_.queue_peak));
-    }
+  if (config_.profile && metrics_ != nullptr) {
+    metrics_->set("perf.wall_ms.bootstrap", profile_.bootstrap_ms);
+    metrics_->set("perf.wall_ms.bootstrap_peers", profile_.bootstrap_peers_ms);
+    metrics_->set("perf.wall_ms.bootstrap_overlay",
+                  profile_.bootstrap_overlay_ms);
+    metrics_->set("perf.wall_ms.bootstrap_placement",
+                  profile_.bootstrap_placement_ms);
+    metrics_->set("perf.wall_ms.bootstrap_publish",
+                  profile_.bootstrap_publish_ms);
+    metrics_->set("perf.wall_ms.run", profile_.run_ms);
+    metrics_->set("perf.wall_ms.aggregate", profile_.aggregate_ms);
+    metrics_->set("perf.wall_ms.admission", profile_.admission_ms);
+    metrics_->set("perf.events_per_sec", profile_.events_per_sec);
+    metrics_->set("sim.queue_peak", static_cast<double>(profile_.queue_peak));
   }
   return result_;
 }

@@ -12,9 +12,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "qsa/cache/compose_cache.hpp"
 #include "qsa/core/aggregate.hpp"
-#include "qsa/core/baselines.hpp"
 #include "qsa/engine/engine.hpp"
 #include "qsa/fault/fault.hpp"
 #include "qsa/harness/config.hpp"
@@ -85,12 +83,13 @@ struct GridResult {
   }
 };
 
-/// Wall-clock phase timings of one run (GridConfig::profile). Host-clock
-/// measurements: useful for perf work, never fed back into the simulation.
+/// Wall-clock phase timings of one run, always measured; GridConfig::profile
+/// gates only their export. Host-clock measurements: useful for perf work,
+/// never fed back into the simulation.
 struct ProfileReport {
-  double bootstrap_ms = 0;    ///< construction + population bootstrap
-  // Bootstrap sub-phases (sum to ~bootstrap_ms; the residual is catalog
-  // and subsystem construction outside the four loops):
+  double bootstrap_ms = 0;    ///< population bootstrap (after construction)
+  // Bootstrap sub-phases (they sum to bootstrap_ms up to the timers' own
+  // cost; catalog and subsystem construction is in neither):
   double bootstrap_peers_ms = 0;      ///< peer creation + overlay joins
   double bootstrap_overlay_ms = 0;    ///< stabilize_all (pooled on big rings)
   double bootstrap_placement_ms = 0;  ///< provider placement draws
@@ -137,9 +136,6 @@ class GridSimulation {
   [[nodiscard]] const workload::ApplicationCatalog& apps() const noexcept {
     return *apps_;
   }
-  [[nodiscard]] core::AggregationAlgorithm& algorithm() noexcept {
-    return engine_->algorithm();
-  }
   [[nodiscard]] registry::ServiceDirectory& directory() noexcept {
     return *directory_;
   }
@@ -149,19 +145,6 @@ class GridSimulation {
     return dht_ != nullptr
                ? static_cast<registry::DiscoveryBackend&>(*dht_)
                : static_cast<registry::DiscoveryBackend&>(*directory_);
-  }
-  /// The attribute index; non-null iff `config.discovery == kDht`.
-  [[nodiscard]] const index::AttributeIndex* attribute_index() const noexcept {
-    return index_.get();
-  }
-  /// The sim-free serving facade the simulation routes every aggregation
-  /// through (the same engine a standalone request loop drives; DESIGN.md
-  /// §13).
-  [[nodiscard]] engine::ServingEngine& engine() noexcept { return *engine_; }
-  /// The compatibility/cost memo tables; non-null iff
-  /// `config.compose_caches` is set.
-  [[nodiscard]] const cache::ComposeCache* compose_cache() const noexcept {
-    return engine_->compose_cache();
   }
   [[nodiscard]] session::SessionManager& sessions() noexcept {
     return *manager_;
@@ -179,7 +162,8 @@ class GridSimulation {
     return replica_.get();
   }
 
-  /// Wall-clock phase timings; populated by run() iff `config.profile`.
+  /// Wall-clock phase timings: the bootstrap phases once constructed, the
+  /// rest once run() returns.
   [[nodiscard]] const ProfileReport& profile_report() const noexcept {
     return profile_;
   }

@@ -30,10 +30,10 @@ bool parse_whole(const std::string& text, T& out) {
   return ec == std::errc() && ptr == end;
 }
 
-/// A numeric flag whose value is not wholly a `kind` prints the flag and
-/// value and exits 2, like get_int_in() and get_choice(): it never runs
-/// the prefix it could parse, or zero.
-[[noreturn]] void reject_number(std::string_view name, const std::string& value,
+/// A numeric or boolean flag whose value is not wholly a `kind` prints the
+/// flag and value and exits 2, like get_int_in() and get_choice(): it never
+/// runs the prefix it could parse, zero, or false.
+[[noreturn]] void reject_value(std::string_view name, const std::string& value,
                                 const char* kind) {
   std::fprintf(stderr, "--%.*s=%s is not %s\n",
                static_cast<int>(name.size()), name.data(), value.c_str(),
@@ -154,7 +154,7 @@ std::int64_t Flags::get_int(std::string_view name, std::int64_t def) const {
   auto v = raw(name);
   if (!v) return def;
   std::int64_t out = 0;
-  if (!parse_whole(*v, out)) reject_number(name, *v, "a 64-bit integer");
+  if (!parse_whole(*v, out)) reject_value(name, *v, "a 64-bit integer");
   return out;
 }
 
@@ -163,7 +163,7 @@ double Flags::get_double(std::string_view name, double def) const {
   if (!v) return def;
   double out = 0;
   if (!parse_whole(*v, out) || !std::isfinite(out)) {
-    reject_number(name, *v, "a finite number");
+    reject_value(name, *v, "a finite number");
   }
   return out;
 }
@@ -171,7 +171,9 @@ double Flags::get_double(std::string_view name, double def) const {
 bool Flags::get_bool(std::string_view name, bool def) const {
   auto v = raw(name);
   if (!v) return def;
-  return *v == "1" || *v == "true" || *v == "yes" || *v == "on";
+  if (*v == "1" || *v == "true" || *v == "yes" || *v == "on") return true;
+  if (*v == "0" || *v == "false" || *v == "no" || *v == "off") return false;
+  reject_value(name, *v, "a boolean");
 }
 
 }  // namespace qsa::util

@@ -26,6 +26,8 @@ class Flags {
   [[nodiscard]] std::int64_t get_int(std::string_view name,
                                      std::int64_t def) const;
   [[nodiscard]] double get_double(std::string_view name, double def) const;
+  /// Boolean lookup: exactly 1/true/yes/on or 0/false/no/off (a bare
+  /// `--flag` is "true"). Any other value exits 2 like a bad number.
   [[nodiscard]] bool get_bool(std::string_view name, bool def) const;
 
   /// Positional (non --flag) arguments in order.

@@ -47,16 +47,6 @@ TEST(GridConfigScale, EnforcesMinimumPopulation) {
   EXPECT_EQ(c.peers, 200u);
 }
 
-TEST(GridConfigScale, EnvScaleParsesVariable) {
-  ::setenv("QSA_SCALE", "0.25", 1);
-  EXPECT_DOUBLE_EQ(GridConfig::env_scale(), 0.25);
-  ::unsetenv("QSA_SCALE");
-  EXPECT_DOUBLE_EQ(GridConfig::env_scale(0.5), 0.5);
-  ::setenv("QSA_SCALE", "garbage", 1);
-  EXPECT_DOUBLE_EQ(GridConfig::env_scale(0.5), 0.5);
-  ::unsetenv("QSA_SCALE");
-}
-
 TEST(GridConfigValidate, DefaultAndBoundaryConfigsPass) {
   EXPECT_EQ(GridConfig{}.validate(), "");
   GridConfig c = tiny_config();

@@ -249,49 +249,20 @@ TEST_F(SelectFixture, AblationDisablesUptimeFilter) {
   EXPECT_EQ(sel.peer, young_big);  // uptime ignored, Phi wins
 }
 
-TEST_F(SelectFixture, ReservoirAblationPickIsDeterministic) {
-  // With Phi ranking ablated (use_phi_ranking=false) the selector
-  // reservoir-samples a uniform survivor: the first qualified candidate is
-  // taken without an RNG draw, and the k-th (k >= 2) replaces it when
-  // rng.index(k) == 0. Pin the pick against a twin RNG replaying exactly
-  // that draw pattern, so any change to the sampling scheme (or an extra
-  // draw sneaking into the hot path) trips this test.
-  PeerSelector sampler(qos::TupleWeights({0.5, 0.5}, 0.0),
-                       qos::ResourceSchema::paper(),
-                       SelectorOptions{.use_phi_ranking = false});
-  const auto inst = make_instance(50, 50, 50);
-  std::vector<PeerId> candidates;
-  for (int i = 0; i < 8; ++i) candidates.push_back(add_candidate(900, 100));
-
-  util::Rng twin(7);  // the fixture's rng seed, untouched so far
-  PeerId expected = candidates[0];
-  for (std::size_t k = 2; k <= candidates.size(); ++k) {
-    if (twin.index(k) == 0) expected = candidates[k - 1];
-  }
-
-  const auto sel = sampler.select_hop(peers, net, table, me, inst, candidates,
-                                      SimTime::minutes(10), SimTime::zero(),
-                                      rng);
-  ASSERT_TRUE(sel.ok());
-  EXPECT_FALSE(sel.random_fallback);
-  EXPECT_EQ(sel.peer, expected);
-}
-
 TEST_F(SelectFixture, RelaxedPassReplaysFilterOffRngStream) {
   // select_hop runs the qualification ladder as at most two passes over one
   // shared body (filter_pass): uptime filter on, then — only if that found
   // nobody AND the filter is enabled — a relaxed pass without it. With the
   // filter ablated there is exactly one pass, not a redundant second. Pin
-  // the equivalence where it is observable: in reservoir mode the relaxed
-  // pass must consume the *same* RNG draws as a filter-off single pass, so
-  // identically-seeded RNGs pick the same peer and land in the same state.
+  // the equivalence where it is observable: the relaxed pass must pick the
+  // same peer as a filter-off single pass and consume the *same* RNG draws
+  // (Phi ranking draws none), so identically-seeded RNGs land in the same
+  // state.
   PeerSelector with_filter(qos::TupleWeights({0.5, 0.5}, 0.0),
-                           qos::ResourceSchema::paper(),
-                           SelectorOptions{.use_phi_ranking = false});
+                           qos::ResourceSchema::paper());
   PeerSelector no_filter(qos::TupleWeights({0.5, 0.5}, 0.0),
                          qos::ResourceSchema::paper(),
-                         SelectorOptions{.use_uptime_filter = false,
-                                         .use_phi_ranking = false});
+                         SelectorOptions{.use_uptime_filter = false});
   const auto inst = make_instance(50, 50, 50);
   // All candidates too young for a 30-minute session: the filtered pass
   // qualifies nobody (and draws nothing), forcing the relaxed pass.

@@ -490,6 +490,26 @@ TEST(FlagsDeathTest, GetDoubleExitsTwoUnlessWhollyAFiniteNumber) {
   }
 }
 
+TEST(FlagsDeathTest, GetBoolExitsTwoUnlessABooleanSpelling) {
+  // A typo must not read as false: --recovery=ture would silently run
+  // without recovery.
+  for (const char* arg : {"--recovery=ture", "--recovery=TRUE", "--recovery=",
+                          "--recovery=2", "--recovery=offf"}) {
+    const char* argv[] = {"prog", arg};
+    Flags f(2, argv);
+    EXPECT_EXIT((void)f.get_bool("recovery", false),
+                ::testing::ExitedWithCode(2),
+                std::string(arg) + " is not a boolean")
+        << arg;
+  }
+  const char* argv[] = {"prog", "--a=0", "--b=false", "--c=no", "--d=on"};
+  Flags f(5, argv);
+  EXPECT_FALSE(f.get_bool("a", true));
+  EXPECT_FALSE(f.get_bool("b", true));
+  EXPECT_FALSE(f.get_bool("c", true));
+  EXPECT_TRUE(f.get_bool("d", false));
+}
+
 TEST(FlagsDeathTest, EnvironmentValueIsCheckedToo) {
   ::setenv("QSA_SCALE_TEXT", "abc", 1);
   const char* argv[] = {"prog"};
