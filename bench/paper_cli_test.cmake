@@ -12,6 +12,7 @@
 #   BadKnobExits2         --scale <= 0 and --threads outside 0..1024 exit 2
 #                         with the range, before any study runs
 cmake_minimum_required(VERSION 3.16)
+include(${CMAKE_CURRENT_LIST_DIR}/../cmake/clear_qsa_env.cmake)
 
 file(REMOVE_RECURSE "${WORK}")
 file(MAKE_DIRECTORY "${WORK}")

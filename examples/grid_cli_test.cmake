@@ -23,6 +23,7 @@
 #                           boolean knob whose value is not a boolean; the
 #                           bounds themselves run
 cmake_minimum_required(VERSION 3.16)
+include(${CMAKE_CURRENT_LIST_DIR}/../cmake/clear_qsa_env.cmake)
 
 file(REMOVE_RECURSE "${WORK}")
 file(MAKE_DIRECTORY "${WORK}")

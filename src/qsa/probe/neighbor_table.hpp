@@ -7,11 +7,18 @@
 // lowest-benefit (then stalest) existing entry, but never one with higher
 // benefit than its own.
 //
-// Storage: at most M dense 16-byte rows, a DenseMap index from peer to row,
-// and a binary max-heap of row numbers in eviction order, so the live victim
-// is the heap root and insert, refresh and erase cost O(log M). Expired
-// entries are reclaimed first; a lower bound on the earliest deadline gates
-// the scan that finds them, so tables with no expired entry never scan.
+// Storage: at most M dense 16-byte rows, a binary max-heap of packed 128-bit
+// eviction keys whose root is the victim, and an open-addressed array of
+// 16-bit row numbers that indexes the rows by PeerId; the three grow together,
+// geometrically up to M. A key packs benefit rank, 2^53 - deadline (ms),
+// PeerId and row number into one unsigned integer ordered like eviction, so a
+// sift compares integers and loads no row. A refresh writes its row only: it
+// can only move the entry later in eviction order, so the entry's heap key
+// may overstate it, and the root is re-keyed from its row and sifted down
+// until its key is current before it is read. Insert and erase cost
+// O(log M), a refresh O(1). Expired entries are reclaimed first; a lower
+// bound on the earliest deadline gates the scan that finds them, so tables
+// with no expired entry never scan.
 #pragma once
 
 #include <cstdint>
@@ -21,7 +28,6 @@
 
 #include "qsa/net/peer.hpp"
 #include "qsa/sim/time.hpp"
-#include "qsa/util/dense_map.hpp"
 
 namespace qsa::probe {
 
@@ -32,9 +38,14 @@ enum class NeighborKind : std::uint8_t { kDirect, kIndirect };
 /// this bound or the hop distance would silently wrap.
 inline constexpr std::size_t kMaxHopIndex = 255;
 
-/// Largest budget M a table accepts: rows and heap slots are 16-bit.
+/// Largest budget M a table accepts: row numbers and heap slots are 16-bit,
+/// and the index reserves 0xFFFF for a free slot.
 inline constexpr std::size_t kMaxNeighborBudget =
     std::numeric_limits<std::uint16_t>::max();
+
+/// Deadlines a table accepts lie strictly inside ±kMaxNeighborDeadlineMs
+/// (2^53 ms, about 285 000 years): an eviction key spends 54 bits on one.
+inline constexpr std::int64_t kMaxNeighborDeadlineMs = std::int64_t{1} << 53;
 
 struct NeighborEntry {
   std::uint8_t hop = 1;  ///< i-hop distance along the aggregation flow
@@ -63,6 +74,7 @@ class NeighborTable {
   /// Inserts or refreshes a neighbor. On refresh the entry keeps the better
   /// (lower) benefit rank and extends its TTL. Returns false when the table
   /// is full of entries at least as beneficial (the insert is rejected).
+  /// `now + ttl` must lie strictly inside ±kMaxNeighborDeadlineMs.
   bool add(net::PeerId peer, std::uint8_t hop, NeighborKind kind,
            sim::SimTime now, sim::SimTime ttl);
 
@@ -90,6 +102,18 @@ class NeighborTable {
   [[nodiscard]] std::size_t budget() const noexcept { return budget_; }
 
  private:
+  /// A heap slot: the eviction key of a row as of the slot's last sift. The
+  /// high word holds the benefit rank (bits 54..63) above 2^53 - deadline in
+  /// ms; the low word holds the PeerId (bits 16..47) above the row number.
+  /// A larger key evicts first: higher rank, then earlier deadline, then
+  /// larger PeerId. The row number never decides, because PeerIds are
+  /// unique, so the order is total and the true victim is a pure function of
+  /// the table's contents.
+  using Key = unsigned __int128;
+
+  /// Index slot that holds no row.
+  static constexpr std::uint16_t kFree = 0xFFFF;
+
   struct Row {
     sim::SimTime expires;
     net::PeerId peer = net::kNoPeer;
@@ -104,29 +128,46 @@ class NeighborTable {
   };
   static_assert(sizeof(Row) == 16);
 
-  /// Eviction order: true when row `a` goes before row `b` — higher rank,
-  /// then earlier deadline, then larger PeerId. Total, because PeerIds are
-  /// unique, so the heap root is a pure function of the table's contents.
-  [[nodiscard]] bool evicts_before(std::uint16_t a,
-                                   std::uint16_t b) const noexcept;
+  /// Row `r`'s current eviction key.
+  [[nodiscard]] Key key_of(std::uint16_t r) const noexcept;
+  [[nodiscard]] static std::uint16_t row_of(Key key) noexcept {
+    return static_cast<std::uint16_t>(key);
+  }
+
+  /// Row of the live victim. A stored key never understates its row's
+  /// current key, so the root is re-keyed and sifted down until its key is
+  /// current; it is then at least every current key.
+  [[nodiscard]] std::uint16_t settled_root() noexcept;
 
   /// Row of the entry with the earliest deadline (largest PeerId among
   /// ties) if that deadline is at or before `now`, else none. Scans only
   /// when earliest_ says an entry may have expired, and tightens earliest_.
   [[nodiscard]] std::optional<std::uint16_t> oldest_expired(sim::SimTime now);
 
+  /// `peer`'s row, or kFree when the table has none.
+  [[nodiscard]] std::uint16_t row_index(net::PeerId peer) const noexcept;
+  /// The index slot holding `peer`'s row, or else the free slot that ends
+  /// its probe run (where an insert puts it). The index must be allocated.
+  [[nodiscard]] std::size_t index_slot(net::PeerId peer) const noexcept;
+  [[nodiscard]] std::size_t home(net::PeerId peer) const noexcept;
+  void index_erase(std::size_t slot) noexcept;
+
+  void grow();
   void insert_row(const Row& row);
   void erase_row(std::uint16_t r);
-  void place(std::size_t slot, std::uint16_t r) noexcept;
+  void place(std::size_t slot, Key key) noexcept;
   void sift_up(std::size_t slot) noexcept;
   void sift_down(std::size_t slot) noexcept;
 
-  std::size_t budget_ = 0;
   std::vector<Row> rows_;
-  std::vector<std::uint16_t> heap_;  ///< row numbers, max-heap by eviction
-  util::DenseMap<net::PeerId, std::uint16_t> index_;  ///< peer -> row
+  std::vector<Key> heap_;  ///< max-heap by stored key
+  /// Row numbers by PeerId: linear probing from a multiplicative hash, at
+  /// least twice as many slots as rows_ has capacity, kFree when empty.
+  std::vector<std::uint16_t> index_;
   /// Lower bound on every row's deadline (exact after each scan).
   sim::SimTime earliest_ = sim::SimTime::infinity();
+  std::uint16_t budget_ = 0;
+  std::uint8_t index_shift_ = 0;  ///< 64 - log2(index_.size())
 };
 
 }  // namespace qsa::probe

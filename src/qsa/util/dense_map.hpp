@@ -1,6 +1,6 @@
 // An open-addressing hash map for integral keys on simulation hot paths
-// (per-event load ledgers, the link ledger, neighbor-table indexes, the
-// Chord ring's peer -> node-slot membership).
+// (per-event load ledgers, the link ledger, the per-peer neighbor tables of
+// probe::NeighborResolution, the Chord ring's peer -> node-slot membership).
 // Compared with unordered_map it stores entries in one flat array — a
 // lookup is a mix, a mask and a short linear probe over contiguous memory,
 // with no per-node allocation.

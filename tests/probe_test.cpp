@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "count_allocations.hpp"
 #include "qsa/probe/neighbor_table.hpp"
 #include "qsa/probe/resolution.hpp"
 #include "qsa/probe/snapshot.hpp"
@@ -232,8 +233,70 @@ TEST(NeighborTable, FillsToTheSlotCap) {
   EXPECT_TRUE(t.knows(0, SimTime::zero()));
 }
 
+TEST(NeighborTable, FullTableChurnAllocatesNothing) {
+  // Once a table holds M = 100 rows, refreshes (rank upgrades among them),
+  // rejections, live and expired evictions, erases and purges reuse its
+  // rows, heap and index without touching the allocator.
+  NeighborTable t(100);
+  SimTime now = SimTime::zero();
+  const SimTime ttl = SimTime::minutes(90);
+  for (PeerId p = 0; p < 100; ++p) {
+    t.add(p, 2, NeighborKind::kIndirect, now, ttl);
+  }
+  int refreshes = 0;
+  int rejections = 0;
+  int evictions = 0;
+  PeerId next = 100;
+  const std::uint64_t before = test::allocation_count();
+  for (int round = 0; round < 300; ++round) {
+    now += SimTime::seconds(30);
+    const auto old = static_cast<PeerId>((round * 37) % next);
+    if (t.find(old)) {
+      t.add(old, round % 2 == 0 ? 1 : 3, NeighborKind::kDirect, now, ttl);
+      ++refreshes;
+    }
+    rejections += !t.add(next++, 4, NeighborKind::kIndirect, now, ttl);
+    // Every fourth newcomer lives a minute, so expired entries recur.
+    const SimTime life = round % 4 == 0 ? SimTime::minutes(1) : ttl;
+    const bool full = t.size() == t.budget();
+    if (t.add(next++, 1, NeighborKind::kDirect, now, life) && full) {
+      ++evictions;
+    }
+    if (round % 10 == 0) {
+      t.erase(old);
+      t.add(next++, 2, NeighborKind::kDirect, now, ttl);
+    }
+    if (round % 25 == 0) t.purge(now);
+  }
+  const std::uint64_t allocations = test::allocation_count() - before;
+  EXPECT_EQ(allocations, 0u);
+  EXPECT_GT(refreshes, 0);
+  EXPECT_GT(rejections, 0);
+  EXPECT_GT(evictions, 0);
+  EXPECT_GT(t.size(), 90u);
+}
+
 TEST(NeighborTableDeathTest, BudgetAboveTheSlotCapIsRejected) {
   EXPECT_DEATH({ NeighborTable t(kMaxNeighborBudget + 1); }, "precondition");
+}
+
+TEST(NeighborTableDeathTest, DeadlineOutsideTheKeyRangeIsRejected) {
+  // An eviction key spends 54 bits on 2^53 - deadline (ms), so a deadline
+  // must lie strictly inside ±2^53 ms.
+  constexpr std::int64_t kBound = std::int64_t{1} << 53;
+  NeighborTable t(4);
+  EXPECT_DEATH(t.add(1, 1, NeighborKind::kDirect, SimTime::zero(),
+                     SimTime::millis(kBound)),
+               "precondition");
+  EXPECT_DEATH(t.add(1, 1, NeighborKind::kDirect, SimTime::millis(-kBound),
+                     SimTime::zero()),
+               "precondition");
+  EXPECT_TRUE(t.add(1, 1, NeighborKind::kDirect, SimTime::zero(),
+                    SimTime::millis(kBound - 1)));
+  EXPECT_TRUE(t.add(2, 1, NeighborKind::kDirect, SimTime::millis(1 - kBound),
+                    SimTime::zero()));
+  EXPECT_EQ(t.find(1).value().expires, SimTime::millis(kBound - 1));
+  EXPECT_EQ(t.find(2).value().expires, SimTime::millis(1 - kBound));
 }
 
 // ----------------------------------------------------- NeighborResolution

@@ -427,6 +427,81 @@ TEST_P(NeighborTableModel, VictimMatchesScanReference) {
     EXPECT_GT(live_evictions, 0) << "budget " << budget;
     EXPECT_GT(expired_evictions, 0) << "budget " << budget;
   }
+
+  // A grid-shaped mix: monotone time, same-instant bursts of 40-80 ascending
+  // PeerIds at one rank (one hop's candidates registered or prepared in one
+  // call), the grid's 90-minute TTL, and mostly (80%) re-registrations of
+  // earlier bursts, a third of them at a strictly better rank and a third at
+  // any rank, so refreshed entries whose heap keys overstate them pile up.
+  // Budget 4096 runs every growth step of the table's storage. Verdicts are
+  // compared per add, contents per burst.
+  constexpr std::size_t kGridBudgets[] = {1, 2, 12, 100, 4096};
+  for (const std::size_t budget : kGridBudgets) {
+    util::Rng rng(util::derive_seed(GetParam(), "nt-grid", budget));
+    probe::NeighborTable table(budget);
+    ScanNeighborTable ref(budget);
+    const sim::SimTime ttl = sim::SimTime::minutes(90);
+    const std::size_t universe = budget + budget / 4 + 300;
+    std::size_t cursor = 0;  // new bursts sweep the universe in order
+    sim::SimTime now = sim::SimTime::zero();
+    struct Burst {
+      std::vector<net::PeerId> peers;  // ascending
+      int rank = 0;
+    };
+    std::vector<Burst> bursts;
+    int rejected = 0;
+    int live_evictions = 0;
+    const std::size_t burst_count = 300 + budget / 8;  // enough to fill
+    for (std::size_t b = 0; b < burst_count; ++b) {
+      now += sim::SimTime::millis(static_cast<std::int64_t>(rng.index(5'000)));
+      Burst burst;
+      if (!bursts.empty() && rng.bernoulli(0.8)) {
+        burst = bursts[rng.index(bursts.size())];  // a refresh
+        const std::size_t how = rng.index(3);
+        if (how == 0 && burst.rank > 0) {
+          burst.rank = static_cast<int>(
+              rng.index(static_cast<std::size_t>(burst.rank)));
+        } else if (how == 1) {
+          burst.rank = static_cast<int>(rng.index(6));
+        }
+      } else {
+        std::set<net::PeerId> picked;
+        const std::size_t size = 40 + rng.index(41);
+        while (picked.size() < size) {
+          cursor = (cursor + 1 + rng.index(3)) % universe;
+          picked.insert(static_cast<net::PeerId>(cursor));
+        }
+        burst.peers.assign(picked.begin(), picked.end());
+        burst.rank = static_cast<int>(rng.index(6));
+        bursts.push_back(burst);
+      }
+      const auto hop = static_cast<std::uint8_t>(burst.rank / 2 + 1);
+      const auto kind = burst.rank % 2 == 0 ? probe::NeighborKind::kDirect
+                                            : probe::NeighborKind::kIndirect;
+      for (const net::PeerId peer : burst.peers) {
+        const bool contested = ref.entries().size() >= budget &&
+                               !ref.entries().contains(peer);
+        const bool added = ref.add(peer, hop, kind, now, ttl);
+        ASSERT_EQ(table.add(peer, hop, kind, now, ttl), added)
+            << "grid budget " << budget << " burst " << b << " peer " << peer;
+        if (contested) ++(added ? live_evictions : rejected);
+        ASSERT_EQ(table.size(), ref.entries().size());
+      }
+      // Equal sizes and every reference entry found: equal contents.
+      for (const auto& [p, want] : ref.entries()) {
+        const auto found = table.find(p);
+        ASSERT_TRUE(found.has_value())
+            << "grid budget " << budget << " burst " << b << " peer " << p;
+        ASSERT_EQ(fields(*found), fields(want))
+            << "grid budget " << budget << " burst " << b << " peer " << p;
+      }
+    }
+    // Under 90 minutes pass, so no entry expires and every contested add
+    // above was a rejection or a live eviction.
+    ASSERT_LT(now, ttl);
+    EXPECT_GT(rejected, 0) << "grid budget " << budget;
+    EXPECT_GT(live_evictions, 0) << "grid budget " << budget;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, NeighborTableModel,
