@@ -81,7 +81,10 @@ int main(int argc, char** argv) {
   const auto opt = bench::parse_options(flags, "bench_obs_overhead");
 
   auto off = bench::paper_config(opt);
-  off.horizon = sim::SimTime::minutes(flags.get_double("minutes", 60));
+  // Bounded so that the 10x cell's horizon below cannot overflow either.
+  off.horizon = sim::SimTime::minutes(util::get_double_in(
+      flags, "minutes", 60, -util::kMaxFlagMinutes, util::kMaxFlagMinutes,
+      "bench_obs_overhead"));
   off.enable_recovery = true;
   off.admission_retries = 1;
 

@@ -187,7 +187,9 @@ int main(int argc, char** argv) {
   }
   std::vector<std::size_t> ns;
   const auto bad_n = parse_ns(flags.get("ns", "10000,100000,1000000"), ns);
-  const double minutes = flags.get_double("minutes", 10);
+  const double minutes =
+      util::get_double_in(flags, "minutes", 10, -util::kMaxFlagMinutes,
+                          util::kMaxFlagMinutes, "bench_scaling_curve");
   const double base_rate = flags.get_double("rate", 100);
   const double base_churn = flags.get_double("churn", 10);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));

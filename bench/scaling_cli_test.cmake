@@ -8,7 +8,8 @@
 #                        prints the rule and the usage and exits 2
 #   BadKnobExits2        a knob GridConfig::validate() rejects prints the
 #                        broken rule and the usage and exits 2 before any
-#                        cell runs
+#                        cell runs; a --minutes past 10^9 exits 2 naming
+#                        its range
 #   UnknownFlagExits2    an unknown flag exits 2
 #   SmallCellRuns        one small cell runs and prints its row
 cmake_minimum_required(VERSION 3.16)
@@ -51,6 +52,16 @@ elseif(CASE STREQUAL "BadKnobExits2")
   string(FIND "${out}" "Scaling curve" banner)
   if(NOT banner EQUAL -1)
     message(FATAL_ERROR "a rejected knob still ran the sweep\n${out}")
+  endif()
+  # A horizon past 10^9 minutes is rejected, naming the flag and its range,
+  # before it converts to simulated time (where it would be undefined).
+  execute_process(COMMAND "${SCALING}" --ns=300 --minutes=1e15
+                  WORKING_DIRECTORY "${WORK}" RESULT_VARIABLE rc
+                  OUTPUT_VARIABLE stdout ERROR_VARIABLE stderr)
+  if(NOT rc STREQUAL "2" OR
+     NOT stderr MATCHES "--minutes=1e15 is out of range.*<-1e\\+09\\.\\.1e\\+09>")
+    message(FATAL_ERROR "--minutes=1e15: exit ${rc}, want 2 and the range\n"
+            "${stdout}${stderr}")
   endif()
 elseif(CASE STREQUAL "UnknownFlagExits2")
   execute_process(COMMAND "${SCALING}" --ns=300 --bogus=1

@@ -14,7 +14,9 @@ using namespace qsa;
 
 int main(int argc, char** argv) {
   util::Flags flags(argc, argv);
-  const double minutes = flags.get_double("minutes", 40);
+  const double minutes =
+      util::get_double_in(flags, "minutes", 40, -util::kMaxFlagMinutes,
+                          util::kMaxFlagMinutes, "churn_resilience");
   const double churn = flags.get_double("churn", 12);
   util::reject_unknown_flags(flags, "churn_resilience");
 

@@ -27,16 +27,14 @@ void print_usage() {
       "grid_cli — run one QSA grid simulation\n\n"
       "  --peers=N          population (default 1000)\n"
       "  --rate=R           requests/min (default 100)\n"
-      "  --minutes=M        simulated horizon (default 60)\n"
+      "  --minutes=M        simulated horizon (default 60). Time knobs\n"
+      "                     take at most 1e9 minutes (6e10 seconds)\n"
       "  --algorithm=A      qsa | random | fixed (default qsa)\n"
       "  --overlay=O        chord | can | pastry (default chord)\n"
       "  --discovery=D      directory | dht (default directory). dht swaps\n"
       "                     the flat per-service lookup for the attribute\n"
       "                     index: QoS range predicates resolved by bounded\n"
       "                     scans over order-preserving key arcs\n"
-      "  --index-expiry-epochs=K  republish epochs an unrefreshed index\n"
-      "                     posting survives before the sweep reclaims it\n"
-      "                     (default 2; dht only)\n"
       "  --net-model=N      paper | coords (default paper). coords derives\n"
       "                     latency/bandwidth from per-peer synthetic\n"
       "                     coordinates — same marginals, O(peers) state —\n"
@@ -108,15 +106,20 @@ int main(int argc, char** argv) {
   cfg.peers = static_cast<std::size_t>(
       util::get_int_in(flags, "peers", 1000, 1, kU32Max, "grid_cli"));
   cfg.requests.rate_per_min = flags.get_double("rate", 100);
-  cfg.horizon = sim::SimTime::minutes(flags.get_double("minutes", 60));
+  // Time knobs are bounded before they convert to SimTime; their sign rules
+  // are validate()'s.
+  cfg.horizon = sim::SimTime::minutes(util::get_double_in(
+      flags, "minutes", 60, -util::kMaxFlagMinutes, util::kMaxFlagMinutes,
+      "grid_cli"));
   cfg.churn.events_per_min = flags.get_double("churn", 0);
   cfg.enable_recovery = flags.get_bool("recovery", false);
   cfg.admission_retries = static_cast<int>(flags.get_int("retries", 0));
   cfg.probe_budget = static_cast<std::size_t>(util::get_int_in(
       flags, "probe-budget", 100, 1, probe::kMaxNeighborBudget, "grid_cli"));
   cfg.bandwidth_weight = flags.get_double("bw-weight", -1);
-  cfg.discovery_cache_ttl =
-      sim::SimTime::seconds(flags.get_double("discovery-cache-ttl", 0));
+  cfg.discovery_cache_ttl = sim::SimTime::seconds(util::get_double_in(
+      flags, "discovery-cache-ttl", 0, -util::kMaxFlagSeconds,
+      util::kMaxFlagSeconds, "grid_cli"));
   cfg.compose_caches = !flags.get_bool("no-compose-cache", false);
   cfg.faults.set_all_loss(flags.get_double("fault-loss", 0));
   cfg.faults.max_extra_delay = sim::SimTime::millis(
@@ -125,8 +128,9 @@ int main(int argc, char** argv) {
   cfg.replication.enabled = flags.get_bool("replication", false);
   cfg.replication.threshold = flags.get_double(
       "replica-threshold", cfg.replication.threshold);
-  cfg.replication.cooldown = sim::SimTime::seconds(flags.get_double(
-      "replica-cooldown", cfg.replication.cooldown.as_seconds()));
+  cfg.replication.cooldown = sim::SimTime::seconds(util::get_double_in(
+      flags, "replica-cooldown", cfg.replication.cooldown.as_seconds(),
+      -util::kMaxFlagSeconds, util::kMaxFlagSeconds, "grid_cli"));
   cfg.replication.max_replicas = static_cast<int>(
       flags.get_int("max-replicas", cfg.replication.max_replicas));
   cfg.track_load = flags.get_bool("track-load", false);
@@ -177,8 +181,6 @@ int main(int argc, char** argv) {
   cfg.discovery = util::get_choice(flags, "discovery", kDiscoveries,
                                    harness::DiscoveryKind::kDirectory,
                                    "grid_cli");
-  cfg.index_expiry_epochs = static_cast<int>(
-      flags.get_int("index-expiry-epochs", cfg.index_expiry_epochs));
   const bool emit_csv = flags.get_bool("csv", false);
 
   // Every recognized flag has been consulted by now; anything left in argv

@@ -18,7 +18,8 @@
 #                           message naming the range; the bounds themselves run
 #   KnobRanges              every other out-of-range knob exits 2 with the
 #                           GridConfig::validate() rule it breaks (or, for an
-#                           unsigned knob, its range), and so does a numeric
+#                           unsigned knob or a time knob past 10^9 minutes,
+#                           its range), and so does a numeric
 #                           knob whose value is not wholly a number or a
 #                           boolean knob whose value is not a boolean; the
 #                           bounds themselves run
@@ -170,6 +171,7 @@ elseif(CASE STREQUAL "KnobRanges")
       "--rate=-5@need requests.rate_per_min >= 0"
       "--churn=-3@need churn.events_per_min >= 0"
       "--minutes=-1@need horizon > 0"
+      "--minutes=1e15@--minutes=1e15 is out of range.*<-1e\\+09\\.\\.1e\\+09>"
       "--retries=-2@need admission_retries >= 0"
       "--bw-weight=2@need bandwidth_weight <= 1"
       "--fault-loss=1.5@need 0 <= faults.\\*_loss <= 1"
@@ -177,6 +179,8 @@ elseif(CASE STREQUAL "KnobRanges")
       "--fault-retries=-1@need faults.max_retries >= 0"
       "--replication|--replica-threshold=-1@need replication.threshold > 0"
       "--replication|--max-replicas=-1@need replication.max_replicas >= 0"
+      "--replication|--replica-cooldown=1e17@--replica-cooldown=1e17 is out of range"
+      "--discovery-cache-ttl=1e17@--discovery-cache-ttl=1e17 is out of range"
       "--trace-sample=0@--trace-sample=0 is out of range"
       "--flight-recorder=-1@--flight-recorder=-1 is out of range"
       "--obs-window-ms=-5@need obs_window >= 0"

@@ -3,8 +3,8 @@
 // serves the last discovered instance list for an abstract service without
 // routing — zero hops and zero latency charged, exactly as a peer replaying
 // a recent lookup response from local state would. Entries expire after the
-// configured TTL; a single-service registration change (publish, unpublish)
-// drops only that service's entry, while a republish or peer departure
+// configured TTL; a single-service registration change (a publish) drops
+// only that service's entry, while a republish or peer departure
 // drops the whole cache — the soft-state analogue of an invalidation
 // broadcast scoped to what actually changed. Within the TTL the
 // cache may serve stale instance lists (e.g. a provider that just departed
@@ -51,8 +51,8 @@ class DiscoveryCache {
   /// actually dropped.
   void invalidate();
 
-  /// Drops only `service`'s entry (a single publish/unpublish changed one
-  /// candidate list; the rest of the cache stays warm). Same counting rule
+  /// Drops only `service`'s entry (a single publish changed one candidate
+  /// list; the rest of the cache stays warm). Same counting rule
   /// as invalidate().
   void invalidate(registry::ServiceId service);
 

@@ -62,8 +62,8 @@ struct EngineDeps {
   /// directory view.
   registry::ServiceDirectory* directory = nullptr;
   /// Candidate-lookup backend the algorithms actually query. Null = the
-  /// directory above (the default); the harness points it at an
-  /// index::DhtDiscovery when --discovery=dht swaps the backend.
+  /// directory above (the default); the harness points it at its
+  /// index::AttributeIndex when --discovery=dht swaps the backend.
   const registry::DiscoveryBackend* discovery = nullptr;
   const net::PeerTable* peers = nullptr;
   const net::NetworkModel* net = nullptr;

@@ -74,7 +74,6 @@ FaultPlan::FaultPlan(std::uint64_t seed, FaultConfig config)
   QSA_EXPECTS(config.reservation_loss >= 0 && config.reservation_loss <= 1);
   QSA_EXPECTS(config.max_extra_delay >= sim::SimTime::zero());
   QSA_EXPECTS(config.max_retries >= 0);
-  QSA_EXPECTS(config.backoff_base >= sim::SimTime::zero());
 }
 
 void FaultPlan::set_metrics(obs::MetricsRegistry* metrics) {
@@ -112,7 +111,7 @@ sim::SimTime FaultPlan::backoff(Channel ch, int retry) const {
   // Cap the doubling so a pathological retry budget cannot overflow.
   const int shift = retry - 1 > 20 ? 20 : retry - 1;
   const auto wait =
-      sim::SimTime::millis(config_.backoff_base.as_millis() << shift);
+      sim::SimTime::millis(kBackoffBase.as_millis() << shift);
   if (backoff_hist_ != nullptr) {
     backoff_hist_->observe(static_cast<double>(wait.as_millis()));
   }

@@ -39,6 +39,9 @@ enum class Channel : std::uint8_t { kProbe, kNotify, kLookup, kReservation };
 
 inline constexpr std::size_t kChannels = 4;
 
+/// First-retry backoff; doubles per further retry.
+inline constexpr sim::SimTime kBackoffBase = sim::SimTime::millis(50);
+
 [[nodiscard]] std::string_view to_string(Channel ch);
 
 struct FaultConfig {
@@ -54,9 +57,6 @@ struct FaultConfig {
   /// Retry budget per message: a consumer resends a lost message up to this
   /// many times (with exponential backoff) before giving up.
   int max_retries = 2;
-
-  /// First-retry backoff; doubles per further retry.
-  sim::SimTime backoff_base = sim::SimTime::millis(50);
 
   [[nodiscard]] double loss(Channel ch) const noexcept;
 

@@ -53,22 +53,14 @@ std::string_view GridConfig::validate() const {
       {admission_retries >= 0, "admission_retries >= 0"},
       {bandwidth_weight <= 1, "bandwidth_weight <= 1 (negative = uniform)"},
       {discovery_cache_ttl >= zero, "discovery_cache_ttl >= 0"},
-      {index_expiry_epochs >= 1, "index_expiry_epochs >= 1"},
       {replication.threshold > 0, "replication.threshold > 0"},
-      {replication.retire_fraction >= 0 && replication.retire_fraction <= 1,
-       "0 <= replication.retire_fraction <= 1"},
       {replication.cooldown > zero, "replication.cooldown > 0"},
       {replication.max_replicas >= 0, "replication.max_replicas >= 0"},
-      {replication.demand_half_life > zero,
-       "replication.demand_half_life > 0"},
-      {replication.candidate_sample >= 1,
-       "replication.candidate_sample >= 1"},
       {loss_ok(faults.probe_loss) && loss_ok(faults.notify_loss) &&
            loss_ok(faults.lookup_loss) && loss_ok(faults.reservation_loss),
        "0 <= faults.*_loss <= 1"},
       {faults.max_extra_delay >= zero, "faults.max_extra_delay >= 0"},
       {faults.max_retries >= 0, "faults.max_retries >= 0"},
-      {faults.backoff_base >= zero, "faults.backoff_base >= 0"},
       {horizon > zero, "horizon > 0"},
       {sample_period > zero, "sample_period > 0"},
       {obs_window >= zero, "obs_window >= 0"},

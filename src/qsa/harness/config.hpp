@@ -110,10 +110,6 @@ struct GridConfig {
   /// kDht constructs the attribute index and routes candidate lookups
   /// through per-attribute range scans.
   DiscoveryKind discovery = DiscoveryKind::kDirectory;
-  /// Republish epochs an index posting survives without a refresh before
-  /// the expiry sweep reclaims it (kDht only). 2 tolerates one lost
-  /// republish cycle.
-  int index_expiry_epochs = 2;
 
   // --- replication (the third tier; DESIGN.md §10) ---
   /// Demand-driven replica management (see qsa/replica/config.hpp).

@@ -48,21 +48,19 @@ class ScopedWallTimer {
 GridSimulation::GridSimulation(GridConfig config)
     : config_(std::move(config)),
       universe_(registry::QosUniverse::standard(interner_)),
+      translator_(universe_.level,
+                  qos::AnalyticTranslator::paper_coefficients()),
       grid_rng_(util::derive_seed(config_.seed, "grid", 0)),
       recovery_rng_(util::derive_seed(config_.seed, "recovery", 0)) {
   if (const std::string_view rule = config_.validate(); !rule.empty()) {
     util::contract_failure("precondition", std::string(rule).c_str(),
                            __FILE__, __LINE__);
   }
-  // The QoS->resource translator shared by catalog generation.
-  translator_ = std::make_unique<qos::AnalyticTranslator>(
-      universe_.level, qos::AnalyticTranslator::paper_coefficients());
-
   // Applications + abstract services + service instances.
   workload::AppCatalogParams app_params = config_.apps;
   app_params.seed = util::derive_seed(config_.seed, "apps-root", 0);
   apps_ = std::make_unique<workload::ApplicationCatalog>(
-      catalog_, universe_, *translator_, app_params);
+      catalog_, universe_, translator_, app_params);
 
   const net::ProbeClock clock(config_.probe_period);
   peers_ = std::make_unique<net::PeerTable>(qos::ResourceSchema::paper(), clock);
@@ -86,13 +84,9 @@ GridSimulation::GridSimulation(GridConfig config)
   directory_ = std::make_unique<registry::ServiceDirectory>(
       util::derive_seed(config_.seed, "directory", 0), *ring_, catalog_);
   if (config_.discovery == DiscoveryKind::kDht) {
-    index::IndexConfig ic;
-    ic.expiry_epochs = config_.index_expiry_epochs;
     index_ = std::make_unique<index::AttributeIndex>(
         util::derive_seed(config_.seed, "index", 0), *ring_, catalog_,
-        placement_, *peers_, *network_, universe_.level, ic);
-    dht_ = std::make_unique<index::DhtDiscovery>(*index_, universe_.level,
-                                                 sim_clock_);
+        placement_, *peers_, universe_.level, sim_clock_);
   }
   neighbors_ = std::make_unique<probe::NeighborResolution>(
       config_.probe_budget, config_.neighbor_ttl);
@@ -125,7 +119,7 @@ GridSimulation::GridSimulation(GridConfig config)
     deps.catalog = &catalog_;
     deps.placement = &placement_;
     deps.directory = directory_.get();
-    deps.discovery = dht_.get();  // null = the directory answers lookups
+    deps.discovery = index_.get();  // null = the directory answers lookups
     deps.peers = peers_.get();
     deps.net = network_.get();
     deps.neighbors = neighbors_.get();
@@ -148,8 +142,8 @@ GridSimulation::GridSimulation(GridConfig config)
     }
     // Exactly one backend's lookup metrics register: directory.* names in
     // directory mode, index.* in dht mode — never both.
-    if (dht_ != nullptr) {
-      dht_->set_metrics(metrics_.get());
+    if (index_ != nullptr) {
+      index_->set_metrics(metrics_.get());
     } else {
       directory_->set_metrics(metrics_.get());
     }

@@ -17,7 +17,6 @@
 #include "qsa/fault/fault.hpp"
 #include "qsa/harness/config.hpp"
 #include "qsa/index/attribute_index.hpp"
-#include "qsa/index/dht_discovery.hpp"
 #include "qsa/metrics/timeseries.hpp"
 #include "qsa/net/network.hpp"
 #include "qsa/net/peer.hpp"
@@ -142,8 +141,8 @@ class GridSimulation {
   /// The discovery backend candidate lookups actually route through: the
   /// attribute index under --discovery=dht, the directory otherwise.
   [[nodiscard]] registry::DiscoveryBackend& discovery() noexcept {
-    return dht_ != nullptr
-               ? static_cast<registry::DiscoveryBackend&>(*dht_)
+    return index_ != nullptr
+               ? static_cast<registry::DiscoveryBackend&>(*index_)
                : static_cast<registry::DiscoveryBackend&>(*directory_);
   }
   [[nodiscard]] session::SessionManager& sessions() noexcept {
@@ -231,7 +230,7 @@ class GridSimulation {
   GridConfig config_;
   util::Interner interner_;
   registry::QosUniverse universe_;
-  std::unique_ptr<qos::QosTranslator> translator_;
+  qos::AnalyticTranslator translator_;
   registry::ServiceCatalog catalog_;
   std::unique_ptr<workload::ApplicationCatalog> apps_;
 
@@ -242,10 +241,9 @@ class GridSimulation {
   std::unique_ptr<overlay::LookupService> ring_;
   registry::PlacementMap placement_;
   std::unique_ptr<registry::ServiceDirectory> directory_;
-  // The --discovery=dht backend pair; null in directory mode (knobs-off
+  // The --discovery=dht backend; null in directory mode (knobs-off
   // construction is unchanged).
   std::unique_ptr<index::AttributeIndex> index_;
-  std::unique_ptr<index::DhtDiscovery> dht_;
   std::unique_ptr<probe::NeighborResolution> neighbors_;
   std::unique_ptr<engine::ServingEngine> engine_;
   std::unique_ptr<session::SessionManager> manager_;

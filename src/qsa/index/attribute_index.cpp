@@ -10,18 +10,21 @@ AttributeIndex::AttributeIndex(std::uint64_t seed,
                                const registry::ServiceCatalog& catalog,
                                const registry::PlacementMap& placement,
                                const net::PeerTable& peers,
-                               const net::NetworkModel& net,
-                               qos::ParamId level_param, IndexConfig config)
+                               qos::ParamId level_param,
+                               const engine::Clock& clock)
     : seed_(seed),
       ring_(ring),
       catalog_(catalog),
       placement_(placement),
       peers_(peers),
-      net_(net),
-      config_(config),
-      level_param_(level_param) {}
+      level_param_(level_param),
+      clock_(clock) {}
 
-void AttributeIndex::publish(registry::InstanceId instance, sim::SimTime now) {
+void AttributeIndex::publish(registry::InstanceId instance) {
+  refresh(instance, clock_.now());
+}
+
+void AttributeIndex::refresh(registry::InstanceId instance, sim::SimTime now) {
   for (const net::PeerId provider : placement_.providers(instance)) {
     // A departed provider's row may linger in the placement map until the
     // grid prunes it; never mint fresh postings for it — its existing ones
@@ -37,18 +40,12 @@ void AttributeIndex::upsert(registry::InstanceId instance,
   const registry::ServiceInstance& inst = catalog_.instance(instance);
   const auto level_value = inst.qout.get(level_param_);
 
-  const float cpu = static_cast<float>(peer.capacity()[0]);
   const float uptime_min =
       static_cast<float>(std::max(0.0, peer.uptime(now).as_minutes()));
   const float level =
       static_cast<float>(level_value ? level_value->lo() : 0.0);
-  const auto tier = static_cast<std::int8_t>(net_.access_tier(provider));
 
   std::array<std::uint8_t, kAttributeCount> bucket{};
-  bucket[static_cast<int>(Attribute::kCpu)] =
-      static_cast<std::uint8_t>(cpu_bucket(cpu));
-  bucket[static_cast<int>(Attribute::kBandwidth)] =
-      static_cast<std::uint8_t>(bandwidth_bucket(tier));
   bucket[static_cast<int>(Attribute::kUptime)] =
       static_cast<std::uint8_t>(uptime_bucket(peer.uptime(now)));
   bucket[static_cast<int>(Attribute::kLevel)] =
@@ -78,10 +75,8 @@ void AttributeIndex::upsert(registry::InstanceId instance,
   }
   entry.epoch = epoch_;
   entry.bucket = bucket;
-  entry.cpu = cpu;
   entry.uptime_min = uptime_min;
   entry.level = level;
-  entry.tier = tier;
 }
 
 void AttributeIndex::erase_posting(Posting posting, const Entry& entry) {
@@ -94,38 +89,27 @@ void AttributeIndex::erase_posting(Posting posting, const Entry& entry) {
   }
 }
 
-void AttributeIndex::unpublish(registry::InstanceId instance) {
-  for (auto it = ledger_.begin(); it != ledger_.end();) {
-    if (posting_instance(it->first) == instance) {
-      erase_posting(it->first, it->second);
-      it = ledger_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-void AttributeIndex::remove(registry::InstanceId instance,
-                            net::PeerId provider) {
-  const auto it = ledger_.find(pack_posting(instance, provider));
+void AttributeIndex::provider_retired(registry::InstanceId instance,
+                                      net::PeerId host) {
+  const auto it = ledger_.find(pack_posting(instance, host));
   if (it == ledger_.end()) return;
   erase_posting(it->first, it->second);
   ledger_.erase(it);
 }
 
-void AttributeIndex::publish_all(sim::SimTime now) {
+void AttributeIndex::publish_all() {
   ++epoch_;
+  const sim::SimTime now = clock_.now();
   for (registry::InstanceId i = 0;
        i < static_cast<registry::InstanceId>(catalog_.instance_count()); ++i) {
-    publish(i, now);
+    refresh(i, now);
   }
   expire_stale();
 }
 
 void AttributeIndex::expire_stale() {
   for (auto it = ledger_.begin(); it != ledger_.end();) {
-    if (epoch_ - it->second.epoch >=
-        static_cast<std::uint64_t>(config_.expiry_epochs)) {
+    if (epoch_ - it->second.epoch >= kExpiryEpochs) {
       erase_posting(it->first, it->second);
       it = ledger_.erase(it);
       ++stats_.expiries;
@@ -136,7 +120,7 @@ void AttributeIndex::expire_stale() {
 }
 
 bool AttributeIndex::scan_arc(Attribute a, registry::ServiceId service,
-                              int lo, int hi, net::PeerId from,
+                              int lo, net::PeerId from,
                               const net::NetworkModel* net, QueryStats& qs,
                               std::vector<Posting>& postings) const {
   // Route to the first bucket's owner from the requester (the O(log N)
@@ -144,7 +128,7 @@ bool AttributeIndex::scan_arc(Attribute a, registry::ServiceId service,
   // keys, so mostly zero hops with a handful of owner transitions (the
   // span leg).
   net::PeerId origin = from;
-  for (int b = lo; b <= hi; ++b) {
+  for (int b = lo; b < kBuckets; ++b) {
     const overlay::Key key = index_key(seed_, a, service, b);
     overlay::LookupStats stats = ring_.route(key, origin, net);
     qs.hops += stats.hops;
@@ -173,41 +157,30 @@ QueryStats AttributeIndex::query_into(
   QueryStats qs;
 
   // Active per-attribute scans: each "at least" predicate is a contiguous
-  // bucket span ending at the top of its arc (bandwidth's arc only uses 4
-  // tiers' worth of buckets).
+  // bucket span ending at the top of its arc.
   struct Scan {
     Attribute attr;
-    int lo, hi;
+    int lo;
   };
   Scan scans[kAttributeCount];
   int n_scans = 0;
-  if (query.min_cpu) {
-    scans[n_scans++] = {Attribute::kCpu, cpu_bucket(*query.min_cpu),
-                        kBuckets - 1};
-  }
-  if (query.max_tier) {
-    scans[n_scans++] = {Attribute::kBandwidth, bandwidth_bucket(*query.max_tier),
-                        bandwidth_bucket(0)};
-  }
   if (query.min_uptime_min) {
     scans[n_scans++] = {
         Attribute::kUptime,
-        uptime_bucket(sim::SimTime::minutes(*query.min_uptime_min)),
-        kBuckets - 1};
+        uptime_bucket(sim::SimTime::minutes(*query.min_uptime_min))};
   }
   if (query.min_level) {
-    scans[n_scans++] = {Attribute::kLevel, level_bucket(*query.min_level),
-                        kBuckets - 1};
+    scans[n_scans++] = {Attribute::kLevel, level_bucket(*query.min_level)};
   }
   if (n_scans == 0) {
     // Pure membership: the whole level arc holds every posting exactly once.
-    scans[n_scans++] = {Attribute::kLevel, 0, kBuckets - 1};
+    scans[n_scans++] = {Attribute::kLevel, 0};
   }
 
   for (int s = 0; s < n_scans; ++s) {
     scan_[s].clear();
-    if (!scan_arc(scans[s].attr, query.service, scans[s].lo, scans[s].hi,
-                  from, net, qs, scan_[s])) {
+    if (!scan_arc(scans[s].attr, query.service, scans[s].lo, from, net, qs,
+                  scan_[s])) {
       // Reroute failed too: the query fails whole. Never hand back the
       // partial postings already scanned as if they were the answer.
       qs.failed = true;
@@ -223,18 +196,18 @@ QueryStats AttributeIndex::query_into(
     std::sort(scan_[s].begin(), scan_[s].end());
   }
 
-  // Client-side intersection of the per-attribute posting sets.
-  merge_a_ = scan_[0];
-  for (int s = 1; s < n_scans; ++s) {
-    merge_b_.clear();
-    std::set_intersection(merge_a_.begin(), merge_a_.end(), scan_[s].begin(),
-                          scan_[s].end(), std::back_inserter(merge_b_));
-    merge_a_.swap(merge_b_);
+  // Client-side intersection of the two per-attribute posting sets.
+  const std::vector<Posting>* hits = &scan_[0];
+  if (n_scans == 2) {
+    merge_.clear();
+    std::set_intersection(scan_[0].begin(), scan_[0].end(), scan_[1].begin(),
+                          scan_[1].end(), std::back_inserter(merge_));
+    hits = &merge_;
   }
 
   // Exact re-check against the publish-time record (carried by the lookup
   // response in a real deployment): quantization false positives drop here.
-  for (const Posting p : merge_a_) {
+  for (const Posting p : *hits) {
     const auto it = ledger_.find(p);
     if (it == ledger_.end()) {
       ++qs.false_positives;
@@ -242,8 +215,6 @@ QueryStats AttributeIndex::query_into(
     }
     const Entry& e = it->second;
     const bool pass =
-        (!query.min_cpu || e.cpu >= *query.min_cpu) &&
-        (!query.max_tier || e.tier <= *query.max_tier) &&
         (!query.min_uptime_min || e.uptime_min >= *query.min_uptime_min) &&
         (!query.min_level || e.level >= *query.min_level);
     if (!pass) {
@@ -268,6 +239,42 @@ QueryStats AttributeIndex::query_into(
   stats_.false_positives += static_cast<std::uint64_t>(qs.false_positives);
   stats_.stale_postings += static_cast<std::uint64_t>(qs.stale);
   return qs;
+}
+
+registry::DiscoveryStats AttributeIndex::discover_into(
+    const registry::DiscoveryQuery& query, const net::NetworkModel* net,
+    sim::SimTime /*now*/, std::vector<registry::InstanceId>& out) const {
+  RangeQuery rq;
+  rq.service = query.service;
+  if (query.session_duration > sim::SimTime::zero()) {
+    rq.min_uptime_min = query.session_duration.as_minutes();
+  }
+  if (query.is_sink && query.requirement != nullptr) {
+    if (const auto level = query.requirement->get(level_param_)) {
+      rq.min_level = level->lo();
+    }
+  }
+  const QueryStats qs = query_into(rq, query.from, net, out);
+  if (lookups_ != nullptr) {
+    lookups_->add();
+    lookup_hops_->observe(qs.hops);
+    lookup_latency_->observe(static_cast<double>(qs.latency.as_millis()));
+  }
+  return {qs.hops, qs.latency};
+}
+
+void AttributeIndex::set_metrics(obs::MetricsRegistry* metrics) {
+  if (metrics == nullptr) {
+    lookups_ = nullptr;
+    lookup_hops_ = nullptr;
+    lookup_latency_ = nullptr;
+    return;
+  }
+  // Same shape as the directory's lookup metrics, under the index.*
+  // namespace.
+  lookups_ = &metrics->counter("index.lookups");
+  lookup_hops_ = &metrics->histogram("index.lookup_hops");
+  lookup_latency_ = &metrics->histogram("index.lookup_latency_ms");
 }
 
 }  // namespace qsa::index

@@ -1,15 +1,25 @@
-// The attribute index (DESIGN.md §15): per-attribute, per-service posting
-// lists stored *in the overlay itself* under the order-preserving key
-// encoding of index/keys.hpp, so multi-attribute range discovery routes as
-// ordinary overlay lookups — subject to the same churn, replication and
+// The attribute index (DESIGN.md §15): the --discovery=dht backend. Per
+// (attribute, service) posting lists live *in the overlay itself* under the
+// order-preserving key encoding of index/keys.hpp, so range discovery routes
+// as ordinary overlay lookups — subject to the same churn, replication and
 // fault-injection machinery as every other message.
+//
+// Two attributes are indexed, exactly the two predicates discovery pushes
+// down from the request context:
+//   * uptime >= session_duration — the selector's uptime heuristic applied
+//     at discovery time, so providers that cannot cover the session never
+//     enter the candidate set;
+//   * quality level >= requirement floor — only on the sink hop, whose Qout
+//     the end-to-end requirement constrains.
+// Capacity is not indexed: it is an *availability* question answered by
+// probing live state, not by publish-time registrations.
 //
 // Maintenance is soft state. Each (instance, provider) registration is a
 // posting inserted under one bucket key per attribute; a shadow ledger on
 // the publishing side remembers each posting's buckets, publish-time
 // attribute values and last-refresh epoch. The periodic republish advances
 // the epoch, re-buckets values that moved (uptime grows, clones appear),
-// and expires postings unrefreshed for `expiry_epochs` epochs — exactly how
+// and expires postings unrefreshed for kExpiryEpochs epochs — exactly how
 // churned providers age out: their placement rows vanish at departure, so
 // the next republish skips them and the sweep reclaims their postings.
 //
@@ -26,26 +36,28 @@
 // complete.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
 #include <vector>
 
+#include "qsa/engine/clock.hpp"
 #include "qsa/index/keys.hpp"
 #include "qsa/net/network.hpp"
 #include "qsa/net/peer.hpp"
+#include "qsa/obs/registry.hpp"
 #include "qsa/overlay/lookup.hpp"
+#include "qsa/registry/backend.hpp"
 #include "qsa/registry/catalog.hpp"
 #include "qsa/registry/placement.hpp"
 
 namespace qsa::index {
 
-struct IndexConfig {
-  /// Epochs (republish periods) a posting survives without a refresh before
-  /// the sweep reclaims it. 1 = reclaim at the first republish that skips
-  /// it; the default tolerates one lost republish cycle.
-  int expiry_epochs = 2;
-};
+/// Epochs (republish periods) a posting survives without a refresh before
+/// the sweep reclaims it: the first republish that skips it leaves it in
+/// place, the second reclaims it, so one lost republish cycle is tolerated.
+inline constexpr std::uint64_t kExpiryEpochs = 2;
 
 /// Cumulative maintenance/query accounting (the fault-stats pattern: plain
 /// counters, exported by the harness only when the backend is enabled).
@@ -63,13 +75,11 @@ struct IndexStats {
   std::uint64_t stale_postings = 0;   ///< provider already departed at use
 };
 
-/// A multi-attribute range query over one service's registrations. Every
-/// predicate is optional and of "at least" polarity (bandwidth counts tier
-/// quality, so `max_tier` — a numerically smaller tier is a faster link).
+/// A range query over one service's registrations. Both predicates are
+/// optional and of "at least" polarity; with neither, the query is pure
+/// service membership.
 struct RangeQuery {
   registry::ServiceId service = 0;
-  std::optional<double> min_cpu;        ///< provider capacity, resource units
-  std::optional<int> max_tier;          ///< worst acceptable access tier
   std::optional<double> min_uptime_min; ///< provider uptime, minutes
   std::optional<double> min_level;      ///< instance Qout quality floor
 };
@@ -86,31 +96,48 @@ struct QueryStats {
   int stale = 0;           ///< surviving postings with a departed provider
 };
 
-class AttributeIndex {
+class AttributeIndex final : public registry::DiscoveryBackend {
  public:
+  /// `clock` timestamps every publish: a posting's uptime is its provider's
+  /// connected time when the clock was read.
   AttributeIndex(std::uint64_t seed, overlay::LookupService& ring,
                  const registry::ServiceCatalog& catalog,
                  const registry::PlacementMap& placement,
-                 const net::PeerTable& peers, const net::NetworkModel& net,
-                 qos::ParamId level_param, IndexConfig config = {});
+                 const net::PeerTable& peers, qos::ParamId level_param,
+                 const engine::Clock& clock);
 
   /// Registers (or refreshes) `instance`'s postings — one per current
-  /// provider — at the publish-time attribute values.
-  void publish(registry::InstanceId instance, sim::SimTime now);
+  /// provider — at the attribute values of now.
+  void publish(registry::InstanceId instance) override;
 
-  /// Eagerly removes every posting of `instance` (retirement; departures
-  /// instead age out through the epoch sweep).
-  void unpublish(registry::InstanceId instance);
+  /// Bootstrap / periodic republish: advances the epoch, refreshes every
+  /// catalog instance's postings, then expires anything unrefreshed for
+  /// kExpiryEpochs epochs.
+  void publish_all() override;
+
+  /// Departure needs no eager action: the departed peer's postings age out
+  /// through the epoch sweep (soft state), and there is no requester-side
+  /// cache to drop.
+  void peer_departed(net::PeerId /*peer*/) override {}
 
   /// Eagerly removes the single (instance, provider) posting — replica
   /// retirement narrowed the pool by one host without unregistering the
   /// instance. No-op if the posting is unknown.
-  void remove(registry::InstanceId instance, net::PeerId provider);
+  void provider_retired(registry::InstanceId instance,
+                        net::PeerId host) override;
 
-  /// Bootstrap / periodic republish: advances the epoch, refreshes every
-  /// catalog instance's postings, then expires anything unrefreshed for
-  /// `expiry_epochs` epochs.
-  void publish_all(sim::SimTime now);
+  /// Maps the request context onto the index's two predicates (uptime
+  /// covers the session; the sink's Qout level meets the requirement) and
+  /// answers it with query_into().
+  registry::DiscoveryStats discover_into(
+      const registry::DiscoveryQuery& query, const net::NetworkModel* net,
+      sim::SimTime now, std::vector<registry::InstanceId>& out) const override;
+
+  /// Registers `index.lookups` and the `index.lookup_hops` and
+  /// `index.lookup_latency_ms` histograms (null detaches). The harness only
+  /// attaches them when the backend is enabled, so knobs-off exports never
+  /// see these names.
+  void set_metrics(obs::MetricsRegistry* metrics) override;
 
   /// Answers `query` by routed bucket scans from `from`, writing the
   /// qualifying candidate instances (ascending, unique) into `out`. On a
@@ -126,7 +153,6 @@ class AttributeIndex {
   [[nodiscard]] std::size_t postings() const noexcept {
     return ledger_.size();
   }
-  [[nodiscard]] std::uint64_t seed() const noexcept { return seed_; }
 
  private:
   /// Shadow record of one posting: last-refresh epoch, the bucket each
@@ -136,20 +162,20 @@ class AttributeIndex {
   struct Entry {
     std::uint64_t epoch = 0;
     std::array<std::uint8_t, kAttributeCount> bucket{};
-    float cpu = 0;
     float uptime_min = 0;
     float level = 0;
-    std::int8_t tier = 0;
   };
 
+  void refresh(registry::InstanceId instance, sim::SimTime now);
   void upsert(registry::InstanceId instance, net::PeerId provider,
               sim::SimTime now);
   void erase_posting(Posting posting, const Entry& entry);
   void expire_stale();
 
-  /// Routes the bucket span [lo, hi] of one arc, appending raw postings.
-  /// False when the scan was lost even after the requester-side reroute.
-  bool scan_arc(Attribute a, registry::ServiceId service, int lo, int hi,
+  /// Routes the bucket span [lo, kBuckets - 1] of one arc, appending raw
+  /// postings. False when the scan was lost even after the requester-side
+  /// reroute.
+  bool scan_arc(Attribute a, registry::ServiceId service, int lo,
                 net::PeerId from, const net::NetworkModel* net,
                 QueryStats& qs, std::vector<Posting>& postings) const;
 
@@ -158,9 +184,8 @@ class AttributeIndex {
   const registry::ServiceCatalog& catalog_;
   const registry::PlacementMap& placement_;
   const net::PeerTable& peers_;
-  const net::NetworkModel& net_;
-  IndexConfig config_;
   qos::ParamId level_param_;
+  const engine::Clock& clock_;
 
   std::uint64_t epoch_ = 0;
   std::unordered_map<Posting, Entry> ledger_;
@@ -168,7 +193,11 @@ class AttributeIndex {
 
   // Query scratch, grow-only (one AttributeIndex serves one thread).
   mutable std::vector<Posting> scan_[kAttributeCount];
-  mutable std::vector<Posting> merge_a_, merge_b_;
+  mutable std::vector<Posting> merge_;
+
+  obs::Counter* lookups_ = nullptr;
+  obs::Histogram* lookup_hops_ = nullptr;
+  obs::Histogram* lookup_latency_ = nullptr;
 };
 
 }  // namespace qsa::index

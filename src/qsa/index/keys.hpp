@@ -23,7 +23,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <string_view>
 
 #include "qsa/net/peer.hpp"
 #include "qsa/overlay/lookup.hpp"
@@ -33,14 +32,15 @@
 
 namespace qsa::index {
 
-/// The indexed QoS attributes. kCpu/kBandwidth/kUptime describe the
-/// *provider* (host capacity, access tier, connected time at publish);
-/// kLevel describes the *instance* (the guaranteed floor of its Qout
-/// quality level) — the predicate the request's end-to-end requirement puts
-/// on the sink hop.
-enum class Attribute : std::uint8_t { kCpu = 0, kBandwidth, kUptime, kLevel };
+/// The indexed QoS attributes: exactly the two predicates tier-1a discovery
+/// pushes down. kUptime describes the *provider* (connected time at
+/// publish); kLevel describes the *instance* (the guaranteed floor of its
+/// Qout quality level) — the predicate the request's end-to-end requirement
+/// puts on the sink hop. Host capacity is not indexed: it is an
+/// availability question that probing answers from live state.
+enum class Attribute : std::uint8_t { kUptime = 0, kLevel };
 
-inline constexpr int kAttributeCount = 4;
+inline constexpr int kAttributeCount = 2;
 inline constexpr int kBuckets = 64;
 
 /// Arc width as a power of two: 2^54 keys per (attribute, service) arc,
@@ -53,14 +53,14 @@ inline constexpr int kArcBits = 54;
 inline constexpr overlay::Key kBucketStride = overlay::Key{1}
                                               << (kArcBits - 6);  // 64 buckets
 
-[[nodiscard]] std::string_view to_string(Attribute a);
-
-/// Base key of the (attribute, service) arc.
+/// Base key of the (attribute, service) arc. The seed tags are fixed at 2
+/// (uptime) and 3 (level), not the enum values: every key, and so every
+/// owner, route and hop count of a dht run, derives from them.
 [[nodiscard]] constexpr overlay::Key arc_base(std::uint64_t seed, Attribute a,
                                               registry::ServiceId service) noexcept {
-  return util::derive_seed(
-      seed, "index-arc",
-      (static_cast<std::uint64_t>(a) << 32) | static_cast<std::uint64_t>(service));
+  const std::uint64_t tag = static_cast<std::uint64_t>(a) + 2;
+  return util::derive_seed(seed, "index-arc",
+                           (tag << 32) | static_cast<std::uint64_t>(service));
 }
 
 /// The overlay key of one bucket: base + bucket * stride (mod 2^64). Within
@@ -73,19 +73,6 @@ inline constexpr overlay::Key kBucketStride = overlay::Key{1}
 }
 
 // --- monotone bucket functions, one per attribute ---
-
-/// CPU capacity in resource units (the paper draws [100, 1000]): linear
-/// buckets of 25 units, headroom to 1600.
-[[nodiscard]] inline int cpu_bucket(double cpu) noexcept {
-  return std::clamp(static_cast<int>(cpu / 25.0), 0, kBuckets - 1);
-}
-
-/// Access-link tier (NetworkModel::access_tier: 0 = fastest). Flipped so
-/// the bucket is monotone in link *quality* and "bandwidth >= y" scans
-/// upward like every other predicate.
-[[nodiscard]] inline int bandwidth_bucket(int access_tier) noexcept {
-  return std::clamp(3 - access_tier, 0, 3);
-}
 
 /// Uptime, log2-scale minute classes (class 6 ~ 1 hour, 13 ~ 1 week):
 /// coarse at the long tail, fine where session durations live.

@@ -31,8 +31,7 @@ double AnalyticTranslator::bandwidth_kbps(const QosVector& qout) const {
   return coeff_.base_bw_kbps + coeff_.bw_slope_kbps * level_of(qout);
 }
 
-AnalyticTranslator::Coefficients AnalyticTranslator::paper_coefficients(
-    double scale) {
+AnalyticTranslator::Coefficients AnalyticTranslator::paper_coefficients() {
   // Calibrated against the paper's Section 4.1 universe (peer capacity
   // 100..1000 units, link bottlenecks 56..10000 kbps, 10^4 peers, request
   // rates up to 1000/min):
@@ -43,6 +42,7 @@ AnalyticTranslator::Coefficients AnalyticTranslator::paper_coefficients(
   //     (56 kbps) bottleneck level: any uncontended link can carry any
   //     single flow, and bandwidth only fails under contention. This keeps
   //     the cost-blind baselines viable at low load, as in the paper.
+  constexpr double scale = 45.0;
   Coefficients c;
   c.base = ResourceVector{scale * 0.4, scale * 0.4};
   c.in_slope = ResourceVector{scale * 0.004, scale * 0.002};

@@ -3,8 +3,7 @@
 // end-system resource requirements R = f(Qin, Qout) and the network
 // bandwidth its output edge needs. The paper cites analytical translation
 // and offline profiling; we provide the analytical form with configurable
-// coefficients (a profiling-based implementation would subclass
-// QosTranslator the same way).
+// coefficients.
 #pragma once
 
 #include "qsa/qos/resources.hpp"
@@ -12,25 +11,13 @@
 
 namespace qsa::qos {
 
-class QosTranslator {
- public:
-  virtual ~QosTranslator() = default;
-
-  /// End-system resources needed to consume `qin` and produce `qout`.
-  [[nodiscard]] virtual ResourceVector resources(const QosVector& qin,
-                                                 const QosVector& qout) const = 0;
-
-  /// Bandwidth (kbps) required on the edge carrying `qout` downstream.
-  [[nodiscard]] virtual double bandwidth_kbps(const QosVector& qout) const = 0;
-};
-
 /// Linear analytic translator: each resource kind costs
 ///   base_i + in_slope_i * level(Qin) + out_slope_i * level(Qout)
 /// and bandwidth costs base_bw + bw_slope * level(Qout), where level(Q) is
 /// the representative value of the designated quality-level parameter
 /// (0 when the vector lacks it). Higher quality => more resources, which is
 /// what makes the QCS "shortest" objective meaningful.
-class AnalyticTranslator final : public QosTranslator {
+class AnalyticTranslator {
  public:
   struct Coefficients {
     ResourceVector base;       ///< per-kind constant cost
@@ -42,13 +29,16 @@ class AnalyticTranslator final : public QosTranslator {
 
   AnalyticTranslator(ParamId level_param, Coefficients coeff);
 
+  /// End-system resources needed to consume `qin` and produce `qout`.
   [[nodiscard]] ResourceVector resources(const QosVector& qin,
-                                         const QosVector& qout) const override;
-  [[nodiscard]] double bandwidth_kbps(const QosVector& qout) const override;
+                                         const QosVector& qout) const;
+
+  /// Bandwidth (kbps) required on the edge carrying `qout` downstream.
+  [[nodiscard]] double bandwidth_kbps(const QosVector& qout) const;
 
   /// Coefficients sized for the paper's 2-kind schema (CPU, memory) that put
-  /// a median-quality instance around `scale` CPU units.
-  [[nodiscard]] static Coefficients paper_coefficients(double scale = 45.0);
+  /// a median-quality instance around 45 CPU units.
+  [[nodiscard]] static Coefficients paper_coefficients();
 
  private:
   [[nodiscard]] double level_of(const QosVector& q) const;

@@ -5,9 +5,9 @@
 //   * registry::ServiceDirectory — the flat per-service key lookup with a
 //     TTL'd requester-side cache (the default; ignores the query's range
 //     predicates, exactly the pre-seam behaviour);
-//   * index::DhtDiscovery — the attribute-indexed range-query backend
-//     (DESIGN.md §15), which resolves the query's QoS predicates against
-//     per-attribute index arcs on the overlay itself.
+//   * index::AttributeIndex — the attribute-indexed range-query backend
+//     (DESIGN.md §15), which resolves the query's uptime and sink-level
+//     predicates against per-attribute index arcs on the overlay itself.
 //
 // The seam carries the *whole* request context (requirement, session
 // duration, path position), not just the service id: a backend that can
@@ -63,15 +63,12 @@ class DiscoveryBackend {
   /// Re-registers every catalog instance (bootstrap and the periodic
   /// republish that heals soft state under churn).
   virtual void publish_all() = 0;
-  /// Removes one instance's registration (replica retirement).
-  virtual void unpublish(InstanceId instance) = 0;
   /// Churn removed `peer` — the one registration change the backend does
-  /// not hear about through publish/unpublish.
+  /// not hear about through publish.
   virtual void peer_departed(net::PeerId peer) = 0;
   /// Replica retirement narrowed `instance`'s provider pool by `host`. The
-  /// instance itself stays registered (its other providers remain), so this
-  /// is not an unpublish — but per-provider state keyed on (instance, host)
-  /// must go.
+  /// instance itself stays registered (its other providers remain), but
+  /// per-provider state keyed on (instance, host) must go.
   virtual void provider_retired(InstanceId instance, net::PeerId host) = 0;
 
   /// Writes the candidate instances for `query` into `out` (reusing its

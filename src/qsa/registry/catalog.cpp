@@ -54,7 +54,8 @@ QosUniverse QosUniverse::standard(util::Interner& interner) {
 
 void generate_instances(ServiceCatalog& catalog, ServiceId service,
                         const CatalogParams& params, const QosUniverse& qos,
-                        const qos::QosTranslator& translator, bool is_source) {
+                        const qos::AnalyticTranslator& translator,
+                        bool is_source) {
   QSA_EXPECTS(params.min_instances_per_service >= 1);
   QSA_EXPECTS(params.max_instances_per_service >=
               params.min_instances_per_service);

@@ -69,6 +69,7 @@ struct CatalogParams {
 /// `is_source` instances have empty Qin (data sources accept no input).
 void generate_instances(ServiceCatalog& catalog, ServiceId service,
                         const CatalogParams& params, const QosUniverse& qos,
-                        const qos::QosTranslator& translator, bool is_source);
+                        const qos::AnalyticTranslator& translator,
+                        bool is_source);
 
 }  // namespace qsa::registry

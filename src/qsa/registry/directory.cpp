@@ -29,12 +29,6 @@ void ServiceDirectory::publish_all() {
   cache_.invalidate();
 }
 
-void ServiceDirectory::unpublish(InstanceId instance) {
-  const ServiceId service = catalog_.instance(instance).service;
-  ring_.erase(key_of(service), instance);
-  cache_.invalidate(service);
-}
-
 void ServiceDirectory::set_metrics(obs::MetricsRegistry* metrics) {
   if (metrics == nullptr) {
     lookups_ = nullptr;

@@ -41,10 +41,6 @@ class ServiceDirectory final : public DiscoveryBackend {
   /// Publishes every catalog instance (bootstrap and periodic republish).
   void publish_all() override;
 
-  /// Removes one instance's registration (same per-service invalidation
-  /// scope as publish()).
-  void unpublish(InstanceId instance) override;
-
   /// DiscoveryBackend departure hook: a departed peer took part of the key
   /// space (and possibly providers of any service) with it, so the whole
   /// cache drops.
@@ -89,8 +85,8 @@ class ServiceDirectory final : public DiscoveryBackend {
   void set_cache_ttl(sim::SimTime ttl) { cache_.set_ttl(ttl); }
 
   /// Drops every cached discovery — the peer-departure invalidation scope
-  /// (a departure can affect any service's candidate list). publish and
-  /// unpublish use the narrower per-service invalidate instead.
+  /// (a departure can affect any service's candidate list). publish uses
+  /// the narrower per-service invalidate instead.
   void invalidate_cache() const { cache_.invalidate(); }
 
   /// Attaches observability (optional; null detaches). Records per-lookup

@@ -4,8 +4,6 @@
 // subsystem.
 #pragma once
 
-#include <cstddef>
-
 #include "qsa/sim/time.hpp"
 
 namespace qsa::replica {
@@ -18,11 +16,9 @@ struct ReplicaConfig {
   /// watermark). Demand is an exponentially decayed event count: +1 per
   /// admitted session using the instance, +2 per reservation rejection
   /// blamed on one of its providers, +2 per selection failure on its hop.
+  /// A replica is retired once its instance's demand has decayed below a
+  /// quarter of it (the hysteresis low watermark).
   double threshold = 4.0;
-
-  /// A replica is retired once its instance's demand has decayed below
-  /// threshold * retire_fraction (the hysteresis low watermark).
-  double retire_fraction = 0.25;
 
   /// Three-fold time constant: per-instance refractory period between
   /// placement decisions, minimum replica age before retirement, and the
@@ -36,12 +32,6 @@ struct ReplicaConfig {
   /// the probe snapshots (headroom < R) before a clone is placed; demand
   /// alone never replicates while the existing pool still has room.
   double min_pool_pressure = 0.5;
-
-  /// Half-life of the demand score's exponential decay.
-  sim::SimTime demand_half_life = sim::SimTime::minutes(2);
-
-  /// How many alive peers one placement decision samples as clone hosts.
-  std::size_t candidate_sample = 64;
 };
 
 }  // namespace qsa::replica

@@ -17,6 +17,11 @@ constexpr double kSelectionWeight = 2.0;
 /// the refractory period form the hysteresis that keeps one hot burst from
 /// cloning an instance onto every sampled host.
 constexpr double kPostTripKeep = 0.5;
+/// A replica retires once its instance's demand decays below
+/// threshold * kRetireFraction (the hysteresis low watermark).
+constexpr double kRetireFraction = 0.25;
+/// Alive peers one placement decision samples as clone hosts.
+constexpr std::size_t kCandidateSample = 64;
 
 }  // namespace
 
@@ -38,8 +43,6 @@ ReplicaManager::ReplicaManager(std::uint64_t seed, const ReplicaConfig& config,
       rng_(seed) {
   QSA_EXPECTS(config_.threshold > 0);
   QSA_EXPECTS(config_.max_replicas >= 0);
-  QSA_EXPECTS(config_.demand_half_life > sim::SimTime::zero());
-  QSA_EXPECTS(config_.candidate_sample > 0);
 }
 
 void ReplicaManager::set_metrics(obs::MetricsRegistry* metrics) {
@@ -58,7 +61,7 @@ void ReplicaManager::bump(registry::InstanceId instance, double weight,
   InstanceState& st = state_[instance];
   if (now > st.as_of) {
     const double dt = static_cast<double>((now - st.as_of).as_millis());
-    const double hl = static_cast<double>(config_.demand_half_life.as_millis());
+    const double hl = static_cast<double>(kDemandHalfLife.as_millis());
     st.score *= std::exp2(-dt / hl);
     st.as_of = now;
   }
@@ -73,7 +76,7 @@ double ReplicaManager::demand(registry::InstanceId instance,
   const InstanceState& st = it->second;
   if (now <= st.as_of) return st.score;
   const double dt = static_cast<double>((now - st.as_of).as_millis());
-  const double hl = static_cast<double>(config_.demand_half_life.as_millis());
+  const double hl = static_cast<double>(kDemandHalfLife.as_millis());
   return st.score * std::exp2(-dt / hl);
 }
 
@@ -144,7 +147,7 @@ ReplicaRecord ReplicaManager::select_host(registry::InstanceId instance,
   // Fixed number of draws regardless of what they hit: the RNG stream stays
   // aligned across candidate outcomes, which keeps runs with different
   // thresholds comparable draw-for-draw.
-  for (std::size_t d = 0; d < config_.candidate_sample; ++d) {
+  for (std::size_t d = 0; d < kCandidateSample; ++d) {
     const net::PeerId p = alive[rng_.index(alive.size())];
     if (std::find(providers.begin(), providers.end(), p) != providers.end()) {
       continue;  // already serves this instance
@@ -225,7 +228,7 @@ void ReplicaManager::retire(std::size_t index) {
 }
 
 void ReplicaManager::sweep(sim::SimTime now) {
-  const double low_watermark = config_.threshold * config_.retire_fraction;
+  const double low_watermark = config_.threshold * kRetireFraction;
   for (std::size_t i = records_.size(); i-- > 0;) {
     const ReplicaRecord& r = records_[i];
     if (now - r.created < config_.cooldown) continue;

@@ -39,6 +39,9 @@
 
 namespace qsa::replica {
 
+/// Half-life of the demand score's exponential decay.
+inline constexpr sim::SimTime kDemandHalfLife = sim::SimTime::minutes(2);
+
 /// One live clone: which instance, where, and the QoS evidence it was
 /// admitted on (tests assert the replica passed the same headroom checks as
 /// any dynamically selected host).

@@ -145,6 +145,20 @@ std::int64_t get_int_in(const Flags& flags, std::string_view name,
   std::exit(2);
 }
 
+double get_double_in(const Flags& flags, std::string_view name, double def,
+                     double lo, double hi, std::string_view program) {
+  const double v = flags.get_double(name, def);
+  if (v >= lo && v <= hi) return v;
+  const std::string text = flags.raw(name).value_or(std::to_string(v));
+  std::fprintf(stderr,
+               "%.*s: --%.*s=%s is out of range\n"
+               "usage: --%.*s=<%g..%g>\n",
+               static_cast<int>(program.size()), program.data(),
+               static_cast<int>(name.size()), name.data(), text.c_str(),
+               static_cast<int>(name.size()), name.data(), lo, hi);
+  std::exit(2);
+}
+
 std::string Flags::get(std::string_view name, std::string_view def) const {
   auto v = raw(name);
   return v ? *v : std::string(def);

@@ -70,6 +70,23 @@ void reject_unknown_flags(const Flags& flags, std::string_view program);
                                       std::int64_t lo, std::int64_t hi,
                                       std::string_view program);
 
+/// Bounds of a time-valued flag: at most 10^9 minutes (6·10^13 ms, about
+/// 1900 years) either side of zero. Every simulated time a run derives from
+/// such a knob then stays far inside the neighbor tables' |deadline| < 2^53
+/// ms precondition (~9·10^15 ms), and converting it to sim::SimTime is
+/// defined. The sign is left to each program's own rules
+/// (GridConfig::validate()).
+inline constexpr double kMaxFlagMinutes = 1e9;
+inline constexpr double kMaxFlagSeconds = 60 * kMaxFlagMinutes;
+
+/// Floating-point flag lookup bounded to [lo, hi]: `--name=<number>` (or
+/// QSA_<NAME>); absent uses `def`. A value outside the range prints the
+/// flag and the range to stderr and exits 2, like get_int_in(); one that is
+/// not wholly a finite number exits 2 as get_double() does.
+[[nodiscard]] double get_double_in(const Flags& flags, std::string_view name,
+                                   double def, double lo, double hi,
+                                   std::string_view program);
+
 /// One admissible value of an enum-valued flag.
 template <typename T>
 struct Choice {

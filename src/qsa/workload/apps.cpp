@@ -38,10 +38,9 @@ qos::QosVector requirement_for(QosLevel level,
   return req;
 }
 
-ApplicationCatalog::ApplicationCatalog(registry::ServiceCatalog& services,
-                                       const registry::QosUniverse& universe,
-                                       const qos::QosTranslator& translator,
-                                       const AppCatalogParams& params) {
+ApplicationCatalog::ApplicationCatalog(
+    registry::ServiceCatalog& services, const registry::QosUniverse& universe,
+    const qos::AnalyticTranslator& translator, const AppCatalogParams& params) {
   QSA_EXPECTS(params.applications >= 1);
   QSA_EXPECTS(params.min_path_len >= 1);
   QSA_EXPECTS(params.max_path_len >= params.min_path_len);

@@ -43,7 +43,7 @@ class ApplicationCatalog {
  public:
   ApplicationCatalog(registry::ServiceCatalog& services,
                      const registry::QosUniverse& universe,
-                     const qos::QosTranslator& translator,
+                     const qos::AnalyticTranslator& translator,
                      const AppCatalogParams& params);
 
   [[nodiscard]] std::span<const Application> apps() const noexcept {

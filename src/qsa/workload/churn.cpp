@@ -5,6 +5,12 @@
 #include "qsa/util/expects.hpp"
 
 namespace qsa::workload {
+namespace {
+
+/// k for youngest-of-k departure selection.
+constexpr int kVictimSample = 8;
+
+}  // namespace
 
 ChurnProcess::ChurnProcess(sim::Simulator& simulator,
                            const net::PeerTable& peers, ChurnParams params,
@@ -16,7 +22,6 @@ ChurnProcess::ChurnProcess(sim::Simulator& simulator,
       on_arrive_(std::move(on_arrive)),
       rng_(util::derive_seed(params.seed, "churn", 0)) {
   QSA_EXPECTS(params_.events_per_min >= 0);
-  QSA_EXPECTS(params_.victim_sample >= 1);
   QSA_EXPECTS(on_depart_ != nullptr);
   QSA_EXPECTS(on_arrive_ != nullptr);
 }
@@ -28,9 +33,9 @@ void ChurnProcess::start(sim::SimTime until) {
 
 void ChurnProcess::schedule_next(sim::SimTime until) {
   const double gap_min = rng_.exponential(1.0 / params_.events_per_min);
-  const sim::SimTime at = simulator_.now() + sim::SimTime::minutes(gap_min);
-  if (at > until) return;
-  simulator_.schedule_at(at, [this, until] {
+  const auto at = sim::within_horizon(simulator_.now(), gap_min, until);
+  if (!at) return;
+  simulator_.schedule_at(*at, [this, until] {
     fire();
     schedule_next(until);
   });
@@ -40,7 +45,7 @@ net::PeerId ChurnProcess::pick_victim() {
   const auto& alive = peers_.alive_ids();
   if (alive.empty()) return net::kNoPeer;
   net::PeerId victim = alive[rng_.index(alive.size())];
-  for (int i = 1; i < params_.victim_sample; ++i) {
+  for (int i = 1; i < kVictimSample; ++i) {
     const net::PeerId other = alive[rng_.index(alive.size())];
     // Youngest-of-k: the later the join, the shorter the uptime.
     if (peers_.peer(other).join_time() > peers_.peer(victim).join_time()) {

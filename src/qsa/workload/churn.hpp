@@ -22,7 +22,6 @@ namespace qsa::workload {
 struct ChurnParams {
   std::uint64_t seed = 1;
   double events_per_min = 0;  ///< the paper's "topological variation rate"
-  int victim_sample = 8;      ///< k for youngest-of-k departure selection
 };
 
 class ChurnProcess {

@@ -5,6 +5,14 @@
 #include "qsa/util/expects.hpp"
 
 namespace qsa::workload {
+namespace {
+
+/// Session durations are uniform in [kMinSessionMin, kMaxSessionMin]
+/// minutes (paper: [1, 60]).
+constexpr double kMinSessionMin = 1;
+constexpr double kMaxSessionMin = 60;
+
+}  // namespace
 
 RequestGenerator::RequestGenerator(sim::Simulator& simulator,
                                    const ApplicationCatalog& apps,
@@ -19,8 +27,6 @@ RequestGenerator::RequestGenerator(sim::Simulator& simulator,
       sink_(std::move(sink)),
       rng_(util::derive_seed(params.seed, "requests", 0)) {
   QSA_EXPECTS(params_.rate_per_min >= 0);
-  QSA_EXPECTS(params_.min_session_min > 0);
-  QSA_EXPECTS(params_.max_session_min >= params_.min_session_min);
   QSA_EXPECTS(sink_ != nullptr);
 }
 
@@ -31,9 +37,9 @@ void RequestGenerator::start(sim::SimTime until) {
 
 void RequestGenerator::schedule_next(sim::SimTime until) {
   const double gap_min = rng_.exponential(1.0 / params_.rate_per_min);
-  const sim::SimTime at = simulator_.now() + sim::SimTime::minutes(gap_min);
-  if (at > until) return;
-  simulator_.schedule_at(at, [this, until] {
+  const auto at = sim::within_horizon(simulator_.now(), gap_min, until);
+  if (!at) return;
+  simulator_.schedule_at(*at, [this, until] {
     fire();
     schedule_next(until);
   });
@@ -52,7 +58,7 @@ void RequestGenerator::fire() {
   req.abstract_path = app.path;
   req.requirement = requirement_for(level, universe_);
   req.session_duration = sim::SimTime::minutes(
-      rng_.uniform(params_.min_session_min, params_.max_session_min));
+      rng_.uniform(kMinSessionMin, kMaxSessionMin));
 
   ++count_;
   sink_(req, app, level);

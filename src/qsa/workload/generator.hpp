@@ -17,9 +17,7 @@ namespace qsa::workload {
 
 struct RequestParams {
   std::uint64_t seed = 1;
-  double rate_per_min = 100;      ///< mean request arrival rate
-  double min_session_min = 1;     ///< paper: 1
-  double max_session_min = 60;    ///< paper: 60
+  double rate_per_min = 100;  ///< mean request arrival rate
 };
 
 class RequestGenerator {

@@ -292,7 +292,7 @@ TEST_F(CachedDirectoryFixture, EntryExpiresAfterTtl) {
   EXPECT_EQ(reg.counter("directory.lookups").value, 2u);
 }
 
-TEST_F(CachedDirectoryFixture, RepublishAndUnpublishInvalidate) {
+TEST_F(CachedDirectoryFixture, RepublishAndPublishInvalidate) {
   registry::ServiceDirectory dir(1, ring, catalog);
   dir.set_cache_ttl(sim::SimTime::minutes(10));
   obs::MetricsRegistry reg;
@@ -303,19 +303,21 @@ TEST_F(CachedDirectoryFixture, RepublishAndUnpublishInvalidate) {
   dir.publish_all();  // the periodic republish: one invalidation, not N
   EXPECT_EQ(reg.counter("cache.discovery.invalidations").value, 1u);
 
-  // After an unpublish the next discover must see the removal immediately —
-  // within the TTL — because the registration change dropped the cache.
+  // After a single publish (a replication clone) the next discover must see
+  // the new instance immediately — within the TTL — because the
+  // registration change dropped the cache.
   (void)dir.discover(s0, 5, nullptr, sim::SimTime::seconds(1));
-  dir.unpublish(i0);
+  const registry::InstanceId i2 = catalog.add_instance(make_instance(s0));
+  dir.publish(i2);
   const auto d = dir.discover(s0, 5, nullptr, sim::SimTime::seconds(2));
-  EXPECT_EQ(d.instances, (std::vector<registry::InstanceId>{i1}));
+  EXPECT_EQ(d.instances, (std::vector<registry::InstanceId>{i0, i1, i2}));
   EXPECT_EQ(reg.counter("cache.discovery.invalidations").value, 2u);
 }
 
 TEST_F(CachedDirectoryFixture, PublishInvalidatesOnlyItsOwnService) {
   // The hit-rate regression pinning scoped invalidation: a single-service
-  // publish/unpublish must not evict other services' warm entries (it used
-  // to drop the whole cache, costing every service a re-route).
+  // publish must not evict other services' warm entries (it used to drop
+  // the whole cache, costing every service a re-route).
   const registry::ServiceId s1 = catalog.add_service("b");
   const registry::InstanceId j0 = catalog.add_instance(make_instance(s1));
   registry::ServiceDirectory dir(1, ring, catalog);
@@ -329,7 +331,6 @@ TEST_F(CachedDirectoryFixture, PublishInvalidatesOnlyItsOwnService) {
   EXPECT_EQ(reg.counter("cache.discovery.misses").value, 2u);
 
   // Registration churn on s0 only: s1's entry stays warm.
-  dir.unpublish(i1);
   dir.publish(i1);
   const auto warm = dir.discover(s1, 5, nullptr, sim::SimTime::seconds(1));
   EXPECT_EQ(warm.instances, (std::vector<registry::InstanceId>{j0}));

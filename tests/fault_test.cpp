@@ -123,11 +123,11 @@ TEST(FaultPlan, ExtraDelayBoundedAndSometimesNonzero) {
 TEST(FaultPlan, BackoffDoublesAndIsAccounted) {
   FaultConfig cfg;
   cfg.set_all_loss(0.5);
-  cfg.backoff_base = sim::SimTime::millis(50);
   const FaultPlan plan(1, cfg);
-  EXPECT_EQ(plan.backoff(Channel::kLookup, 1), sim::SimTime::millis(50));
-  EXPECT_EQ(plan.backoff(Channel::kLookup, 2), sim::SimTime::millis(100));
-  EXPECT_EQ(plan.backoff(Channel::kLookup, 3), sim::SimTime::millis(200));
+  const std::int64_t base = kBackoffBase.as_millis();
+  EXPECT_EQ(plan.backoff(Channel::kLookup, 1), sim::SimTime::millis(base));
+  EXPECT_EQ(plan.backoff(Channel::kLookup, 2), sim::SimTime::millis(2 * base));
+  EXPECT_EQ(plan.backoff(Channel::kLookup, 3), sim::SimTime::millis(4 * base));
   EXPECT_EQ(plan.stats().retries[static_cast<std::size_t>(Channel::kLookup)],
             3u);
 }

@@ -6,12 +6,13 @@
 //     (attribute, service) pairs do not collide;
 //  2. maintenance follows the soft-state contract: publish mints one posting
 //     per attribute per live provider, republish re-buckets drifted values,
-//     retirement erases eagerly, and departed providers age out after
-//     `expiry_epochs` missed republishes — nothing else removes them;
+//     replica retirement erases eagerly, and departed providers age out
+//     after kExpiryEpochs missed republishes — nothing else removes them;
 //  3. a range query is *conservatively exact*: the routed bucket scans plus
 //     the client-side re-check return precisely the brute-force answer over
 //     the published records (false positives dropped and counted, nothing
-//     qualifying ever missed), and under fault injection a lost mid-scan
+//     qualifying ever missed), across republish epochs that re-bucket,
+//     expire and retire postings, and under fault injection a lost mid-scan
 //     segment is rerouted or the whole query fails — a non-failed result is
 //     never a truncated candidate set;
 //  4. the grid-level backend seam: --discovery=dht runs are deterministic
@@ -21,15 +22,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <optional>
 #include <set>
 #include <vector>
 
+#include "qsa/engine/clock.hpp"
 #include "qsa/fault/fault.hpp"
 #include "qsa/harness/grid.hpp"
 #include "qsa/index/attribute_index.hpp"
 #include "qsa/index/keys.hpp"
-#include "qsa/net/network.hpp"
 #include "qsa/net/peer.hpp"
 #include "qsa/overlay/chord_ring.hpp"
 #include "qsa/registry/catalog.hpp"
@@ -44,13 +46,6 @@ using sim::SimTime;
 // ------------------------------------------------------------ key encoding
 
 TEST(IndexKeys, BucketFunctionsAreMonotone) {
-  for (double lo = 0; lo < 1600; lo += 7) {
-    EXPECT_LE(cpu_bucket(lo), cpu_bucket(lo + 7));
-  }
-  for (int tier = 0; tier < 3; ++tier) {
-    // Flipped: a *smaller* tier (faster link) gets a *larger* bucket.
-    EXPECT_GT(bandwidth_bucket(tier), bandwidth_bucket(tier + 1));
-  }
   for (double m = 0; m < 20000; m += 37) {
     EXPECT_LE(uptime_bucket(SimTime::minutes(m)),
               uptime_bucket(SimTime::minutes(m + 37)));
@@ -61,19 +56,16 @@ TEST(IndexKeys, BucketFunctionsAreMonotone) {
 }
 
 TEST(IndexKeys, BucketFunctionsClampToTheArc) {
-  EXPECT_EQ(cpu_bucket(-5), 0);
-  EXPECT_EQ(cpu_bucket(1e9), kBuckets - 1);
-  EXPECT_EQ(bandwidth_bucket(99), 0);
-  EXPECT_EQ(bandwidth_bucket(-1), 3);
   EXPECT_EQ(uptime_bucket(SimTime::zero()), 0);
+  EXPECT_EQ(uptime_bucket(SimTime::minutes(-5)), 0);
   EXPECT_EQ(level_bucket(-1), 0);
   EXPECT_EQ(level_bucket(1000), kBuckets - 1);
 }
 
 TEST(IndexKeys, ConsecutiveBucketsAreConsecutiveKeys) {
   for (int b = 0; b + 1 < kBuckets; ++b) {
-    EXPECT_EQ(index_key(42, Attribute::kCpu, 3, b + 1) -
-                  index_key(42, Attribute::kCpu, 3, b),
+    EXPECT_EQ(index_key(42, Attribute::kUptime, 3, b + 1) -
+                  index_key(42, Attribute::kUptime, 3, b),
               kBucketStride);
   }
 }
@@ -85,7 +77,7 @@ TEST(IndexKeys, ArcsOfDistinctAttributeServicePairsDiffer) {
       bases.insert(arc_base(42, static_cast<Attribute>(a), s));
     }
   }
-  EXPECT_EQ(bases.size(), 4u * 50u);
+  EXPECT_EQ(bases.size(), static_cast<std::size_t>(kAttributeCount) * 50u);
 }
 
 TEST(IndexKeys, PostingPackRoundTrips) {
@@ -97,8 +89,9 @@ TEST(IndexKeys, PostingPackRoundTrips) {
 // ------------------------------------------------------------- maintenance
 
 /// A hand-built world: 64 peers on a Chord ring, one service, instances and
-/// placements added per test. Peer p gets capacity 100 + 14p (so cpu
-/// buckets spread) and joins at t = -p minutes (pre-aged uptime).
+/// placements added per test. Peer p joins at t = -p minutes (pre-aged
+/// uptime, so uptime buckets spread). The index reads its publish times
+/// from `clock`, which the tests move forward.
 struct IndexFixture : ::testing::Test {
   static constexpr qos::ParamId kLevel = 0;
   static constexpr std::uint64_t kSeed = 9;
@@ -106,7 +99,6 @@ struct IndexFixture : ::testing::Test {
   IndexFixture()
       : peers(qos::ResourceSchema::paper(),
               net::ProbeClock(SimTime::seconds(30))),
-        net(kSeed, net::ProbeClock(SimTime::seconds(30))),
         ring(kSeed, 3) {}
 
   void SetUp() override {
@@ -132,14 +124,14 @@ struct IndexFixture : ::testing::Test {
     return id;
   }
 
-  AttributeIndex make_index(IndexConfig config = {}) {
-    return AttributeIndex(kSeed, ring, catalog, placement, peers, net,
-                          kLevel, config);
+  AttributeIndex make_index() {
+    return AttributeIndex(kSeed, ring, catalog, placement, peers, kLevel,
+                          clock);
   }
 
   /// Brute force over the published records — what the scan + exact
-  /// re-check must reproduce. Mirrors the publish-time snapshot: capacity,
-  /// uptime at `published_at`, access tier, Qout level floor.
+  /// re-check must reproduce. Mirrors the publish-time snapshot: uptime at
+  /// `published_at` and the Qout level floor.
   std::vector<registry::InstanceId> oracle(const RangeQuery& q,
                                            SimTime published_at) const {
     std::set<registry::InstanceId> hit;
@@ -150,11 +142,9 @@ struct IndexFixture : ::testing::Test {
       const double level = catalog.instance(i).qout.get(kLevel)->lo();
       for (const auto p : placement.providers(i)) {
         if (!peers.alive(p)) continue;
-        const auto peer = peers.peer(p);
-        if (q.min_cpu && peer.capacity()[0] < *q.min_cpu) continue;
-        if (q.max_tier && net.access_tier(p) > *q.max_tier) continue;
         if (q.min_uptime_min &&
-            peer.uptime(published_at).as_minutes() < *q.min_uptime_min) {
+            peers.peer(p).uptime(published_at).as_minutes() <
+                *q.min_uptime_min) {
           continue;
         }
         if (q.min_level && level < *q.min_level) continue;
@@ -166,8 +156,8 @@ struct IndexFixture : ::testing::Test {
   }
 
   net::PeerTable peers;
-  net::NetworkModel net;
   overlay::ChordRing ring;
+  engine::ManualClock clock;
   registry::ServiceCatalog catalog;
   registry::PlacementMap placement;
   registry::ServiceId s0 = 0;
@@ -176,18 +166,20 @@ struct IndexFixture : ::testing::Test {
 TEST_F(IndexFixture, PublishMintsOnePostingPerAttributePerProvider) {
   const auto i0 = add_instance(50, {3, 7, 11});
   auto index = make_index();
-  index.publish(i0, SimTime::minutes(10));
+  clock.set(SimTime::minutes(10));
+  index.publish(i0);
 
   EXPECT_EQ(index.stats().publishes, 3u);
   EXPECT_EQ(index.postings(), 3u);
   for (const net::PeerId p : {3, 7, 11}) {
     const Posting posting = pack_posting(i0, static_cast<net::PeerId>(p));
-    const auto peer = peers.peer(static_cast<net::PeerId>(p));
-    const overlay::Key cpu_key =
-        index_key(kSeed, Attribute::kCpu, s0, cpu_bucket(peer.capacity()[0]));
-    const auto at_cpu = ring.get(cpu_key);
-    EXPECT_TRUE(std::find(at_cpu.begin(), at_cpu.end(), posting) !=
-                at_cpu.end());
+    // Peer p joined at -p minutes: at t = 10 it has 10 + p minutes.
+    const overlay::Key uptime_key = index_key(
+        kSeed, Attribute::kUptime, s0,
+        uptime_bucket(SimTime::minutes(10.0 + static_cast<double>(p))));
+    const auto at_uptime = ring.get(uptime_key);
+    EXPECT_TRUE(std::find(at_uptime.begin(), at_uptime.end(), posting) !=
+                at_uptime.end());
     const overlay::Key level_key =
         index_key(kSeed, Attribute::kLevel, s0, level_bucket(50));
     const auto at_level = ring.get(level_key);
@@ -202,13 +194,15 @@ TEST_F(IndexFixture, RepublishReBucketsDriftedValuesOnce) {
 
   // At t=2min peer 5 has 7 minutes of uptime (bucket 3); at t=60min it has
   // 65 (bucket 6) — the posting must move arcs exactly once.
-  index.publish_all(SimTime::minutes(2));
+  clock.set(SimTime::minutes(2));
+  index.publish_all();
   EXPECT_EQ(index.stats().publishes, 1u);
   const overlay::Key old_key =
       index_key(kSeed, Attribute::kUptime, s0, uptime_bucket(SimTime::minutes(7)));
   EXPECT_EQ(ring.get(old_key).size(), 1u);
 
-  index.publish_all(SimTime::minutes(60));
+  clock.set(SimTime::minutes(60));
+  index.publish_all();
   EXPECT_EQ(index.stats().updates, 1u);
   EXPECT_EQ(index.postings(), 1u);  // moved, not duplicated
   EXPECT_TRUE(ring.get(old_key).empty());
@@ -217,15 +211,16 @@ TEST_F(IndexFixture, RepublishReBucketsDriftedValuesOnce) {
   EXPECT_EQ(ring.get(new_key).size(), 1u);
 }
 
-TEST_F(IndexFixture, UnpublishAndRemoveEraseEagerly) {
+TEST_F(IndexFixture, ProviderRetiredErasesEagerly) {
   const auto i0 = add_instance(50, {3, 7});
   const auto i1 = add_instance(60, {7});
   auto index = make_index();
-  index.publish_all(SimTime::minutes(1));
+  clock.set(SimTime::minutes(1));
+  index.publish_all();
   ASSERT_EQ(index.postings(), 3u);
 
   // Replica retirement: one (instance, provider) posting, nothing else.
-  index.remove(i0, 7);
+  index.provider_retired(i0, 7);
   EXPECT_EQ(index.postings(), 2u);
   std::vector<registry::InstanceId> out;
   RangeQuery q;
@@ -233,25 +228,30 @@ TEST_F(IndexFixture, UnpublishAndRemoveEraseEagerly) {
   (void)index.query_into(q, 0, nullptr, out);
   EXPECT_EQ(out, (std::vector<registry::InstanceId>{i0, i1}));
 
-  index.unpublish(i0);
+  // Retiring an instance's last provider drops the instance at once, with
+  // no republish in between; an unknown posting is a no-op.
+  index.provider_retired(i1, 7);
+  index.provider_retired(i1, 7);
   EXPECT_EQ(index.postings(), 1u);
   (void)index.query_into(q, 0, nullptr, out);
-  EXPECT_EQ(out, (std::vector<registry::InstanceId>{i1}));
+  EXPECT_EQ(out, (std::vector<registry::InstanceId>{i0}));
 }
 
 TEST_F(IndexFixture, DepartedProvidersAgeOutAfterExpiryEpochs) {
   const auto i0 = add_instance(50, {3, 7});
-  auto index = make_index(IndexConfig{2});
-  index.publish_all(SimTime::minutes(1));
+  auto index = make_index();
+  clock.set(SimTime::minutes(1));
+  index.publish_all();
   ASSERT_EQ(index.postings(), 2u);
 
   // Peer 7 departs. Its placement row would be pruned by the grid; here we
   // only kill liveness — publish must skip it either way.
   peers.remove_peer(7, SimTime::minutes(2));
 
-  // One missed refresh: within expiry_epochs, the posting lingers (and a
+  // One missed refresh: within kExpiryEpochs, the posting lingers (and a
   // query still returns it, counted stale — the soft-state window).
-  index.publish_all(SimTime::minutes(3));
+  clock.set(SimTime::minutes(3));
+  index.publish_all();
   EXPECT_EQ(index.postings(), 2u);
   std::vector<registry::InstanceId> out;
   RangeQuery q;
@@ -261,7 +261,8 @@ TEST_F(IndexFixture, DepartedProvidersAgeOutAfterExpiryEpochs) {
   EXPECT_EQ(qs.stale, 1);
 
   // Second missed refresh reaches the expiry horizon: swept.
-  index.publish_all(SimTime::minutes(5));
+  clock.set(SimTime::minutes(5));
+  index.publish_all();
   EXPECT_EQ(index.postings(), 1u);
   EXPECT_EQ(index.stats().expiries, 1u);
   const auto qs2 = index.query_into(q, 0, nullptr, out);
@@ -285,30 +286,21 @@ TEST_F(IndexFixture, RangeQueriesMatchTheBruteForceOracle) {
   }
   auto index = make_index();
   const auto published_at = SimTime::minutes(30);
-  index.publish_all(published_at);
+  clock.set(published_at);
+  index.publish_all();
 
-  // Sweep single- and multi-attribute predicate combinations, including
+  // Sweep single- and two-attribute predicate combinations, including
   // thresholds off bucket boundaries (false positives) and unsatisfiable
   // floors (empty answers).
   std::vector<RangeQuery> queries;
-  for (const double cpu : {0.0, 137.0, 400.0, 811.0, 2000.0}) {
+  for (const double uptime : {0.0, 17.0, 44.0, 80.0, 5000.0}) {
     for (const double level : {0.0, 33.3, 62.0, 99.0}) {
       RangeQuery q;
       q.service = s0;
-      if (cpu > 0) q.min_cpu = cpu;
+      if (uptime > 0) q.min_uptime_min = uptime;
       if (level > 0) q.min_level = level;
       queries.push_back(q);
     }
-  }
-  for (const int tier : {0, 1, 2}) {
-    RangeQuery q;
-    q.service = s0;
-    q.max_tier = tier;
-    q.min_uptime_min = 17;
-    queries.push_back(q);
-    q.min_cpu = 300;
-    q.min_level = 40;
-    queries.push_back(q);
   }
 
   std::uint64_t total_false_positives = 0;
@@ -324,13 +316,125 @@ TEST_F(IndexFixture, RangeQueriesMatchTheBruteForceOracle) {
   // quantization false positives — otherwise the re-check is vacuous.
   EXPECT_GT(total_false_positives, 0u);
   EXPECT_EQ(index.stats().false_positives, total_false_positives);
+
+  // Across republish epochs. The exact re-check hides a surplus key, so
+  // only a missing key can change an answer, and only a re-bucket can lose
+  // one: this phase republishes at advancing times (uptimes cross bucket
+  // edges), departs providers (their postings linger one epoch, then
+  // expire), retires one replica posting and publishes a new low-level
+  // instance, checking every answer against a model of the postings. A
+  // posting is live if its provider was alive at one of the last two
+  // republishes (or it was published since), with the values of its last
+  // refresh.
+  struct Refresh {
+    std::uint64_t epoch;
+    float uptime_min;
+    float level;
+  };
+  std::map<Posting, Refresh> model;
+  const auto refresh_model = [&](registry::InstanceId i, SimTime at) {
+    const auto level =
+        static_cast<float>(catalog.instance(i).qout.get(kLevel)->lo());
+    for (const net::PeerId p : placement.providers(i)) {
+      if (!peers.alive(p)) continue;
+      const double uptime =
+          std::max(0.0, peers.peer(p).uptime(at).as_minutes());
+      model[pack_posting(i, p)] = {index.epoch(), static_cast<float>(uptime),
+                                   level};
+    }
+  };
+  const auto republish = [&](SimTime at) {
+    clock.set(at);
+    index.publish_all();
+    for (registry::InstanceId i = 0;
+         i < static_cast<registry::InstanceId>(catalog.instance_count()); ++i) {
+      refresh_model(i, at);
+    }
+    std::erase_if(model, [&](const auto& kv) {
+      return index.epoch() - kv.second.epoch >= kExpiryEpochs;
+    });
+  };
+  const auto model_answer = [&](const RangeQuery& q) {
+    std::set<registry::InstanceId> hit;
+    for (const auto& [posting, r] : model) {
+      if (q.min_uptime_min && r.uptime_min < *q.min_uptime_min) continue;
+      if (q.min_level && r.level < *q.min_level) continue;
+      hit.insert(posting_instance(posting));
+    }
+    return std::vector<registry::InstanceId>(hit.begin(), hit.end());
+  };
+  // Uptime floors just below and above the bucket edges 2^k - 1 minutes,
+  // sink level floors, and pure membership.
+  std::vector<RangeQuery> epoch_queries;
+  for (const double uptime :
+       {0.0, 30.9, 31.1, 62.9, 63.1, 126.5, 127.5, 1022.0, 1024.0}) {
+    for (const double level : {0.0, 12.0, 40.0, 88.0}) {
+      RangeQuery q;
+      q.service = s0;
+      if (uptime > 0) q.min_uptime_min = uptime;
+      if (level > 0) q.min_level = level;
+      epoch_queries.push_back(q);
+    }
+  }
+  const auto check_epoch = [&](const char* what) {
+    EXPECT_EQ(index.postings(), model.size()) << what;
+    for (const auto& q : epoch_queries) {
+      std::vector<registry::InstanceId> out;
+      const auto qs = index.query_into(q, 19, nullptr, out);
+      EXPECT_FALSE(qs.failed) << what;
+      EXPECT_EQ(out, model_answer(q))
+          << what << ": uptime >= " << q.min_uptime_min.value_or(0)
+          << ", level >= " << q.min_level.value_or(0);
+    }
+  };
+
+  // The model starts at the first publish.
+  for (registry::InstanceId i = 0; i < 10; ++i) refresh_model(i, published_at);
+  check_epoch("after the first publish");
+  const std::uint64_t updates_before = index.stats().updates;
+
+  peers.remove_peer(3, SimTime::minutes(35));
+  peers.remove_peer(40, SimTime::minutes(35));
+  republish(SimTime::minutes(45));
+  check_epoch("departures refreshed once less");
+
+  // Replica retirement narrows one pool by a live provider.
+  const registry::InstanceId narrowed = 2;
+  const net::PeerId retired = placement.providers(narrowed).back();
+  ASSERT_TRUE(peers.alive(retired));
+  placement.remove_provider(narrowed, retired);
+  index.provider_retired(narrowed, retired);
+  model.erase(pack_posting(narrowed, retired));
+  check_epoch("after the retirement");
+
+  peers.remove_peer(17, SimTime::minutes(50));
+  republish(SimTime::minutes(70));
+  check_epoch("first departures expired");
+
+  // A new instance (a clone appearing between republishes) below every
+  // other level, so a level bucket filed under the uptime arc would hide it.
+  const auto late = add_instance(3, {5, 9, 60});
+  clock.set(SimTime::minutes(90));
+  index.publish(late);
+  refresh_model(late, SimTime::minutes(90));
+  check_epoch("after a single publish");
+
+  republish(SimTime::minutes(130));
+  check_epoch("epoch 4");
+  republish(SimTime::minutes(1100));
+  check_epoch("epoch 5");
+
+  // The phase must have moved and expired postings, or it proves nothing.
+  EXPECT_GT(index.stats().updates, updates_before);
+  EXPECT_GT(index.stats().expiries, 0u);
 }
 
 TEST_F(IndexFixture, ScanCostIsLogNPlusSpanNotPerBucketLookups) {
   const auto i0 = add_instance(50, {3, 7, 11, 13});
   (void)i0;
   auto index = make_index();
-  index.publish_all(SimTime::minutes(1));
+  clock.set(SimTime::minutes(1));
+  index.publish_all();
 
   // A one-bucket scan pays the O(log N) routing leg once.
   RangeQuery narrow;
@@ -366,7 +470,8 @@ TEST_F(IndexFixture, MidScanLossReroutesOrFailsNeverTruncates) {
   }
   auto index = make_index();
   const auto published_at = SimTime::minutes(30);
-  index.publish_all(published_at);
+  clock.set(published_at);
+  index.publish_all();
 
   RangeQuery q;
   q.service = s0;

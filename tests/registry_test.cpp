@@ -288,14 +288,6 @@ TEST_F(DirectoryFixture, DiscoverUnpublishedIsEmpty) {
   EXPECT_TRUE(dir.discover(s0, 3).instances.empty());
 }
 
-TEST_F(DirectoryFixture, UnpublishRemovesInstance) {
-  ServiceDirectory dir(1, ring, catalog);
-  dir.publish_all();
-  dir.unpublish(i0);
-  const auto d = dir.discover(s0, 2);
-  EXPECT_EQ(d.instances, (std::vector<InstanceId>{i1}));
-}
-
 TEST_F(DirectoryFixture, DiscoveryPaysChordHops) {
   ServiceDirectory dir(1, ring, catalog);
   dir.publish_all();

@@ -108,14 +108,13 @@ struct ReplicaFixture : ::testing::Test {
 TEST_F(ReplicaFixture, DemandDecaysWithConfiguredHalfLife) {
   auto cfg = fast_config();
   cfg.threshold = 1000;  // never trips here
-  cfg.demand_half_life = sim::SimTime::minutes(2);
   auto mgr = make(cfg);
 
   const registry::InstanceId insts[] = {i0};
   const auto t0 = sim::SimTime::zero();
   mgr->on_admitted(insts, t0);
   EXPECT_DOUBLE_EQ(mgr->demand(i0, t0), 1.0);
-  EXPECT_NEAR(mgr->demand(i0, t0 + cfg.demand_half_life), 0.5, 1e-12);
+  EXPECT_NEAR(mgr->demand(i0, t0 + replica::kDemandHalfLife), 0.5, 1e-12);
   EXPECT_NEAR(mgr->demand(i0, t0 + sim::SimTime::minutes(8)), 1.0 / 16, 1e-12);
   EXPECT_DOUBLE_EQ(mgr->demand(i0 + 999, t0), 0.0);  // unknown instance
 }

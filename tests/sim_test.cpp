@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
 #include "qsa/sim/event_queue.hpp"
@@ -37,6 +38,19 @@ TEST(SimTime, NegativeTimesSupported) {
   const auto t = SimTime::minutes(-30);
   EXPECT_LT(t, SimTime::zero());
   EXPECT_EQ(SimTime::zero() - t, SimTime::minutes(30));
+}
+
+TEST(SimTimeDeathTest, ConversionsRequireAFiniteValueInRange) {
+  // 1e15 minutes is 6e19 ms, past INT64_MAX (~9.2e18): the cast was
+  // undefined, and in practice a positive horizon read as negative.
+  EXPECT_DEATH((void)SimTime::minutes(1e15), "precondition violated");
+  EXPECT_DEATH((void)SimTime::minutes(-1e15), "precondition violated");
+  EXPECT_DEATH((void)SimTime::seconds(1e17), "precondition violated");
+  EXPECT_DEATH((void)SimTime::seconds(std::nan("")), "precondition violated");
+  EXPECT_DEATH((void)SimTime::minutes(HUGE_VAL), "precondition violated");
+  // The flag bound converts exactly.
+  EXPECT_EQ(SimTime::minutes(1e9).as_millis(), 60'000'000'000'000);
+  EXPECT_EQ(SimTime::seconds(-6e10).as_millis(), -60'000'000'000'000);
 }
 
 // ----------------------------------------------------------- EventQueue

@@ -490,6 +490,36 @@ TEST(FlagsDeathTest, GetDoubleExitsTwoUnlessWhollyAFiniteNumber) {
   }
 }
 
+TEST(FlagsDeathTest, GetDoubleInExitsTwoOutsideTheRange) {
+  for (const char* arg :
+       {"--minutes=1e15", "--minutes=-1.5e9", "--minutes=x"}) {
+    const char* argv[] = {"prog", arg};
+    Flags f(2, argv);
+    EXPECT_EXIT((void)get_double_in(f, "minutes", 60, -kMaxFlagMinutes,
+                                    kMaxFlagMinutes, "prog"),
+                ::testing::ExitedWithCode(2), "--minutes=")
+        << arg;
+  }
+  const char* big[] = {"prog", "--minutes=1e15"};
+  Flags f(2, big);
+  EXPECT_EXIT((void)get_double_in(f, "minutes", 60, -kMaxFlagMinutes,
+                                  kMaxFlagMinutes, "prog"),
+              ::testing::ExitedWithCode(2),
+              "prog: --minutes=1e15 is out of range\nusage: "
+              "--minutes=<-1e\\+09\\.\\.1e\\+09>");
+  const char* edge[] = {"prog", "--a=1e9", "--b=-1e9", "--c=-1"};
+  Flags g(4, edge);
+  EXPECT_EQ(get_double_in(g, "a", 0, -kMaxFlagMinutes, kMaxFlagMinutes, "p"),
+            1e9);
+  EXPECT_EQ(get_double_in(g, "b", 0, -kMaxFlagMinutes, kMaxFlagMinutes, "p"),
+            -1e9);
+  // The sign is the caller's rule: a negative time in range reads as is.
+  EXPECT_EQ(get_double_in(g, "c", 0, -kMaxFlagMinutes, kMaxFlagMinutes, "p"),
+            -1);
+  EXPECT_EQ(get_double_in(g, "d", 7, -kMaxFlagMinutes, kMaxFlagMinutes, "p"),
+            7);
+}
+
 TEST(FlagsDeathTest, GetBoolExitsTwoUnlessABooleanSpelling) {
   // A typo must not read as false: --recovery=ture would silently run
   // without recovery.

@@ -184,14 +184,20 @@ TEST_F(WorkloadFixture, AllLevelsAndAppsExercised) {
 }
 
 TEST_F(WorkloadFixture, ZeroRateGeneratesNothing) {
+  // A vanishing rate draws gaps far past SimTime's range (~1e20 minutes);
+  // they must end the process, not wrap into the past and flood the run.
   const auto apps = make_apps();
-  RequestParams params;
-  params.rate_per_min = 0;
-  RequestGenerator gen(simulator, apps, universe, peers, params,
-                       [&](const core::ServiceRequest&, const Application&,
-                           QosLevel) { FAIL() << "no requests expected"; });
-  gen.start(SimTime::minutes(100));
-  simulator.run_until(SimTime::minutes(100));
+  for (const double rate : {0.0, 1e-20}) {
+    RequestParams params;
+    params.rate_per_min = rate;
+    RequestGenerator gen(simulator, apps, universe, peers, params,
+                         [&](const core::ServiceRequest&, const Application&,
+                             QosLevel) { FAIL() << "no requests expected"; });
+    const SimTime end = simulator.now() + SimTime::minutes(100);
+    gen.start(end);
+    simulator.run_until(end);
+    EXPECT_EQ(gen.generated(), 0u) << rate;
+  }
 }
 
 TEST_F(WorkloadFixture, StopsAtHorizon) {
@@ -261,13 +267,17 @@ TEST_F(WorkloadFixture, ChurnTargetsYoungPeers) {
 }
 
 TEST_F(WorkloadFixture, ZeroChurnIsInert) {
-  ChurnParams params;
-  params.events_per_min = 0;
-  ChurnProcess churn(
-      simulator, peers, params, [&](PeerId) { FAIL(); }, [&] { FAIL(); });
-  churn.start(SimTime::minutes(100));
-  simulator.run_until(SimTime::minutes(100));
-  EXPECT_EQ(churn.departures(), 0u);
+  // As for requests, a vanishing rate's huge gaps end the process.
+  for (const double rate : {0.0, 1e-20}) {
+    ChurnParams params;
+    params.events_per_min = rate;
+    ChurnProcess churn(
+        simulator, peers, params, [&](PeerId) { FAIL(); }, [&] { FAIL(); });
+    const SimTime end = simulator.now() + SimTime::minutes(100);
+    churn.start(end);
+    simulator.run_until(end);
+    EXPECT_EQ(churn.departures(), 0u) << rate;
+  }
 }
 
 }  // namespace
