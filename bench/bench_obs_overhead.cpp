@@ -14,12 +14,14 @@
 //
 // Flags (besides the bench_common set): --minutes=N (1x horizon, default
 // 60 — long enough for the session population to reach steady state, so
-// the 1x high-water is a real baseline), --repeats=N (wall repeats, default
-// 3), --trace-sample=K (default 8), --json-out=FILE (the machine-readable
-// report).
+// the 1x high-water is a real baseline), --repeats=N (wall repeats, >= 1,
+// default 3), --trace-sample=K (1..2^32-1, default 8), --json-out=FILE (the
+// machine-readable report). A knob out of range, or a cell that breaks a
+// GridConfig::validate() rule, exits 2 before any cell runs.
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <ostream>
 #include <streambuf>
 #include <string>
@@ -90,17 +92,29 @@ int main(int argc, char** argv) {
 
   auto on = off;
   on.observe = true;
-  on.trace_sample =
-      static_cast<std::uint32_t>(flags.get_int("trace-sample", 8));
+  on.trace_sample = static_cast<std::uint32_t>(util::get_int_in(
+      flags, "trace-sample", 8, 1, std::numeric_limits<std::uint32_t>::max(),
+      "bench_obs_overhead"));
   on.flight_recorder = 8;
   on.obs_window = sim::SimTime::minutes(2);
 
   auto on_10x = on;
   on_10x.horizon = sim::SimTime::millis(on.horizon.as_millis() * 10);
 
-  const int repeats = static_cast<int>(flags.get_int("repeats", 3));
+  // At least one repeat, or both wall times stay 0 and the overhead is 0/0.
+  const int repeats = static_cast<int>(
+      util::get_int_in(flags, "repeats", 3, 1,
+                       std::numeric_limits<int>::max(), "bench_obs_overhead"));
   const std::string json_out = flags.get("json-out", "");
   util::reject_unknown_flags(flags, "bench_obs_overhead");
+  // A grid aborts on a config that breaks a rule; check every cell first.
+  for (const harness::GridConfig* cfg : {&off, &on, &on_10x}) {
+    if (const std::string_view rule = cfg->validate(); !rule.empty()) {
+      std::printf("out-of-range knob: need %.*s\n",
+                  static_cast<int>(rule.size()), rule.data());
+      return 2;
+    }
+  }
 
   bench::print_header(
       "Observability overhead: streaming trace/series pipeline vs obs off",

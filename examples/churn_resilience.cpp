@@ -29,6 +29,16 @@ int main(int argc, char** argv) {
   base.churn.events_per_min = churn;
   base.horizon = sim::SimTime::minutes(minutes);
   base.algorithm = harness::AlgorithmKind::kQsa;
+  harness::GridConfig blind = base;
+  blind.qsa_options.selector.use_uptime_filter = false;
+  // A grid aborts on a config that breaks a rule; check both first.
+  for (const harness::GridConfig* cfg : {&base, &blind}) {
+    if (const std::string_view rule = cfg->validate(); !rule.empty()) {
+      std::printf("out-of-range knob: need %.*s\n",
+                  static_cast<int>(rule.size()), rule.data());
+      return 2;
+    }
+  }
 
   std::printf("grid of %zu peers, %g churn events/min (~%.1f%%/min), "
               "%g req/min, %g minutes\n\n",
@@ -42,14 +52,11 @@ int main(int argc, char** argv) {
   Row rows[2];
 
   {
-    auto cfg = base;  // uptime filter on (default)
-    harness::GridSimulation grid(cfg);
+    harness::GridSimulation grid(base);  // uptime filter on (default)
     rows[0] = Row{"uptime-aware", grid.run()};
   }
   {
-    auto cfg = base;
-    cfg.qsa_options.selector.use_uptime_filter = false;
-    harness::GridSimulation grid(cfg);
+    harness::GridSimulation grid(blind);
     rows[1] = Row{"uptime-blind", grid.run()};
   }
 

@@ -41,7 +41,9 @@ void print_usage() {
       "                     for million-peer runs\n"
       "  --churn=C          churn events/min (default 0)\n"
       "  --recovery         enable mid-session departure recovery\n"
-      "  --retries=K        admission retries (default 0)\n"
+      "  --retries=K        admission retries (default 0). Integer knobs\n"
+      "                     (--retries, --fault-retries, --max-replicas)\n"
+      "                     take at most 2147483647\n"
       "  --probe-budget=M   neighbors probed per peer, 1..65535\n"
       "                     (default 100)\n"
       "  --bw-weight=W      bandwidth importance weight (default uniform)\n"
@@ -52,7 +54,8 @@ void print_usage() {
       "                     (results are bit-identical either way)\n"
       "  --fault-loss=P     message loss probability on every channel\n"
       "                     (default 0 = perfect messaging)\n"
-      "  --fault-delay-ms=D max extra delay on delivered messages (default 0)\n"
+      "  --fault-delay-ms=D max extra delay on delivered messages (default 0;\n"
+      "                     at most 6e13 ms, the time-knob bound)\n"
       "  --fault-retries=K  resends per lost message (default 2)\n"
       "  --replication      enable demand-driven service replication\n"
       "                     (off by default; off = byte-identical output)\n"
@@ -100,9 +103,12 @@ int main(int argc, char** argv) {
   harness::GridConfig cfg;
   cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
   // The unsigned knobs are range-checked as they are read, so a negative
-  // value cannot wrap into a huge one; GridConfig::validate() below checks
-  // the rest.
+  // value cannot wrap into a huge one, and the int knobs so that a value
+  // past int cannot wrap on narrowing; GridConfig::validate() below checks
+  // the rest, signs included.
   constexpr std::int64_t kU32Max = std::numeric_limits<std::uint32_t>::max();
+  constexpr std::int64_t kIntMin = std::numeric_limits<int>::min();
+  constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
   cfg.peers = static_cast<std::size_t>(
       util::get_int_in(flags, "peers", 1000, 1, kU32Max, "grid_cli"));
   cfg.requests.rate_per_min = flags.get_double("rate", 100);
@@ -113,7 +119,8 @@ int main(int argc, char** argv) {
       "grid_cli"));
   cfg.churn.events_per_min = flags.get_double("churn", 0);
   cfg.enable_recovery = flags.get_bool("recovery", false);
-  cfg.admission_retries = static_cast<int>(flags.get_int("retries", 0));
+  cfg.admission_retries = static_cast<int>(
+      util::get_int_in(flags, "retries", 0, kIntMin, kIntMax, "grid_cli"));
   cfg.probe_budget = static_cast<std::size_t>(util::get_int_in(
       flags, "probe-budget", 100, 1, probe::kMaxNeighborBudget, "grid_cli"));
   cfg.bandwidth_weight = flags.get_double("bw-weight", -1);
@@ -122,9 +129,12 @@ int main(int argc, char** argv) {
       util::kMaxFlagSeconds, "grid_cli"));
   cfg.compose_caches = !flags.get_bool("no-compose-cache", false);
   cfg.faults.set_all_loss(flags.get_double("fault-loss", 0));
-  cfg.faults.max_extra_delay = sim::SimTime::millis(
-      static_cast<std::int64_t>(flags.get_int("fault-delay-ms", 0)));
-  cfg.faults.max_retries = static_cast<int>(flags.get_int("fault-retries", 2));
+  constexpr auto kMaxFlagMs =
+      static_cast<std::int64_t>(util::kMaxFlagSeconds * 1000);
+  cfg.faults.max_extra_delay = sim::SimTime::millis(util::get_int_in(
+      flags, "fault-delay-ms", 0, -kMaxFlagMs, kMaxFlagMs, "grid_cli"));
+  cfg.faults.max_retries = static_cast<int>(util::get_int_in(
+      flags, "fault-retries", 2, kIntMin, kIntMax, "grid_cli"));
   cfg.replication.enabled = flags.get_bool("replication", false);
   cfg.replication.threshold = flags.get_double(
       "replica-threshold", cfg.replication.threshold);
@@ -132,7 +142,8 @@ int main(int argc, char** argv) {
       flags, "replica-cooldown", cfg.replication.cooldown.as_seconds(),
       -util::kMaxFlagSeconds, util::kMaxFlagSeconds, "grid_cli"));
   cfg.replication.max_replicas = static_cast<int>(
-      flags.get_int("max-replicas", cfg.replication.max_replicas));
+      util::get_int_in(flags, "max-replicas", cfg.replication.max_replicas,
+                       kIntMin, kIntMax, "grid_cli"));
   cfg.track_load = flags.get_bool("track-load", false);
   cfg.profile = flags.get_bool("profile", false);
   const std::string trace_out = flags.get("trace-out", "");
@@ -292,11 +303,8 @@ int main(int argc, char** argv) {
     }
     const bool csv = metrics_out.size() >= 4 &&
                      metrics_out.compare(metrics_out.size() - 4, 4, ".csv") == 0;
-    if (csv) {
-      obs::write_metrics_csv(*grid.metrics(), os);
-    } else {
-      obs::write_metrics_json(*grid.metrics(), os);
-    }
+    os << (csv ? obs::metrics_csv(*grid.metrics())
+               : obs::metrics_json(*grid.metrics()));
     std::printf("metrics -> %s\n", metrics_out.c_str());
   }
 

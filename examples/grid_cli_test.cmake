@@ -14,15 +14,18 @@
 #                           request.fail.<cause> metric (absent = 0)
 #   SampledTraceIsSubset    every line of a 1-in-4 trace is a line of the
 #                           full trace, and the printed accounting is the same
+#   ObsArtifacts            a sampled, windowed run with the flight recorder
+#                           writes the series CSV and flight JSONL committed
+#                           under testdata/ and a trace of a pinned SHA-256
 #   ProbeBudgetRange        --probe-budget outside 1..65535 exits 2 with a
 #                           message naming the range; the bounds themselves run
 #   KnobRanges              every other out-of-range knob exits 2 with the
 #                           GridConfig::validate() rule it breaks (or, for an
-#                           unsigned knob or a time knob past 10^9 minutes,
-#                           its range), and so does a numeric
-#                           knob whose value is not wholly a number or a
-#                           boolean knob whose value is not a boolean; the
-#                           bounds themselves run
+#                           unsigned knob, an int knob past int or a time
+#                           knob past 10^9 minutes, its range), and so does
+#                           a numeric knob whose value is not wholly a
+#                           number or a boolean knob whose value is not a
+#                           boolean; the bounds themselves run
 cmake_minimum_required(VERSION 3.16)
 include(${CMAKE_CURRENT_LIST_DIR}/../cmake/clear_qsa_env.cmake)
 
@@ -143,6 +146,19 @@ elseif(CASE STREQUAL "SampledTraceIsSubset")
       message(FATAL_ERROR "sampled span not in the full trace: ${line}")
     endif()
   endforeach()
+elseif(CASE STREQUAL "ObsArtifacts")
+  run_cli(${DIRECTORY_RUN} --trace-sample=4 --flight-recorder=4
+          --obs-window-ms=120000 --trace-out=trace.jsonl
+          --series-out=series.csv --flight-out=flight.jsonl)
+  expect_same_file("${WORK}/series.csv" "${DATA}/grid_cli_obs.series.csv")
+  expect_same_file("${WORK}/flight.jsonl" "${DATA}/grid_cli_obs.flight.jsonl")
+  # The 81 KB trace is pinned by its hash rather than committed.
+  file(SHA256 "${WORK}/trace.jsonl" trace_sha)
+  set(want_sha
+      bb4aa2d9aefd5dd73e85f4e83537673a217f0478dbaed96388b3362047c7d8d6)
+  if(NOT trace_sha STREQUAL want_sha)
+    message(FATAL_ERROR "trace.jsonl SHA-256 ${trace_sha}, want ${want_sha}")
+  endif()
 elseif(CASE STREQUAL "ProbeBudgetRange")
   foreach(budget 0 -1 65536 none)
     execute_process(COMMAND "${GRID_CLI}" --peers=20 --minutes=1
@@ -173,12 +189,16 @@ elseif(CASE STREQUAL "KnobRanges")
       "--minutes=-1@need horizon > 0"
       "--minutes=1e15@--minutes=1e15 is out of range.*<-1e\\+09\\.\\.1e\\+09>"
       "--retries=-2@need admission_retries >= 0"
+      "--retries=4294967296@--retries=4294967296 is out of range"
       "--bw-weight=2@need bandwidth_weight <= 1"
       "--fault-loss=1.5@need 0 <= faults.\\*_loss <= 1"
       "--fault-loss=-0.1@need 0 <= faults.\\*_loss <= 1"
       "--fault-retries=-1@need faults.max_retries >= 0"
+      "--fault-retries=4294967296@--fault-retries=4294967296 is out of range"
+      "--fault-delay-ms=9223372036854775807@--fault-delay-ms=9223372036854775807 is out of range"
       "--replication|--replica-threshold=-1@need replication.threshold > 0"
       "--replication|--max-replicas=-1@need replication.max_replicas >= 0"
+      "--replication|--max-replicas=4294967296@--max-replicas=4294967296 is out of range"
       "--replication|--replica-cooldown=1e17@--replica-cooldown=1e17 is out of range"
       "--discovery-cache-ttl=1e17@--discovery-cache-ttl=1e17 is out of range"
       "--trace-sample=0@--trace-sample=0 is out of range"
@@ -203,8 +223,8 @@ elseif(CASE STREQUAL "KnobRanges")
     endif()
   endforeach()
   run_cli(--peers=1 --minutes=0.5 --rate=0 --churn=0 --retries=0 --bw-weight=1
-          --fault-loss=1 --fault-retries=0 --trace-sample=1 --flight-recorder=0
-          --obs-window-ms=0)
+          --fault-loss=1 --fault-delay-ms=60000000000000 --fault-retries=0
+          --trace-sample=1 --flight-recorder=0 --obs-window-ms=0)
 else()
   message(FATAL_ERROR "unknown CASE '${CASE}'")
 endif()

@@ -45,9 +45,9 @@ struct ServiceRequest {
   /// this — QSA's selection, random's uniform pick, and fixed's dedicated
   /// host all skip excluded providers.
   std::vector<net::PeerId> excluded_hosts;
-  /// Observability correlation id (the harness's 1-based request number).
-  /// 0 = untraced; downstream layers (session manager) key their spans on
-  /// it. Algorithms never read it.
+  /// The harness's 1-based request number; 0 = a request outside its
+  /// accounting. The session manager copies it onto the admitted session
+  /// and keys its spans on it. Algorithms never read it.
   std::uint64_t trace_id = 0;
 };
 

@@ -98,9 +98,11 @@ Delivery FaultPlan::attempt(Channel ch, net::PeerId a, net::PeerId b) const {
     return d;
   }
   if (config_.max_extra_delay > sim::SimTime::zero()) {
+    // The span [0, max] has max + 1 whole milliseconds; summed in double so
+    // no delay can overflow (exact for any max below 2^53 ms).
     d.extra_delay = sim::SimTime::millis(static_cast<std::int64_t>(
         uniform01(util::mix64(h ^ util::hash_str("fault-delay"))) *
-        static_cast<double>(config_.max_extra_delay.as_millis() + 1)));
+        (static_cast<double>(config_.max_extra_delay.as_millis()) + 1)));
   }
   return d;
 }
@@ -116,6 +118,16 @@ sim::SimTime FaultPlan::backoff(Channel ch, int retry) const {
     backoff_hist_->observe(static_cast<double>(wait.as_millis()));
   }
   return wait;
+}
+
+Resend FaultPlan::send(Channel ch, net::PeerId a, net::PeerId b) const {
+  Resend r;
+  while (true) {
+    r.delivery = attempt(ch, a, b);
+    ++r.sends;
+    if (r.delivery.delivered || r.sends > config_.max_retries) return r;
+    r.backoff += backoff(ch, r.sends);
+  }
 }
 
 }  // namespace qsa::fault

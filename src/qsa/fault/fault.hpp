@@ -8,8 +8,8 @@
 // hashing trick NetworkModel uses for pairwise bandwidth/latency — so a
 // faulty run is bit-reproducible and costs nothing to store.
 //
-// Consumers (probe resolution, overlay routing, session recovery) call
-// `attempt` per message send and react to a drop with retry + exponential
+// Consumers (probe resolution, overlay routing, session recovery) send each
+// message through `send`, which reacts to a drop with retry + exponential
 // backoff up to `max_retries`; the plan centralizes the retry/reroute
 // accounting so the grid can export `fault.*` metrics and reconcile the
 // observed drop rate against the configured one.
@@ -89,6 +89,13 @@ struct Delivery {
   sim::SimTime extra_delay;  ///< additional latency when delivered
 };
 
+/// One message resent after each loss (FaultPlan::send).
+struct Resend {
+  Delivery delivery;     ///< the last send's; not delivered = all were lost
+  int sends = 0;         ///< messages put on the wire, resends included
+  sim::SimTime backoff;  ///< summed waits before the resends
+};
+
 class FaultPlan {
  public:
   FaultPlan(std::uint64_t seed, FaultConfig config);
@@ -112,6 +119,12 @@ class FaultPlan {
   /// Accounts retry number `retry` (1-based) on `ch` and returns its
   /// exponential backoff wait (base * 2^(retry-1)).
   [[nodiscard]] sim::SimTime backoff(Channel ch, int retry) const;
+
+  /// The one resend loop: sends a message on `ch` between `a` and `b` and,
+  /// after each loss, backs off and resends, up to `max_retries` resends
+  /// (attempt, backoff, attempt, ...). The caller charges what the lost
+  /// sends cost it.
+  [[nodiscard]] Resend send(Channel ch, net::PeerId a, net::PeerId b) const;
 
   /// Accounts one lookup-hop reroute through an alternate neighbor.
   void note_reroute() const noexcept { ++stats_.rerouted; }

@@ -144,9 +144,8 @@ struct GridConfig {
   /// Head-based trace sampling: keep 1-in-K finished request traces on the
   /// span sink, decided per request via derive_seed(seed,"obs",request_id)
   /// so the kept set is bit-identical across runs and ExperimentRunner
-  /// thread counts. 0 or 1 (the default) keeps every trace. Aggregate
-  /// accounting (GridResult failure counters, tracer phase/status counts)
-  /// stays exact at any rate.
+  /// thread counts. 0 or 1 (the default) keeps every trace. GridResult and
+  /// the request.* counts are exact at any rate.
   std::uint32_t trace_sample = 1;
 
   /// Failure flight recorder: retain the complete span chains of the last K

@@ -1,6 +1,7 @@
 #include "qsa/harness/experiment.hpp"
 
 #include <memory>
+#include <ostream>
 
 #include "qsa/obs/export.hpp"
 #include "qsa/obs/sink.hpp"
@@ -22,20 +23,14 @@ std::vector<ExperimentResult> ExperimentRunner::run(
     // index so output order never depends on scheduling.
     GridSimulation grid(cells[i].config);
     results[i].label = cells[i].label;
-    // Sinks attach before run(): completed requests stream out as they
-    // finish, so the grid never re-buffers a whole run's spans.
-    obs::StringSpanSink trace_sink;
-    grid.set_span_sink(&trace_sink);
+    // The sidecar's obs.spans_emitted counts the spans a writer received,
+    // so the sampled trace is written, to a stream that keeps nothing.
+    std::ostream discard(nullptr);
+    obs::JsonlSpanSink trace(discard);
+    grid.set_span_sink(&trace);
     results[i].result = grid.run();
     if (cells[i].config.observe) {
       results[i].metrics_json = obs::metrics_json(*grid.metrics());
-      results[i].trace_jsonl = trace_sink.str();
-      if (grid.live_series() != nullptr) {
-        results[i].series_csv = grid.live_series()->csv();
-      }
-      if (grid.flight() != nullptr) {
-        results[i].flight_jsonl = grid.flight()->jsonl();
-      }
     }
   });
   return results;

@@ -1,7 +1,10 @@
 // Experiment runner: executes a list of independent GridConfigs (sweep
 // points x algorithms x replications) across a thread pool and returns
 // results in input order — bit-identical regardless of thread count, since
-// every simulation is self-seeded and single-threaded.
+// every simulation is self-seeded and single-threaded. A result carries the
+// GridResult and, for an observed cell, the metrics registry; traces and
+// series stream only to writers a caller attaches to its own
+// GridSimulation.
 #pragma once
 
 #include <span>
@@ -21,18 +24,10 @@ struct ExperimentCell {
 struct ExperimentResult {
   std::string label;
   GridResult result;
-  /// Deterministic observability sidecars, filled iff the cell's config set
-  /// `observe`: the metrics registry as sorted-key JSON, the (sampled)
-  /// request trace as JSON lines streamed through a StringSpanSink, the
-  /// live time-series as CSV (when `obs_window` is set) and the flight
-  /// recorder's retained chains as JSON lines (when `flight_recorder` is
-  /// set). Byte-identical across runner thread counts (every simulation is
-  /// self-seeded, single-threaded, and sim-time-stamped; sampling is a pure
-  /// function of seed and request id).
+  /// The metrics registry as sorted-key JSON, filled iff the cell's config
+  /// set `observe`. Byte-identical across runner thread counts: every
+  /// simulation is self-seeded, single-threaded and sim-time-stamped.
   std::string metrics_json;
-  std::string trace_jsonl;
-  std::string series_csv;
-  std::string flight_jsonl;
 };
 
 class ExperimentRunner {

@@ -212,20 +212,15 @@ GridSimulation::GridSimulation(GridConfig config)
 
   manager_->set_outcome_callback(
       [this](const session::Session& s, core::FailureCause cause) {
-        auto it = pending_window_.find(s.id);
         // Sessions injected directly via sessions().start_session (examples,
-        // tests) bypass request accounting and have no arrival window.
-        if (it == pending_window_.end()) return;
-        const std::size_t window = it->second.window;
-        const std::uint64_t trace = it->second.trace;
-        pending_window_.erase(it);
+        // tests) carry no request number and bypass request accounting.
+        if (s.trace_id == 0) return;
         const bool success = cause == core::FailureCause::kNone;
         if (success) {
-          record_outcome(window, true);
+          record_success(s.start);
         } else {
           QSA_ASSERT(cause == core::FailureCause::kDeparture);
           ++result_.failures_departure;
-          record_outcome(window, false);
         }
         if (series_ != nullptr) {
           ++obs_window_attempts_;
@@ -234,7 +229,7 @@ GridSimulation::GridSimulation(GridConfig config)
         // The request is over: its running/teardown spans are closed (the
         // manager emits them before this callback), so route the chain and
         // recycle its nodes.
-        if (tracer_ != nullptr && trace != 0) tracer_->finish(trace);
+        if (tracer_ != nullptr) tracer_->finish(s.trace_id);
       });
 
   ScopedWallTimer timer(profile_.bootstrap_ms);
@@ -298,13 +293,9 @@ core::AggregationPlan GridSimulation::submit_request(
   return engine_->serve(request);
 }
 
-void GridSimulation::record_outcome(std::size_t window, bool success) {
-  if (window >= windows_.size()) windows_.resize(window + 1);
-  // attempts were counted at arrival; only successes land here.
-  if (success) {
-    ++windows_[window].successes;
-    ++result_.successes;
-  }
+void GridSimulation::record_success(sim::SimTime arrival) {
+  ++windows_[window_of(arrival)].successes;
+  ++result_.successes;
 }
 
 void GridSimulation::trace_setup(std::uint64_t request_id, sim::SimTime now,
@@ -360,15 +351,16 @@ void GridSimulation::trace_setup(std::uint64_t request_id, sim::SimTime now,
 
 void GridSimulation::handle_request(const core::ServiceRequest& request) {
   const sim::SimTime now = simulator_.now();
-  const auto window = static_cast<std::size_t>(
-      now.as_millis() / config_.sample_period.as_millis());
+  const std::size_t window = window_of(now);
   if (window >= windows_.size()) windows_.resize(window + 1);
   ++windows_[window].attempts;
   ++result_.requests;
   const std::uint64_t rid = result_.requests;  // 1-based trace id
 
+  // The request number rides on the admitted session to its outcome (the
+  // session's start is this arrival instant).
   core::ServiceRequest attempt = request;
-  if (tracer_ != nullptr) attempt.trace_id = rid;
+  attempt.trace_id = rid;
   core::FailureCause cause = core::FailureCause::kNone;
   for (int tries = 0; tries <= config_.admission_retries; ++tries) {
     core::AggregationPlan plan;
@@ -435,13 +427,8 @@ void GridSimulation::handle_request(const core::ServiceRequest& request) {
     }
   }
   switch (cause) {
-    case core::FailureCause::kNone: {
-      // Outcome decided later (completion or departure abort). Session ids
-      // are handed out sequentially; the one just admitted is the newest.
-      const session::SessionId id = manager_->last_session_id();
-      pending_window_.emplace(id, Pending{window, rid});
-      break;
-    }
+    case core::FailureCause::kNone:
+      break;  // decided at completion or departure abort
     case core::FailureCause::kDiscovery:
       ++result_.failures_discovery;
       break;
@@ -629,15 +616,15 @@ GridResult GridSimulation::run() {
   // Sessions still healthy at the horizon count as successes. end_open is
   // per-request state, so the unordered sweep is safe; the emission order
   // is fixed afterwards by finish_all()'s ascending request-id drain.
-  for (const auto& [id, pending] : pending_window_) {
-    record_outcome(pending.window, true);
-    if (tracer_ != nullptr && pending.trace != 0) {
+  for (const auto& [id, s] : manager_->running_sessions()) {
+    if (s.trace_id == 0) continue;  // started outside handle_request
+    record_success(s.start);
+    if (tracer_ != nullptr) {
       // The running span is still open; the horizon ends it healthy.
-      tracer_->end_open(pending.trace, simulator_.now(), obs::SpanStatus::kOk,
+      tracer_->end_open(s.trace_id, simulator_.now(), obs::SpanStatus::kOk,
                         "horizon");
     }
   }
-  pending_window_.clear();
   if (tracer_ != nullptr) {
     tracer_->finish_all();
     if (tracer_->sink() != nullptr) tracer_->sink()->flush();

@@ -9,7 +9,6 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "qsa/core/aggregate.hpp"
@@ -179,22 +178,17 @@ class GridSimulation {
     return tracer_ != nullptr ? tracer_->flight() : nullptr;
   }
 
-  /// The live time-series recorder; non-null iff `config.obs_window` is
-  /// non-zero (and observing).
-  [[nodiscard]] obs::LiveSeries* live_series() noexcept {
-    return series_.get();
-  }
-
-  /// Attaches the streaming span destination (not owned). Must be wired
-  /// before run() — completed requests flush incrementally, so spans routed
-  /// while no sink is attached are gone. No-op when not observing.
-  void set_span_sink(obs::SpanSink* sink) noexcept {
+  /// Attaches the streaming span writer (not owned). Must be wired before
+  /// run() — completed requests flush incrementally, so spans routed while
+  /// no writer is attached are gone. No-op when not observing.
+  void set_span_sink(obs::JsonlSpanSink* sink) noexcept {
     if (tracer_ != nullptr) tracer_->set_sink(sink);
   }
 
-  /// Attaches the streaming time-series destination (not owned); same
-  /// wiring rule as set_span_sink(). No-op without a live recorder.
-  void set_series_sink(obs::MetricSink* sink) noexcept {
+  /// Attaches the streaming time-series writer (not owned); same wiring
+  /// rule as set_span_sink(). No-op unless `config.obs_window` is non-zero
+  /// (and observing): only then does a live recorder exist.
+  void set_series_sink(obs::CsvMetricSink* sink) noexcept {
     if (series_ != nullptr) series_->set_sink(sink);
   }
 
@@ -208,7 +202,14 @@ class GridSimulation {
  private:
   void bootstrap();
   void handle_request(const core::ServiceRequest& request);
-  void record_outcome(std::size_t window, bool success);
+  /// The psi sample window an instant falls in.
+  [[nodiscard]] std::size_t window_of(sim::SimTime t) const noexcept {
+    return static_cast<std::size_t>(t.as_millis() /
+                                    config_.sample_period.as_millis());
+  }
+  /// Counts a success for the request that arrived at `arrival`; its
+  /// attempt (and window) was counted then.
+  void record_success(sim::SimTime arrival);
   /// Emits the setup-phase spans (discovery -> composition -> selection ->
   /// admission) of one aggregation attempt. `cause` is the attempt's
   /// outcome; `will_retry` marks a non-terminal admission failure.
@@ -254,18 +255,14 @@ class GridSimulation {
   util::Rng grid_rng_;
   util::Rng recovery_rng_;
 
-  // Outcome accounting bucketed by arrival window.
+  // Outcome accounting bucketed by arrival window. An admitted request's
+  // outcome arrives with its session, which carries the request number
+  // (Session::trace_id) and the arrival instant (Session::start).
   struct Window {
     std::uint64_t attempts = 0;
     std::uint64_t successes = 0;
   };
-  /// An admitted request whose outcome is still undecided.
-  struct Pending {
-    std::size_t window = 0;
-    std::uint64_t trace = 0;  ///< request trace id (0 = untraced)
-  };
   std::vector<Window> windows_;
-  std::unordered_map<session::SessionId, Pending> pending_window_;
   GridResult result_;
   ProfileReport profile_;
   double composition_cost_sum_ = 0;

@@ -4,8 +4,6 @@
 #include <array>
 #include <charconv>
 #include <cstring>
-#include <ostream>
-#include <sstream>
 
 namespace qsa::obs {
 namespace {
@@ -149,10 +147,14 @@ void append_span_json(std::string& out, const Span& span) {
   out += '}';
 }
 
-std::string to_json(const Span& span) {
-  std::string out;
-  append_span_json(out, span);
-  return out;
+void append_series_row(std::string& out, std::string_view series,
+                       sim::SimTime time, double value) {
+  out += series;
+  out += ',';
+  append_i64(out, time.as_millis());
+  out += ',';
+  append_double(out, value);
+  out += '\n';
 }
 
 std::string metrics_json(const MetricsRegistry& registry) {
@@ -191,10 +193,6 @@ std::string metrics_json(const MetricsRegistry& registry) {
   return out;
 }
 
-void write_metrics_json(const MetricsRegistry& registry, std::ostream& os) {
-  os << metrics_json(registry);
-}
-
 std::string metrics_csv(const MetricsRegistry& registry) {
   std::string out = "kind,name,field,value\n";
   auto row = [&out](std::string_view kind, std::string_view name,
@@ -230,10 +228,6 @@ std::string metrics_csv(const MetricsRegistry& registry) {
     row("histogram", name, "p99", h.p99());
   }
   return out;
-}
-
-void write_metrics_csv(const MetricsRegistry& registry, std::ostream& os) {
-  os << metrics_csv(registry);
 }
 
 }  // namespace qsa::obs

@@ -8,18 +8,20 @@
 // identical bytes.
 //
 // Formats:
-//   - trace:   JSON lines, one span per line, produced by the streaming
-//              span sinks (see sink.hpp); span rendering lives here.
+//   - trace:   JSON lines, one span per line, written by JsonlSpanSink
+//              (see sink.hpp); span rendering lives here.
+//   - series:  CSV rows `series,time_ms,value`, written by CsvMetricSink;
+//              row rendering lives here.
 //   - metrics: one JSON object {"counters":{},"gauges":{},"histograms":{}},
 //              or flat CSV rows `kind,name,field,value`.
 #pragma once
 
-#include <iosfwd>
 #include <string>
 #include <string_view>
 
 #include "qsa/obs/registry.hpp"
 #include "qsa/obs/trace_span.hpp"
+#include "qsa/sim/time.hpp"
 
 namespace qsa::obs {
 
@@ -31,15 +33,14 @@ void append_json_string(std::string& out, std::string_view s);
 /// Appends one span as a single JSON object (no newline).
 void append_span_json(std::string& out, const Span& span);
 
-/// One span as a single JSON line (no trailing newline).
-[[nodiscard]] std::string to_json(const Span& span);
+/// Appends one `series,time_ms,value` CSV row (newline included).
+void append_series_row(std::string& out, std::string_view series,
+                       sim::SimTime time, double value);
 
 /// The registry as one sorted-key JSON document (trailing newline).
-void write_metrics_json(const MetricsRegistry& registry, std::ostream& os);
 [[nodiscard]] std::string metrics_json(const MetricsRegistry& registry);
 
 /// The registry as CSV rows `kind,name,field,value` (header included).
-void write_metrics_csv(const MetricsRegistry& registry, std::ostream& os);
 [[nodiscard]] std::string metrics_csv(const MetricsRegistry& registry);
 
 }  // namespace qsa::obs

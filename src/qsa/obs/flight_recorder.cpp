@@ -71,7 +71,8 @@ std::vector<std::string_view> FlightRecorder::causes() const {
   return out;
 }
 
-void FlightRecorder::write_jsonl(std::string& out) const {
+std::string FlightRecorder::jsonl() const {
+  std::string out;
   for (std::string_view cause : causes()) {
     for (const Chain* chain : chains(cause)) {
       out += "{\"cause\":";
@@ -84,22 +85,12 @@ void FlightRecorder::write_jsonl(std::string& out) const {
       out += ",\"spans\":[";
       for (std::size_t i = 0; i < chain->spans.size(); ++i) {
         if (i > 0) out += ',';
-        out += to_json(chain->spans[i]);
+        append_span_json(out, chain->spans[i]);
       }
       out += "]}\n";
     }
   }
-}
-
-std::string FlightRecorder::jsonl() const {
-  std::string out;
-  write_jsonl(out);
   return out;
-}
-
-void FlightRecorder::clear() {
-  rings_.clear();
-  recorded_ = 0;
 }
 
 }  // namespace qsa::obs

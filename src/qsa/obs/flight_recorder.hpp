@@ -51,10 +51,7 @@ class FlightRecorder {
   /// JSONL export: one `{"cause":...,"request":N,"spans":[...]}` object per
   /// retained chain — causes lexicographically, chains oldest first within a
   /// cause. Deterministic for a given run.
-  void write_jsonl(std::string& out) const;
   [[nodiscard]] std::string jsonl() const;
-
-  void clear();
 
  private:
   struct Ring {

@@ -77,10 +77,4 @@ void Histogram::merge(const Histogram& other) noexcept {
   sum_ += other.sum_;
 }
 
-void Histogram::clear() noexcept {
-  buckets_.fill(0);
-  count_ = 0;
-  sum_ = min_ = max_ = 0;
-}
-
 }  // namespace qsa::obs

@@ -51,7 +51,6 @@ class Histogram {
   [[nodiscard]] static double bucket_upper(std::size_t i) noexcept;
 
   void merge(const Histogram& other) noexcept;
-  void clear() noexcept;
 
  private:
   std::array<std::uint64_t, kBuckets> buckets_{};

@@ -29,10 +29,4 @@ Histogram& MetricsRegistry::histogram(std::string_view name) {
   return find_or_create(histograms_, name);
 }
 
-void MetricsRegistry::clear() {
-  counters_.clear();
-  gauges_.clear();
-  histograms_.clear();
-}
-
 }  // namespace qsa::obs

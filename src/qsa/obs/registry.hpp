@@ -65,8 +65,6 @@ class MetricsRegistry {
     return counters_.empty() && gauges_.empty() && histograms_.empty();
   }
 
-  void clear();
-
  private:
   CounterMap counters_;
   GaugeMap gauges_;

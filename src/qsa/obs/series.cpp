@@ -4,55 +4,16 @@
 
 namespace qsa::obs {
 
-LiveSeries::Entry& LiveSeries::entry_for(std::string_view name) {
-  for (Entry& e : entries_) {
-    if (e.name == name) return e;
-  }
-  entries_.push_back(Entry{name, {}, {}});
-  return entries_.back();
-}
-
 void LiveSeries::track(std::string_view name, Probe probe) {
-  entry_for(name).probe = std::move(probe);
+  tracked_.push_back(Tracked{name, std::move(probe)});
 }
 
 void LiveSeries::push(std::string_view name, sim::SimTime now, double value) {
-  // Resolve the index before taking the reference: entry_for may grow the
-  // vector, and rows_ stores indices precisely so growth is safe.
-  Entry& e = entry_for(name);
-  const std::size_t index = static_cast<std::size_t>(&e - entries_.data());
-  e.data.record(now, value);
-  rows_.emplace_back(index, metrics::Sample{now, value});
-  ++samples_;
   if (sink_ != nullptr) sink_->on_sample(name, now, value);
 }
 
 void LiveSeries::sample(sim::SimTime now) {
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    Entry& e = entries_[i];
-    if (!e.probe) continue;
-    const double value = e.probe();
-    e.data.record(now, value);
-    rows_.emplace_back(i, metrics::Sample{now, value});
-    ++samples_;
-    if (sink_ != nullptr) sink_->on_sample(e.name, now, value);
-  }
-}
-
-const metrics::TimeSeries* LiveSeries::series(
-    std::string_view name) const noexcept {
-  for (const Entry& e : entries_) {
-    if (e.name == name) return &e.data;
-  }
-  return nullptr;
-}
-
-std::string LiveSeries::csv() const {
-  StringMetricSink sink;
-  for (const auto& [index, sample] : rows_) {
-    sink.on_sample(entries_[index].name, sample.time, sample.value);
-  }
-  return sink.str();
+  for (Tracked& t : tracked_) push(t.name, now, t.probe());
 }
 
 }  // namespace qsa::obs

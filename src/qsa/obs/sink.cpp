@@ -1,6 +1,5 @@
 #include "qsa/obs/sink.hpp"
 
-#include <charconv>
 #include <ostream>
 
 #include "qsa/obs/export.hpp"
@@ -8,33 +7,16 @@
 namespace qsa::obs {
 namespace {
 
-void append_double(std::string& out, double v) {
-  char buf[32];
-  const auto res = std::to_chars(buf, buf + sizeof buf, v);
-  out.append(buf, res.ptr);
+/// Hands `buffer`'s staged bytes to `os` and empties it.
+void write_out(std::ostream& os, std::string& buffer) {
+  if (buffer.empty()) return;
+  os.write(buffer.data(), static_cast<std::streamsize>(buffer.size()));
+  buffer.clear();
 }
-
-void append_i64(std::string& out, std::int64_t v) {
-  char buf[24];
-  const auto res = std::to_chars(buf, buf + sizeof buf, v);
-  out.append(buf, res.ptr);
-}
-
-constexpr std::string_view kSeriesHeader = "series,time_ms,value\n";
 
 }  // namespace
 
-void append_series_row(std::string& out, std::string_view series,
-                       sim::SimTime time, double value) {
-  out += series;
-  out += ',';
-  append_i64(out, time.as_millis());
-  out += ',';
-  append_double(out, value);
-  out += '\n';
-}
-
-JsonlSpanSink::~JsonlSpanSink() { JsonlSpanSink::flush(); }
+JsonlSpanSink::~JsonlSpanSink() { flush(); }
 
 void JsonlSpanSink::on_span(const Span& span) {
   append_span_json(buffer_, span);
@@ -43,23 +25,12 @@ void JsonlSpanSink::on_span(const Span& span) {
   if (buffer_.size() >= kChunk) flush();
 }
 
-void JsonlSpanSink::flush() {
-  if (buffer_.empty()) return;
-  os_.write(buffer_.data(), static_cast<std::streamsize>(buffer_.size()));
-  buffer_.clear();
-}
+void JsonlSpanSink::flush() { write_out(os_, buffer_); }
 
-void StringSpanSink::on_span(const Span& span) {
-  append_span_json(out_, span);
-  out_ += '\n';
-  ++spans_;
-}
+CsvMetricSink::CsvMetricSink(std::ostream& os)
+    : os_(os), buffer_("series,time_ms,value\n") {}
 
-CsvMetricSink::CsvMetricSink(std::ostream& os) : os_(os) {
-  buffer_ = kSeriesHeader;
-}
-
-CsvMetricSink::~CsvMetricSink() { CsvMetricSink::flush(); }
+CsvMetricSink::~CsvMetricSink() { flush(); }
 
 void CsvMetricSink::on_sample(std::string_view series, sim::SimTime time,
                               double value) {
@@ -67,17 +38,6 @@ void CsvMetricSink::on_sample(std::string_view series, sim::SimTime time,
   if (buffer_.size() >= kChunk) flush();
 }
 
-void CsvMetricSink::flush() {
-  if (buffer_.empty()) return;
-  os_.write(buffer_.data(), static_cast<std::streamsize>(buffer_.size()));
-  buffer_.clear();
-}
-
-StringMetricSink::StringMetricSink() : out_(kSeriesHeader) {}
-
-void StringMetricSink::on_sample(std::string_view series, sim::SimTime time,
-                                 double value) {
-  append_series_row(out_, series, time, value);
-}
+void CsvMetricSink::flush() { write_out(os_, buffer_); }
 
 }  // namespace qsa::obs

@@ -1,19 +1,21 @@
-// Streaming output interfaces for the observability layer.
+// The two streaming writers of the observability layer: spans as JSON lines
+// and live time-series samples as CSV rows, each over a std::ostream.
 //
-// The tracer and the live time-series recorder never buffer a whole run any
-// more: completed artifacts are pushed through these sinks as they are
-// produced, so resident observability memory stays O(active requests) while
-// the files on disk grow with the run. Writers are chunked — bytes are
-// staged in a reused string and handed to the stream in kChunk-sized writes,
-// so the hot path never does per-span stream I/O or per-span allocation
-// beyond the occasional buffer growth.
+// The tracer and the live time-series recorder never buffer a whole run:
+// completed artifacts go through these writers as they are produced, so
+// resident observability memory stays O(active requests) while the files on
+// disk grow with the run. Writers are chunked — bytes are staged in a
+// reused string and handed to the stream in kChunk-sized writes, so the hot
+// path never does per-span stream I/O or per-span allocation beyond the
+// occasional buffer growth. A caller that wants the output in memory (a
+// test) gives the writer a std::ostringstream.
 //
-// Determinism: a sink only ever sees what the (single-threaded, seeded)
-// simulation feeds it, in feed order, rendered with the same std::to_chars
-// formatting as every other exporter — so the emitted byte stream is
-// reproducible across runs, platforms and ExperimentRunner thread counts.
+// Determinism: a writer only ever sees what the (single-threaded, seeded)
+// simulation feeds it, in feed order, rendered by export.hpp's renderers —
+// so the emitted byte stream is reproducible across runs and platforms.
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <string_view>
@@ -24,35 +26,21 @@
 namespace qsa::obs {
 
 /// Receives every completed span of every *emitted* request (sampling and
-/// request routing happen in the Tracer; a sink just renders/stores).
-class SpanSink {
- public:
-  virtual ~SpanSink() = default;
-  virtual void on_span(const Span& span) = 0;
-  /// Hands any staged bytes to the backing store. Called at end of run and
-  /// whenever a consumer needs the output complete.
-  virtual void flush() {}
-};
-
-/// Receives live time-series samples (one named series point per call).
-class MetricSink {
- public:
-  virtual ~MetricSink() = default;
-  virtual void on_sample(std::string_view series, sim::SimTime time,
-                         double value) = 0;
-  virtual void flush() {}
-};
-
-/// JSON-lines span writer over an ostream, one span object per line.
-class JsonlSpanSink : public SpanSink {
+/// request routing happen in the Tracer) and writes one JSON object per
+/// line.
+class JsonlSpanSink {
  public:
   static constexpr std::size_t kChunk = 64 * 1024;
 
   explicit JsonlSpanSink(std::ostream& os) : os_(os) {}
-  ~JsonlSpanSink() override;
+  ~JsonlSpanSink();
+  JsonlSpanSink(const JsonlSpanSink&) = delete;
+  JsonlSpanSink& operator=(const JsonlSpanSink&) = delete;
 
-  void on_span(const Span& span) override;
-  void flush() override;
+  void on_span(const Span& span);
+  /// Hands any staged bytes to the stream. Called at end of run and
+  /// whenever a consumer needs the output complete.
+  void flush();
 
   [[nodiscard]] std::uint64_t spans_written() const noexcept {
     return spans_written_;
@@ -64,58 +52,24 @@ class JsonlSpanSink : public SpanSink {
   std::uint64_t spans_written_ = 0;
 };
 
-/// Span sink accumulating the JSONL stream in memory (tests, the
-/// ExperimentRunner's per-cell sidecars).
-class StringSpanSink : public SpanSink {
- public:
-  void on_span(const Span& span) override;
-
-  [[nodiscard]] const std::string& str() const noexcept { return out_; }
-  [[nodiscard]] std::uint64_t spans() const noexcept { return spans_; }
-  void clear() noexcept {
-    out_.clear();
-    spans_ = 0;
-  }
-
- private:
-  std::string out_;
-  std::uint64_t spans_ = 0;
-};
-
-/// CSV time-series writer: header `series,time_ms,value`, one row per
-/// sample, in feed order (chronological, series in per-window record order).
-class CsvMetricSink : public MetricSink {
+/// Receives live time-series samples and writes CSV: header
+/// `series,time_ms,value`, one row per sample, in feed order (chronological,
+/// series in per-window record order).
+class CsvMetricSink {
  public:
   static constexpr std::size_t kChunk = 64 * 1024;
 
   explicit CsvMetricSink(std::ostream& os);
-  ~CsvMetricSink() override;
+  ~CsvMetricSink();
+  CsvMetricSink(const CsvMetricSink&) = delete;
+  CsvMetricSink& operator=(const CsvMetricSink&) = delete;
 
-  void on_sample(std::string_view series, sim::SimTime time,
-                 double value) override;
-  void flush() override;
+  void on_sample(std::string_view series, sim::SimTime time, double value);
+  void flush();
 
  private:
   std::ostream& os_;
   std::string buffer_;
 };
-
-/// Time-series sink accumulating the CSV stream in memory.
-class StringMetricSink : public MetricSink {
- public:
-  StringMetricSink();
-
-  void on_sample(std::string_view series, sim::SimTime time,
-                 double value) override;
-
-  [[nodiscard]] const std::string& str() const noexcept { return out_; }
-
- private:
-  std::string out_;
-};
-
-/// Appends one `series,time_ms,value` CSV row (shared by the two CSV sinks).
-void append_series_row(std::string& out, std::string_view series,
-                       sim::SimTime time, double value);
 
 }  // namespace qsa::obs

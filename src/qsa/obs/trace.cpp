@@ -109,9 +109,6 @@ void Tracer::end(SpanId span, sim::SimTime now, SpanStatus status,
   s->status = status;
   s->cause = cause;
 
-  ++counts_[static_cast<std::size_t>(s->phase)]
-           [static_cast<std::size_t>(status)];
-
   auto it = chains_.find(s->request);
   QSA_EXPECTS(it != chains_.end());
   Chain& chain = it->second;
@@ -132,16 +129,7 @@ void Tracer::end(SpanId span, sim::SimTime now, SpanStatus status,
     if (status == SpanStatus::kOk) chain.recovered = true;
     return;  // a failed repair attempt is not a request outcome
   }
-  if (status == SpanStatus::kFail) {
-    chain.fail_cause = cause;
-    for (auto& [name, n] : failures_) {
-      if (name == cause) {
-        ++n;
-        return;
-      }
-    }
-    failures_.emplace_back(cause, 1);
-  }
+  if (status == SpanStatus::kFail) chain.fail_cause = cause;
 }
 
 Tracer::SpanId Tracer::instant(std::uint64_t request, Phase phase,
@@ -219,36 +207,10 @@ void Tracer::finish_all() {
   for (std::uint64_t request : requests) finish(request);
 }
 
-std::uint64_t Tracer::count(Phase phase, SpanStatus status) const {
-  return counts_[static_cast<std::size_t>(phase)]
-                [static_cast<std::size_t>(status)];
-}
-
-std::uint64_t Tracer::failures(std::string_view cause) const {
-  for (const auto& [name, n] : failures_) {
-    if (name == cause) return n;
-  }
-  return 0;
-}
-
 std::size_t Tracer::open_spans() const noexcept {
   std::size_t n = 0;
   for (const auto& [request, chain] : chains_) n += chain.open.size();
   return n;
-}
-
-void Tracer::clear() {
-  slab_.clear();
-  free_.clear();
-  chains_.clear();
-  flight_scratch_.clear();
-  for (auto& by_status : counts_) {
-    for (auto& n : by_status) n = 0;
-  }
-  failures_.clear();
-  live_ = peak_ = 0;
-  emitted_ = sampled_requests_ = finished_requests_ = 0;
-  if (flight_) flight_->clear();
 }
 
 }  // namespace qsa::obs

@@ -12,13 +12,12 @@
 // Routing on finish:
 //   * failed or recovered requests -> the FlightRecorder (complete chains,
 //     fixed-capacity ring per cause) when one is configured;
-//   * head-sampled requests -> the SpanSink (JSONL stream), using
+//   * head-sampled requests -> the JsonlSpanSink, using
 //     derive_seed(seed, "obs", request_id) so the keep/drop decision is a
 //     pure function of (seed, request id) — bit-identical across runs and
-//     ExperimentRunner thread counts;
-//   * phase/status counts and per-cause failure tallies are incremented at
-//     end() for every span, so aggregate accounting stays exact under any
-//     sampling rate.
+//     ExperimentRunner thread counts.
+// The tracer keeps no tallies of its own: the trace itself is the record,
+// and GridResult and the request.* counts are exact at any sampling rate.
 //
 // Cost model: the Tracer is only ever reached through a nullable pointer;
 // with no tracer attached instrumentation is one pointer test. Attribute
@@ -41,7 +40,7 @@
 
 namespace qsa::obs {
 
-class SpanSink;
+class JsonlSpanSink;
 
 namespace detail {
 
@@ -85,10 +84,10 @@ class Tracer {
   Tracer() : Tracer(TraceConfig{}) {}
   explicit Tracer(const TraceConfig& config);
 
-  /// Attaches the streaming span destination (not owned). Pass nullptr to
-  /// trace for accounting only.
-  void set_sink(SpanSink* sink) noexcept { sink_ = sink; }
-  [[nodiscard]] SpanSink* sink() const noexcept { return sink_; }
+  /// Attaches the streaming span destination (not owned). Without one,
+  /// only the flight recorder sees finished chains.
+  void set_sink(JsonlSpanSink* sink) noexcept { sink_ = sink; }
+  [[nodiscard]] JsonlSpanSink* sink() const noexcept { return sink_; }
 
   /// The flight recorder, or nullptr when flight_capacity was 0.
   [[nodiscard]] FlightRecorder* flight() noexcept { return flight_.get(); }
@@ -138,15 +137,6 @@ class Tracer {
   /// (deterministic drain at end of run).
   void finish_all();
 
-  /// Number of closed spans with this phase and status. Exact under any
-  /// sampling rate (tallied at end(), not from retained spans).
-  [[nodiscard]] std::uint64_t count(Phase phase, SpanStatus status) const;
-
-  /// Number of terminal request failures attributed to `cause` (status
-  /// kFail). Recovery spans are excluded: a failed repair attempt is not a
-  /// request outcome — the enclosing running span carries the verdict.
-  [[nodiscard]] std::uint64_t failures(std::string_view cause) const;
-
   /// Number of open spans (diagnostic; 0 after a completed run).
   [[nodiscard]] std::size_t open_spans() const noexcept;
 
@@ -167,9 +157,6 @@ class Tracer {
     return finished_requests_;
   }
 
-  /// Resets all state (retains the configuration and sink).
-  void clear();
-
  private:
   static constexpr std::uint32_t kNil = detail::kNilSlot;
   using Node = detail::TraceNode;
@@ -181,17 +168,13 @@ class Tracer {
   void release_chain(Chain& chain);
 
   TraceConfig config_;
-  SpanSink* sink_ = nullptr;
+  JsonlSpanSink* sink_ = nullptr;
   std::unique_ptr<FlightRecorder> flight_;
 
   std::vector<Node> slab_;
   std::vector<std::uint32_t> free_;
   util::DenseMap<std::uint64_t, Chain> chains_;
   std::vector<Span> flight_scratch_;  ///< reused chain copy for the recorder
-
-  std::uint64_t counts_[kPhaseCount][kStatusCount] = {};
-  /// Per-cause terminal failure tallies; causes are few static names.
-  std::vector<std::pair<std::string_view, std::uint64_t>> failures_;
 
   std::size_t live_ = 0;
   std::size_t peak_ = 0;

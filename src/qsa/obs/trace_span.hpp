@@ -26,7 +26,6 @@ enum class Phase : std::uint8_t {
   kRecovery,     ///< mid-session departure repair attempt
   kTeardown,     ///< reservation release at normal completion
 };
-inline constexpr std::size_t kPhaseCount = 7;
 
 [[nodiscard]] std::string_view to_string(Phase phase);
 
@@ -37,7 +36,6 @@ enum class SpanStatus : std::uint8_t {
   kRetry,  ///< phase failed but the request retried (not terminal)
   kAbort,  ///< closed without a verdict (e.g. horizon reached mid-phase)
 };
-inline constexpr std::size_t kStatusCount = 5;
 
 [[nodiscard]] std::string_view to_string(SpanStatus status);
 

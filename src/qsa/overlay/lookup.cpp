@@ -6,22 +6,17 @@ bool LookupService::deliver_hop(net::PeerId a, net::PeerId b,
                                 LookupStats& stats,
                                 const net::NetworkModel* net) const {
   if (!faults_active()) return true;
-  const int budget = faults_->config().max_retries;
-  for (int send = 0; send <= budget; ++send) {
-    const fault::Delivery d = faults_->attempt(fault::Channel::kLookup, a, b);
-    if (d.delivered) {
-      stats.latency += d.extra_delay;
-      return true;
-    }
-    // The message vanished: the hop was still paid for, and the sender sits
-    // out a timeout (modeled as the pair latency) before resending.
-    ++stats.hops;
-    if (net != nullptr) stats.latency += net->latency(a, b);
-    if (send < budget) {
-      stats.latency += faults_->backoff(fault::Channel::kLookup, send + 1);
-    }
+  const fault::Resend r = faults_->send(fault::Channel::kLookup, a, b);
+  // Each lost message was still paid for as a hop, and the sender sat out a
+  // timeout (modeled as the pair latency) before resending.
+  const int lost = r.delivery.delivered ? r.sends - 1 : r.sends;
+  stats.hops += lost;
+  if (net != nullptr) {
+    stats.latency +=
+        sim::SimTime::millis(lost * net->latency(a, b).as_millis());
   }
-  return false;
+  stats.latency += r.backoff + r.delivery.extra_delay;
+  return r.delivery.delivered;
 }
 
 }  // namespace qsa::overlay

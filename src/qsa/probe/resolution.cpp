@@ -34,14 +34,10 @@ fault::Delivery NeighborResolution::send_soft_state(fault::Channel ch,
                                                     bool count_first_send) {
   if (count_first_send) ++messages_;
   if (faults_ == nullptr || !faults_->enabled()) return {};
-  const int budget = faults_->config().max_retries;
-  for (int send = 0; send <= budget; ++send) {
-    if (send > 0) ++messages_;  // every resend is real protocol overhead
-    const fault::Delivery d = faults_->attempt(ch, a, b);
-    if (d.delivered) return d;
-    if (send < budget) (void)faults_->backoff(ch, send + 1);
-  }
-  return {false, sim::SimTime::zero()};
+  const fault::Resend r = faults_->send(ch, a, b);
+  // Every resend is real protocol overhead.
+  messages_ += static_cast<std::uint64_t>(r.sends - 1);
+  return r.delivery;
 }
 
 NeighborTable& NeighborResolution::table(net::PeerId peer) {

@@ -214,8 +214,8 @@ core::FailureCause SessionManager::start_session(
   const SessionId id = s.id;
   s.end_event = simulator_.schedule_at(
       s.end, [this, id] { finish_session(id, core::FailureCause::kNone); });
-  if (tracer_ != nullptr && request.trace_id != 0) {
-    s.trace_id = request.trace_id;
+  s.trace_id = request.trace_id;
+  if (tracer_ != nullptr && s.trace_id != 0) {
     s.trace_span = tracer_->begin(s.trace_id, obs::Phase::kRunning, now);
     tracer_->annotate(s.trace_span, "hosts",
                       static_cast<double>(s.hosts.size()));
@@ -330,17 +330,9 @@ bool SessionManager::try_recover(SessionId id, net::PeerId failed) {
 
 bool SessionManager::reservation_rtt(net::PeerId a, net::PeerId b) {
   if (faults_ == nullptr || !faults_->enabled()) return true;
-  const int budget = faults_->config().max_retries;
-  for (int send = 0; send <= budget; ++send) {
-    if (faults_->attempt(fault::Channel::kReservation, a, b).delivered) {
-      return true;
-    }
-    // The round-trip timed out; back off before asking again.
-    if (send < budget) {
-      (void)faults_->backoff(fault::Channel::kReservation, send + 1);
-    }
-  }
-  return false;
+  // A lost round-trip times out and is asked again after a backoff; the
+  // repair is instantaneous in sim time, so the waits cost it nothing.
+  return faults_->send(fault::Channel::kReservation, a, b).delivery.delivered;
 }
 
 bool SessionManager::recover_hosts(Session& s, net::PeerId failed) {

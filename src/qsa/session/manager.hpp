@@ -141,6 +141,11 @@ class SessionManager {
   [[nodiscard]] std::size_t active_sessions() const noexcept {
     return sessions_.size();
   }
+  /// The admitted sessions still running, by id, in no particular order.
+  [[nodiscard]] const std::unordered_map<SessionId, Session>&
+  running_sessions() const noexcept {
+    return sessions_;
+  }
   /// Id of the most recently admitted session (0 if none yet). Valid right
   /// after a successful start_session.
   [[nodiscard]] SessionId last_session_id() const noexcept {

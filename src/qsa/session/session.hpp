@@ -39,9 +39,9 @@ struct Session {
   std::vector<LinkReservation> link_reservations;
   sim::EventHandle end_event;
 
-  /// Observability: the originating request's trace id (0 = untraced) and
-  /// the open `running` span the manager keeps for it (a generation-tagged
-  /// obs::Tracer::SpanId).
+  /// The originating request's number (ServiceRequest::trace_id; 0 = none)
+  /// and, when a tracer is attached, the open `running` span the manager
+  /// keeps for it (a generation-tagged obs::Tracer::SpanId).
   std::uint64_t trace_id = 0;
   std::uint64_t trace_span = 0;
 };

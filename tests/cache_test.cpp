@@ -16,12 +16,12 @@
 #include <string>
 #include <vector>
 
+#include "obs_capture.hpp"
 #include "qsa/cache/compose_cache.hpp"
 #include "qsa/cache/discovery_cache.hpp"
 #include "qsa/core/baselines.hpp"
 #include "qsa/harness/grid.hpp"
 #include "qsa/obs/export.hpp"
-#include "qsa/obs/sink.hpp"
 #include "qsa/overlay/chord_ring.hpp"
 #include "qsa/qos/satisfy.hpp"
 #include "qsa/registry/directory.hpp"
@@ -436,11 +436,11 @@ struct RunArtifacts {
 
 RunArtifacts run_grid(const harness::GridConfig& cfg) {
   harness::GridSimulation grid(cfg);
-  obs::StringSpanSink sink;  // spans stream out as requests finish
-  grid.set_span_sink(&sink);
+  test::SpanCapture trace;  // spans stream out as requests finish
+  grid.set_span_sink(&trace.sink);
   RunArtifacts a;
   a.result = grid.run();
-  a.trace = sink.str();
+  a.trace = trace.str();
   a.metrics_csv = obs::metrics_csv(*grid.metrics());
   return a;
 }

@@ -33,9 +33,9 @@
 #include <sstream>
 #include <string>
 
+#include "obs_capture.hpp"
 #include "qsa/harness/grid.hpp"
 #include "qsa/obs/export.hpp"
-#include "qsa/obs/sink.hpp"
 #include "qsa/overlay/chord_ring.hpp"
 
 namespace qsa::harness {
@@ -126,8 +126,10 @@ struct RunDigests {
 
 RunDigests run_digests(const GridConfig& cfg) {
   GridSimulation grid(cfg);
-  obs::StringSpanSink trace;
-  grid.set_span_sink(&trace);
+  test::SpanCapture trace;
+  grid.set_span_sink(&trace.sink);
+  test::SeriesCapture series;
+  grid.set_series_sink(&series.sink);
   const GridResult r = grid.run();
 
   std::ostringstream sim;
@@ -142,8 +144,8 @@ RunDigests run_digests(const GridConfig& cfg) {
     if (grid.flight() != nullptr) {
       obs_os << "flight:" << fnv1a(grid.flight()->jsonl()) << '\n';
     }
-    if (grid.live_series() != nullptr) {
-      obs_os << "series:" << fnv1a(grid.live_series()->csv()) << '\n';
+    if (cfg.obs_window > sim::SimTime::zero()) {
+      obs_os << "series:" << fnv1a(series.str()) << '\n';
     }
     out.obs = fnv1a(obs_os.str());
   }
