@@ -170,6 +170,12 @@ int main(int argc, char** argv) {
        << ",\"growth\":" << growth << "},\"trace\":{"
        << "\"spans_emitted_1x\":" << s_on.spans_emitted
        << ",\"sampled_requests_1x\":" << s_on.sampled_requests << "}}\n";
+    os.close();
+    if (!os) {
+      std::fprintf(stderr, "cannot write --json-out file %s\n",
+                   json_out.c_str());
+      return 1;
+    }
     std::printf("json report -> %s\n", json_out.c_str());
   }
   return 0;

@@ -289,6 +289,12 @@ int main(int argc, char** argv) {
          << ",\"resident_slots\":" << c.resident_slots << '}';
     }
     os << "]}\n";
+    os.close();
+    if (!os) {
+      std::fprintf(stderr, "cannot write --json-out file %s\n",
+                   json_out.c_str());
+      return 1;
+    }
     std::printf("\njson report -> %s\n", json_out.c_str());
   }
   return 0;

@@ -6,7 +6,8 @@
 # Cases:
 #   ThreadCountInvariant  four cheap studies print byte-identical stdout and
 #                         write a byte-identical sidecar at --threads=1 and 4
-#   UnknownNameExits2     an unknown study name or flag exits 2
+#   UnknownNameExits2     an unknown study name or flag, or a stray
+#                         argument, exits 2
 #   UnwritableSidecarFails  a --metrics-out file that cannot be opened
 #                         exits 2; one that cannot be written exits 1
 #   BadKnobExits2         --scale <= 0 and --threads outside 0..1024 exit 2
@@ -48,6 +49,7 @@ elseif(CASE STREQUAL "UnknownNameExits2")
   run_paper("${WORK}" 2 --only=nope)
   run_paper("${WORK}" 2 --only=fig7,nope)
   run_paper("${WORK}" 2 --only=overlay --minutes=5)
+  run_paper("${WORK}" 2 --only=overlay extra)
 elseif(CASE STREQUAL "UnwritableSidecarFails")
   # A regular file where the sidecar's directory should be.
   file(WRITE "${WORK}/blocker" "")

@@ -10,7 +10,7 @@
 #                        broken rule and the usage and exits 2 before any
 #                        cell runs; a --minutes past 10^9 exits 2 naming
 #                        its range
-#   UnknownFlagExits2    an unknown flag exits 2
+#   UnknownFlagExits2    an unknown flag or a stray argument exits 2
 #   SmallCellRuns        one small cell runs and prints its row
 cmake_minimum_required(VERSION 3.16)
 include(${CMAKE_CURRENT_LIST_DIR}/../cmake/clear_qsa_env.cmake)
@@ -64,11 +64,13 @@ elseif(CASE STREQUAL "BadKnobExits2")
             "${stdout}${stderr}")
   endif()
 elseif(CASE STREQUAL "UnknownFlagExits2")
-  execute_process(COMMAND "${SCALING}" --ns=300 --bogus=1
-                  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
-  if(NOT rc STREQUAL "2")
-    message(FATAL_ERROR "--bogus=1: exit ${rc}, want 2")
-  endif()
+  foreach(stray --bogus=1 extra)
+    execute_process(COMMAND "${SCALING}" --ns=300 ${stray}
+                    RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
+    if(NOT rc STREQUAL "2")
+      message(FATAL_ERROR "${stray}: exit ${rc}, want 2")
+    endif()
+  endforeach()
 elseif(CASE STREQUAL "SmallCellRuns")
   run_scaling(0 "N=300 " --ns=300 --minutes=1)
 else()

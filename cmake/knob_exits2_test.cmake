@@ -6,7 +6,8 @@
 #
 # Each entry passes its knob before the program's cheap defaults (flags are
 # first-occurrence-wins) and fails unless the program exits 2 and prints the
-# wanted message. The exit code is checked first: an aborting program also
+# wanted message; a stray argument (no program takes a positional one) is
+# one more entry. The exit code is checked first: an aborting program also
 # names the broken rule. Then the bounds themselves must run.
 cmake_minimum_required(VERSION 3.16)
 include(${CMAKE_CURRENT_LIST_DIR}/clear_qsa_env.cmake)
@@ -18,7 +19,8 @@ if(CASE STREQUAL "churn_resilience")
   set(defaults --minutes=1)
   set(cases
       "--minutes=-1@out-of-range knob: need horizon > 0"
-      "--churn=-1@out-of-range knob: need churn.events_per_min >= 0")
+      "--churn=-1@out-of-range knob: need churn.events_per_min >= 0"
+      "extra@unknown flag extra")
   set(bounds --churn=0)
 elseif(CASE STREQUAL "bench_obs_overhead")
   set(defaults --scale=0.03 --minutes=1 --repeats=1)
@@ -27,7 +29,8 @@ elseif(CASE STREQUAL "bench_obs_overhead")
       "--trace-sample=-1@--trace-sample=-1 is out of range"
       "--trace-sample=0@--trace-sample=0 is out of range"
       "--trace-sample=4294967296@--trace-sample=4294967296 is out of range"
-      "--repeats=0@--repeats=0 is out of range")
+      "--repeats=0@--repeats=0 is out of range"
+      "extra@unknown flag extra")
   set(bounds --trace-sample=4294967295)
 else()
   message(FATAL_ERROR "unknown CASE '${CASE}'")

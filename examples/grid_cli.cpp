@@ -80,15 +80,18 @@ void print_usage() {
       "                     failed/recovered requests per failure cause,\n"
       "                     regardless of sampling (default 0 = off)\n"
       "  --flight-out=FILE  write the flight recorder's chains as JSON\n"
-      "                     lines (implies --flight-recorder=8 if unset)\n"
+      "                     lines (implies --flight-recorder=8 if unset;\n"
+      "                     with --flight-recorder=0 it exits 2)\n"
       "  --obs-window-ms=M  sample live time-series (windowed psi, queue\n"
       "                     depth, cache hit rates, replica counts) every\n"
       "                     M sim-milliseconds (default 0 = off)\n"
       "  --series-out=FILE  write the live time-series as CSV rows\n"
       "                     `series,time_ms,value` (implies a 2-minute\n"
-      "                     --obs-window-ms if unset)\n"
+      "                     --obs-window-ms if unset; with\n"
+      "                     --obs-window-ms=0 it exits 2)\n"
       "  --metrics-out=FILE write the metrics snapshot (CSV if FILE ends\n"
-      "                     in .csv, JSON otherwise)\n");
+      "                     in .csv, JSON otherwise)\n"
+      "A file that cannot be written exits 1.\n");
 }
 
 }  // namespace
@@ -196,15 +199,23 @@ int main(int argc, char** argv) {
 
   // Every recognized flag has been consulted by now; anything left in argv
   // is a typo that would otherwise silently run the wrong experiment.
-  if (const auto bad = flags.unknown(); !bad.empty()) {
-    for (const auto& f : bad) std::printf("unknown flag --%s\n", f.c_str());
-    std::printf("\n");
-    print_usage();
-    return 2;
-  }
+  util::reject_unknown_flags(flags, "grid_cli");
   if (const std::string_view rule = cfg.validate(); !rule.empty()) {
     std::printf("out-of-range knob: need %.*s\n\n",
                 static_cast<int>(rule.size()), rule.data());
+    print_usage();
+    return 2;
+  }
+  // An artifact whose recorder is switched off would be empty (flight) or
+  // a bare header (series).
+  const char* conflict =
+      !flight_out.empty() && cfg.flight_recorder == 0
+          ? "--flight-out needs --flight-recorder >= 1"
+      : !series_out.empty() && cfg.obs_window.as_millis() == 0
+          ? "--series-out needs --obs-window-ms >= 1"
+          : nullptr;
+  if (conflict != nullptr) {
+    std::printf("conflicting knobs: %s\n\n", conflict);
     print_usage();
     return 2;
   }
@@ -274,13 +285,24 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(value));
   }
 
+  // A write that failed (a full disk, /dev/full) fails the run, as in
+  // `paper`: the artifact would otherwise be silently truncated.
+  const auto closed = [](std::ofstream& os, const char* flag,
+                         const std::string& path) {
+    os.close();
+    if (!os) std::printf("cannot write --%s file '%s'\n", flag, path.c_str());
+    return static_cast<bool>(os);
+  };
+
   if (trace_sink != nullptr) {
     trace_sink->flush();
+    if (!closed(trace_os, "trace-out", trace_out)) return 1;
     std::printf("trace   -> %s (%llu spans)\n", trace_out.c_str(),
                 static_cast<unsigned long long>(trace_sink->spans_written()));
   }
   if (series_sink != nullptr) {
     series_sink->flush();
+    if (!closed(series_os, "series-out", series_out)) return 1;
     std::printf("series  -> %s\n", series_out.c_str());
   }
   if (!flight_out.empty()) {
@@ -293,6 +315,7 @@ int main(int argc, char** argv) {
     // artifact small enough to render whole at end of run.
     const std::string jsonl = grid.flight()->jsonl();
     os.write(jsonl.data(), static_cast<std::streamsize>(jsonl.size()));
+    if (!closed(os, "flight-out", flight_out)) return 1;
     std::printf("flight  -> %s\n", flight_out.c_str());
   }
   if (!metrics_out.empty()) {
@@ -305,6 +328,7 @@ int main(int argc, char** argv) {
                      metrics_out.compare(metrics_out.size() - 4, 4, ".csv") == 0;
     os << (csv ? obs::metrics_csv(*grid.metrics())
                : obs::metrics_json(*grid.metrics()));
+    if (!closed(os, "metrics-out", metrics_out)) return 1;
     std::printf("metrics -> %s\n", metrics_out.c_str());
   }
 

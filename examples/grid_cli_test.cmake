@@ -24,8 +24,12 @@
 #                           unsigned knob, an int knob past int or a time
 #                           knob past 10^9 minutes, its range), and so does
 #                           a numeric knob whose value is not wholly a
-#                           number or a boolean knob whose value is not a
-#                           boolean; the bounds themselves run
+#                           number, a boolean knob whose value is not a
+#                           boolean, an artifact flag whose recorder is off
+#                           and a stray argument; the bounds themselves run
+#   UnwritableOutputFails   each artifact written to /dev/full (the .csv
+#                           metrics through a link to it) exits 1 with
+#                           'cannot write', where /dev/full exists
 cmake_minimum_required(VERSION 3.16)
 include(${CMAKE_CURRENT_LIST_DIR}/../cmake/clear_qsa_env.cmake)
 
@@ -206,7 +210,10 @@ elseif(CASE STREQUAL "KnobRanges")
       "--obs-window-ms=-5@need obs_window >= 0"
       "--seed=abc@--seed=abc is not a 64-bit integer"
       "--rate=30x@--rate=30x is not a finite number"
-      "--recovery=ture@--recovery=ture is not a boolean")
+      "--recovery=ture@--recovery=ture is not a boolean"
+      "--flight-recorder=0|--flight-out=f.jsonl@conflicting knobs: --flight-out needs --flight-recorder >= 1"
+      "--obs-window-ms=0|--series-out=s.csv@conflicting knobs: --series-out needs --obs-window-ms >= 1"
+      "-seed=3@unknown flag -seed=3")
   foreach(entry IN LISTS cases)
     string(REPLACE "@" ";" entry "${entry}")
     list(GET entry 0 knobs)
@@ -225,6 +232,26 @@ elseif(CASE STREQUAL "KnobRanges")
   run_cli(--peers=1 --minutes=0.5 --rate=0 --churn=0 --retries=0 --bw-weight=1
           --fault-loss=1 --fault-delay-ms=60000000000000 --fault-retries=0
           --trace-sample=1 --flight-recorder=0 --obs-window-ms=0)
+elseif(CASE STREQUAL "UnwritableOutputFails")
+  # A device that takes no byte: every artifact's write fails, and the run
+  # must say so instead of reporting the file written. CAUSES_RUN fails
+  # requests of every cause, so the trace and the flight recorder both
+  # have lines to write.
+  if(EXISTS /dev/full)
+    file(CREATE_LINK /dev/full "${WORK}/full.csv" SYMBOLIC)
+    foreach(out --trace-out=/dev/full --series-out=/dev/full
+                --flight-out=/dev/full --metrics-out=/dev/full
+                --metrics-out=full.csv)
+      string(REGEX REPLACE "=.*" "" flag "${out}")
+      execute_process(COMMAND "${GRID_CLI}" ${out} ${CAUSES_RUN}
+                      WORKING_DIRECTORY "${WORK}" RESULT_VARIABLE rc
+                      OUTPUT_VARIABLE stdout ERROR_VARIABLE stderr)
+      if(NOT rc STREQUAL "1" OR NOT stdout MATCHES "cannot write ${flag} file")
+        message(FATAL_ERROR "${out}: exit ${rc}, want 1 and 'cannot write "
+                "${flag} file'\n${stdout}${stderr}")
+      endif()
+    endforeach()
+  endif()
 else()
   message(FATAL_ERROR "unknown CASE '${CASE}'")
 endif()

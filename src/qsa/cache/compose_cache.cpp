@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "qsa/qos/satisfy.hpp"
+#include "qsa/util/expects.hpp"
 
 namespace qsa::cache {
 namespace {
@@ -80,13 +81,6 @@ bool CompatMemo::sink(registry::InstanceId instance, const qos::QosVector& qout,
   return v == Verdict::kYes;
 }
 
-void CompatMemo::clear() {
-  dim_ = 0;
-  pairs_.clear();
-  sinks_.clear();
-  sink_evict_next_ = 0;
-}
-
 double CostTable::fill(registry::InstanceId instance,
                        const qos::ResourceVector& resources,
                        double bandwidth_kbps, const qos::TupleWeights& weights,
@@ -100,20 +94,10 @@ double CostTable::fill(registry::InstanceId instance,
   return c;
 }
 
-void CostTable::clear() { costs_.clear(); }
-
 void ComposeCache::set_metrics(obs::MetricsRegistry* metrics) {
-  if (metrics == nullptr) {
-    compat.set_metrics(nullptr, nullptr);
-    return;
-  }
+  QSA_EXPECTS(metrics != nullptr);
   compat.set_metrics(&metrics->counter("cache.compat.hits"),
                      &metrics->counter("cache.compat.misses"));
-}
-
-void ComposeCache::clear() {
-  compat.clear();
-  costs.clear();
 }
 
 }  // namespace qsa::cache

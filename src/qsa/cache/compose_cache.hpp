@@ -63,8 +63,6 @@ class CompatMemo {
     misses_ = misses;
   }
 
-  void clear();
-
  private:
   enum class Verdict : std::uint8_t { kUnknown = 0, kNo, kYes };
 
@@ -114,8 +112,6 @@ class CostTable {
     return fill(instance, resources, bandwidth_kbps, weights, schema);
   }
 
-  void clear();
-
  private:
   /// Cold path: resizes the table and scalarizes the tuple once.
   double fill(registry::InstanceId instance,
@@ -131,10 +127,9 @@ struct ComposeCache {
   CompatMemo compat;
   CostTable costs;
 
-  /// Resolves the `cache.compat.{hits,misses}` counters (null detaches).
+  /// Resolves the `cache.compat.{hits,misses}` counters (`metrics`
+  /// non-null).
   void set_metrics(obs::MetricsRegistry* metrics);
-
-  void clear();
 };
 
 }  // namespace qsa::cache

@@ -126,10 +126,6 @@ class QsaAlgorithm final : public AggregationAlgorithm {
   void aggregate_into(const ServiceRequest& request, sim::SimTime now,
                       AggregationPlan& out) override;
 
-  [[nodiscard]] const QcsComposer& composer() const noexcept {
-    return composer_;
-  }
-
   void set_load_signal(PeerSelector::LoadSignal load) override {
     selector_.set_load_signal(std::move(load));
   }

@@ -70,7 +70,7 @@ struct GridConfig {
   sim::SimTime republish_period = sim::SimTime::minutes(2);
 
   // --- applications & workload ---
-  workload::AppCatalogParams apps;     ///< seeds are overridden from `seed`
+  workload::AppCatalogParams apps;     ///< seeded from `seed`
   workload::RequestParams requests;
   workload::ChurnParams churn;
 

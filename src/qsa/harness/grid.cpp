@@ -57,10 +57,9 @@ GridSimulation::GridSimulation(GridConfig config)
                            __FILE__, __LINE__);
   }
   // Applications + abstract services + service instances.
-  workload::AppCatalogParams app_params = config_.apps;
-  app_params.seed = util::derive_seed(config_.seed, "apps-root", 0);
   apps_ = std::make_unique<workload::ApplicationCatalog>(
-      catalog_, universe_, translator_, app_params);
+      catalog_, universe_, translator_, config_.apps,
+      util::derive_seed(config_.seed, "apps-root", 0));
 
   const net::ProbeClock clock(config_.probe_period);
   peers_ = std::make_unique<net::PeerTable>(qos::ResourceSchema::paper(), clock);

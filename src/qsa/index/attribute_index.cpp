@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <iterator>
 
+#include "qsa/util/expects.hpp"
+
 namespace qsa::index {
 
 AttributeIndex::AttributeIndex(std::uint64_t seed,
@@ -264,12 +266,7 @@ registry::DiscoveryStats AttributeIndex::discover_into(
 }
 
 void AttributeIndex::set_metrics(obs::MetricsRegistry* metrics) {
-  if (metrics == nullptr) {
-    lookups_ = nullptr;
-    lookup_hops_ = nullptr;
-    lookup_latency_ = nullptr;
-    return;
-  }
+  QSA_EXPECTS(metrics != nullptr);
   // Same shape as the directory's lookup metrics, under the index.*
   // namespace.
   lookups_ = &metrics->counter("index.lookups");

@@ -134,9 +134,9 @@ class AttributeIndex final : public registry::DiscoveryBackend {
       sim::SimTime now, std::vector<registry::InstanceId>& out) const override;
 
   /// Registers `index.lookups` and the `index.lookup_hops` and
-  /// `index.lookup_latency_ms` histograms (null detaches). The harness only
-  /// attaches them when the backend is enabled, so knobs-off exports never
-  /// see these names.
+  /// `index.lookup_latency_ms` histograms (`metrics` non-null). The harness
+  /// only attaches them when the backend is enabled, so knobs-off exports
+  /// never see these names.
   void set_metrics(obs::MetricsRegistry* metrics) override;
 
   /// Answers `query` by routed bucket scans from `from`, writing the

@@ -63,8 +63,6 @@ class NetworkModel {
   NetworkModel(std::uint64_t seed, ProbeClock clock,
                NetModelKind kind = NetModelKind::kPaper);
 
-  [[nodiscard]] NetModelKind model() const noexcept { return kind_; }
-
   /// Bottleneck capacity of the (a, b) pair in kbps; symmetric; huge for the
   /// degenerate a == b pair (a peer talking to itself).
   [[nodiscard]] double capacity_kbps(PeerId a, PeerId b) const;

@@ -17,8 +17,8 @@ void PeerTable::reserve(std::size_t expected_peers) {
   alive_ids_.reserve(expected_peers);
 }
 
-PeerId PeerTable::add_peer(qos::ResourceVector capacity, sim::SimTime join_time,
-                           sim::SimTime planned_departure) {
+PeerId PeerTable::add_peer(qos::ResourceVector capacity,
+                           sim::SimTime join_time) {
   QSA_EXPECTS(capacity.size() == schema_.kinds());
   QSA_EXPECTS(capacity.nonnegative());
   const PeerId id = static_cast<PeerId>(total_);
@@ -40,7 +40,6 @@ PeerId PeerTable::add_peer(qos::ResourceVector capacity, sim::SimTime join_time,
   h.alive_slot = static_cast<std::uint32_t>(alive_ids_.size());
   detail::PeerCold& c = page.cold[slot];
   c.join_time = join_time;
-  c.planned_departure = planned_departure;
   c.departed_at = sim::SimTime::infinity();
   ++page.alive_members;
   alive_ids_.push_back(id);

@@ -2,16 +2,17 @@
 //
 // A peer is a voluntarily participating host with heterogeneous end-system
 // capacity (the paper draws [cpu, mem] in [100,100]..[1000,1000] units), a
-// join time (possibly negative: pre-aged at simulation start), an optional
-// planned departure (churn), and a reservation ledger for admitted sessions.
+// join time (possibly negative: pre-aged at simulation start), a departure
+// time once churn removes it (departures are abrupt and unannounced), and a
+// reservation ledger for admitted sessions.
 // Probe-visible state (resource availability) carries epoch-snapshot
 // semantics; uptime is computed against the probe-epoch boundary for the
 // same reason.
 //
 // Storage is structure-of-arrays, paged: the fields every probe/selection
 // touches (alive bit, capacity, the Snapshotted reservation) live in hot
-// slabs, the lifecycle timestamps (join/planned-departure/departed-at) in
-// cold slabs, page_size peers per slab. PeerIds are dense indices and are
+// slabs, the lifecycle timestamps (join/departed-at) in cold slabs,
+// page_size peers per slab. PeerIds are dense indices and are
 // never reused, so under sustained churn the id space grows with total
 // arrivals — but a page whose members have all departed, once the probe
 // epoch has moved past the last departure, answers every query the same
@@ -48,7 +49,6 @@ struct PeerHot {
 /// uptime heuristic.
 struct PeerCold {
   sim::SimTime join_time;
-  sim::SimTime planned_departure;
   sim::SimTime departed_at = sim::SimTime::infinity();
 };
 
@@ -66,9 +66,6 @@ class Peer {
   }
   [[nodiscard]] sim::SimTime join_time() const noexcept {
     return cold_->join_time;
-  }
-  [[nodiscard]] sim::SimTime planned_departure() const noexcept {
-    return cold_->planned_departure;
   }
 
   /// Time connected so far. Requires alive().
@@ -131,10 +128,8 @@ class PeerTable {
   /// slabs themselves are allocated on demand).
   void reserve(std::size_t expected_peers);
 
-  /// Adds a peer; `planned_departure` = SimTime::infinity() when churn never
-  /// removes it. Returns its id.
-  PeerId add_peer(qos::ResourceVector capacity, sim::SimTime join_time,
-                  sim::SimTime planned_departure = sim::SimTime::infinity());
+  /// Adds a peer that joined at `join_time`. Returns its id.
+  PeerId add_peer(qos::ResourceVector capacity, sim::SimTime join_time);
 
   /// Marks a peer departed at `now`. Its reservations evaporate with it
   /// (sessions it hosted are failed by the session manager). No-op if

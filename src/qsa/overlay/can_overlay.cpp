@@ -184,14 +184,14 @@ void CanOverlay::move_store_into_zone(TreeNode& from, TreeNode& to) {
   from.store.clear();
 }
 
-void CanOverlay::takeover(net::PeerId peer, bool graceful) {
+void CanOverlay::fail(net::PeerId peer) {
   auto pit = leaf_of_peer_.find(peer);
   if (pit == leaf_of_peer_.end()) return;
   const int leaf = pit->second;
   leaf_of_peer_.erase(pit);
 
   TreeNode& vacated = tree_[static_cast<std::size_t>(leaf)];
-  if (!graceful) vacated.store.clear();
+  vacated.store.clear();  // the store vanishes; replicas keep copies
 
   if (leaf == root_) {  // last node leaves: the overlay empties
     root_ = kNoNode;
@@ -211,7 +211,6 @@ void CanOverlay::takeover(net::PeerId peer, bool graceful) {
     p.split_dim = -1;
     p.child[0] = p.child[1] = kNoNode;
     move_store_into_zone(sib, p);
-    move_store_into_zone(vacated, p);
     leaf_of_peer_[p.peer] = parent;
     free_slots_.push_back(leaf);
     free_slots_.push_back(sibling);
@@ -239,14 +238,10 @@ void CanOverlay::takeover(net::PeerId peer, bool graceful) {
   free_slots_.push_back(donor_leaf);
   free_slots_.push_back(mate_leaf);
 
-  // The donor adopts the vacated zone (with its surviving store).
+  // The donor adopts the vacated zone.
   vacated.peer = donor_peer;
   leaf_of_peer_[donor_peer] = leaf;
 }
-
-void CanOverlay::leave(net::PeerId peer) { takeover(peer, /*graceful=*/true); }
-
-void CanOverlay::fail(net::PeerId peer) { takeover(peer, /*graceful=*/false); }
 
 int CanOverlay::next_leaf(int leaf) const {
   // In-order successor among leaves, wrapping at the end.

@@ -9,11 +9,11 @@
 //
 //   * join:  hash the newcomer to a random point, split the containing
 //     zone, move the keys that fall in the new half;
-//   * leave: the classic CAN takeover — if the sibling zone is a leaf the
+//   * fail:  the classic CAN takeover — if the sibling zone is a leaf the
 //     two halves merge, otherwise the deepest leaf pair in the sibling
-//     subtree donates one node to adopt the vacated zone;
-//   * fail:  same zone takeover, but the store vanishes (replication on
-//     `replicas` zone successors in tree order keeps copies reachable);
+//     subtree donates one node to adopt the vacated zone. The departed
+//     node's store vanishes (replication on `replicas` zone successors in
+//     tree order keeps copies reachable);
 //   * routing: greedy geographic forwarding — each hop crosses the zone
 //     boundary nearest the target, giving the protocol's O(d * n^(1/d))
 //     hop growth.
@@ -47,7 +47,6 @@ class CanOverlay final : public LookupService {
   explicit CanOverlay(std::uint64_t seed, int replicas = 2);
 
   void join(net::PeerId peer) override;
-  void leave(net::PeerId peer) override;
   void fail(net::PeerId peer) override;
 
   [[nodiscard]] bool contains(net::PeerId peer) const override;
@@ -96,7 +95,6 @@ class CanOverlay final : public LookupService {
   [[nodiscard]] int leaf_containing(const CanPoint& p) const;
   [[nodiscard]] int deepest_leaf_pair(int subtree) const;
   void move_store_into_zone(TreeNode& from, TreeNode& to);
-  void takeover(net::PeerId peer, bool graceful);
   /// The `replicas` leaves after `leaf` in an in-order walk (wrap-around).
   [[nodiscard]] std::vector<int> replica_leaves(int leaf) const;
   [[nodiscard]] int next_leaf(int leaf) const;

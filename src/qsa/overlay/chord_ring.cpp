@@ -223,22 +223,6 @@ void ChordRing::join_deferred(net::PeerId peer) {
   join_impl(peer, /*deferred=*/true);
 }
 
-void ChordRing::leave(net::PeerId peer) {
-  if (!contains(peer)) return;
-  settle();
-  const Pos at = find(node_key(seed_, peer));
-  if (size() > 1) {
-    // Graceful handoff of the store to the successor.
-    Pos next = at;
-    advance(next);
-    auto& to = node(slot_at(next)).store;
-    for (auto& [k, values] : node(slot_at(at)).store) {
-      to[k].insert(values.begin(), values.end());
-    }
-  }
-  remove(at);
-}
-
 void ChordRing::fail(net::PeerId peer) {
   if (!contains(peer)) return;
   settle();

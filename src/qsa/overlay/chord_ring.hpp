@@ -11,7 +11,7 @@
 //
 // The ring also implements the DHT storage layer the service directory
 // needs: multi-valued keys with configurable replication on successors,
-// key handoff on graceful leave and ownership shift on abrupt failure.
+// and ownership shift on abrupt failure.
 //
 // Storage is flat (DESIGN.md §14): node records (fingers, store) live in a
 // paged slab found through a util::DenseMap keyed by peer, and ring order
@@ -54,9 +54,6 @@ class ChordRing final : public LookupService {
   /// bootstrap from empty) the join only appends; the next call that reads
   /// ring order sorts the appended nodes into the index once.
   void join_deferred(net::PeerId peer) override;
-
-  /// Graceful departure: hands stored keys to the successor, then leaves.
-  void leave(net::PeerId peer) override;
 
   /// Abrupt failure: the node vanishes with its store; replicas on
   /// successors keep surviving copies reachable.

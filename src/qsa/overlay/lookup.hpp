@@ -1,7 +1,9 @@
 // The P2P lookup substrate interface. Section 3.2 invokes "the P2P lookup
 // protocol, such as Chord or CAN" for service discovery; the service
-// directory programs against this interface and the grid can run on either
-// implementation (ChordRing or CanOverlay).
+// directory programs against this interface and the grid can run on any
+// implementation (ChordRing, CanOverlay or PastryOverlay). Membership
+// changes by join and by abrupt failure only: the paper's peers leave
+// without notice, so no key is ever handed off on departure.
 //
 // Keys are opaque 64-bit identifiers (see chord_id.hpp for the hash
 // helpers); each implementation maps them into its own identifier space —
@@ -44,9 +46,8 @@ class LookupService {
   /// wholesale anyway. Must not be used when lookups can run before that
   /// stabilize_all(). Default: a plain join.
   virtual void join_deferred(net::PeerId peer) { join(peer); }
-  /// Graceful departure: stored keys are handed off.
-  virtual void leave(net::PeerId peer) = 0;
-  /// Abrupt failure: the node's store vanishes (replicas may survive).
+  /// Abrupt failure, the one way a peer departs: the node's store vanishes
+  /// (replicas may survive).
   virtual void fail(net::PeerId peer) = 0;
 
   [[nodiscard]] virtual bool contains(net::PeerId peer) const = 0;

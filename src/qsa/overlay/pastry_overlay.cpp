@@ -123,24 +123,6 @@ void PastryOverlay::join(net::PeerId peer) {
   compute_routing(id, it->second);
 }
 
-void PastryOverlay::leave(net::PeerId peer) {
-  auto pit = id_of_peer_.find(peer);
-  if (pit == id_of_peer_.end()) return;
-  auto it = ring_.find(pit->second);
-  QSA_ASSERT(it != ring_.end());
-  // Ownership is numerically-closest, so the departed node's keys split
-  // between both ring neighbors: hand each key to its new nearest node.
-  auto store = std::move(it->second.store);
-  ring_.erase(it);
-  id_of_peer_.erase(pit);
-  if (!ring_.empty()) {
-    for (auto& [key, values] : store) {
-      auto owner = node_nearest(key);
-      owner->second.store[key].insert(values.begin(), values.end());
-    }
-  }
-}
-
 void PastryOverlay::fail(net::PeerId peer) {
   auto pit = id_of_peer_.find(peer);
   if (pit == id_of_peer_.end()) return;

@@ -42,7 +42,6 @@ class PastryOverlay final : public LookupService {
   explicit PastryOverlay(std::uint64_t seed, int replicas = 2);
 
   void join(net::PeerId peer) override;
-  void leave(net::PeerId peer) override;
   void fail(net::PeerId peer) override;
 
   [[nodiscard]] bool contains(net::PeerId peer) const override;

@@ -61,24 +61,6 @@ std::optional<NeighborEntry> NeighborTable::find(net::PeerId peer) const {
   return rows_[r].entry();
 }
 
-void NeighborTable::purge(sim::SimTime now) {
-  // Backwards: erase_row moves the last row into the hole, and every row
-  // past the cursor has already been checked.
-  sim::SimTime earliest = sim::SimTime::infinity();
-  for (std::size_t r = rows_.size(); r-- > 0;) {
-    if (rows_[r].expires <= now) {
-      erase_row(static_cast<std::uint16_t>(r));
-    } else {
-      earliest = std::min(earliest, rows_[r].expires);
-    }
-  }
-  earliest_ = earliest;
-}
-
-void NeighborTable::erase(net::PeerId peer) {
-  if (const std::uint16_t r = row_index(peer); r != kFree) erase_row(r);
-}
-
 NeighborTable::Key NeighborTable::key_of(std::uint16_t r) const noexcept {
   const Row& row = rows_[r];
   const auto high =

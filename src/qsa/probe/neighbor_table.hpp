@@ -15,7 +15,7 @@
 // sift compares integers and loads no row. A refresh writes its row only: it
 // can only move the entry later in eviction order, so the entry's heap key
 // may overstate it, and the root is re-keyed from its row and sifted down
-// until its key is current before it is read. Insert and erase cost
+// until its key is current before it is read. Insert and eviction cost
 // O(log M), a refresh O(1). Expired entries are reclaimed first; a lower
 // bound on the earliest deadline gates the scan that finds them, so tables
 // with no expired entry never scan.
@@ -91,12 +91,6 @@ class NeighborTable {
   void for_each(Fn&& fn) const {
     for (const Row& r : rows_) fn(r.peer, r.entry());
   }
-
-  /// Drops expired entries.
-  void purge(sim::SimTime now);
-
-  /// Removes a specific entry if present.
-  void erase(net::PeerId peer);
 
   [[nodiscard]] std::size_t size() const noexcept { return rows_.size(); }
   [[nodiscard]] std::size_t budget() const noexcept { return budget_; }

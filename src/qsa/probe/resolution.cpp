@@ -14,14 +14,8 @@ NeighborResolution::NeighborResolution(std::size_t budget, sim::SimTime ttl)
 
 void NeighborResolution::set_metrics(obs::MetricsRegistry* metrics,
                                      const net::NetworkModel* net) {
+  QSA_EXPECTS(metrics != nullptr);
   net_ = net;
-  if (metrics == nullptr) {
-    notifications_ = nullptr;
-    stale_hits_ = nullptr;
-    staleness_at_use_ = nullptr;
-    probe_rtt_ = nullptr;
-    return;
-  }
   notifications_ = &metrics->counter("probe.notifications");
   stale_hits_ = &metrics->counter("probe.stale_hits");
   staleness_at_use_ = &metrics->histogram("probe.staleness_at_use_ms");

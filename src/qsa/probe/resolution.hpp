@@ -39,7 +39,7 @@ class NeighborResolution {
   /// lifetime granted by one notification.
   NeighborResolution(std::size_t budget, sim::SimTime ttl);
 
-  /// Attaches observability (optional; null detaches). Records
+  /// Attaches observability (`metrics` non-null). Records
   /// `probe.notifications` (counter), `probe.staleness_at_use_ms`
   /// (histogram: entry age when a selector consults it),
   /// `probe.stale_hits` (counter: consults that found the entry already
@@ -83,7 +83,6 @@ class NeighborResolution {
   [[nodiscard]] std::uint64_t messages() const noexcept { return messages_; }
 
   [[nodiscard]] std::size_t budget() const noexcept { return budget_; }
-  [[nodiscard]] sim::SimTime ttl() const noexcept { return ttl_; }
 
  private:
   /// Delivers one soft-state message from `a` to `b` on `ch`, resending up

@@ -80,7 +80,7 @@ class DiscoveryBackend {
                                        sim::SimTime now,
                                        std::vector<InstanceId>& out) const = 0;
 
-  /// Attaches observability (optional; null detaches). Implementations gate
+  /// Attaches observability (`metrics` non-null). Implementations gate
   /// their metric names on their features so knobs-off exports stay
   /// byte-identical.
   virtual void set_metrics(obs::MetricsRegistry* metrics) = 0;

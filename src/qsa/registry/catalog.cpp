@@ -7,6 +7,21 @@
 #include "qsa/util/rng.hpp"
 
 namespace qsa::registry {
+namespace {
+
+// Instance generation, fixed at the paper's setup.
+constexpr int kMinInstancesPerService = 10;  // paper: 10
+constexpr int kMaxInstancesPerService = 20;  // paper: 20
+constexpr int kFormats = 4;                  // symbolic format universe size
+// Probability an instance accepts any input format (omits the format
+// dimension from Qin). Keeps layered paths plentiful, mirroring services
+// that handle several codecs.
+constexpr double kAnyFormatProb = 0.4;
+// Quality-window widths: input acceptance, then output.
+constexpr double kMinInWidth = 40, kMaxInWidth = 70;
+constexpr double kMinOutWidth = 5, kMaxOutWidth = 15;
+
+}  // namespace
 
 ServiceId ServiceCatalog::add_service(std::string name) {
   const ServiceId id = static_cast<ServiceId>(services_.size());
@@ -53,17 +68,12 @@ QosUniverse QosUniverse::standard(util::Interner& interner) {
 }
 
 void generate_instances(ServiceCatalog& catalog, ServiceId service,
-                        const CatalogParams& params, const QosUniverse& qos,
+                        std::uint64_t seed, const QosUniverse& qos,
                         const qos::AnalyticTranslator& translator,
                         bool is_source) {
-  QSA_EXPECTS(params.min_instances_per_service >= 1);
-  QSA_EXPECTS(params.max_instances_per_service >=
-              params.min_instances_per_service);
-  QSA_EXPECTS(params.formats >= 1);
-
-  util::Rng rng(util::derive_seed(params.seed, "catalog", service));
-  const int count = static_cast<int>(rng.uniform_int(
-      params.min_instances_per_service, params.max_instances_per_service));
+  util::Rng rng(util::derive_seed(seed, "catalog", service));
+  const int count = static_cast<int>(
+      rng.uniform_int(kMinInstancesPerService, kMaxInstancesPerService));
 
   for (int i = 0; i < count; ++i) {
     ServiceInstance inst;
@@ -72,29 +82,27 @@ void generate_instances(ServiceCatalog& catalog, ServiceId service,
     if (!is_source) {
       // Input acceptance: a wide quality window; format either pinned to one
       // symbol or omitted (accepts anything).
-      const double in_width =
-          rng.uniform(params.min_in_width, params.max_in_width);
+      const double in_width = rng.uniform(kMinInWidth, kMaxInWidth);
       const double in_center = rng.uniform(20.0, 80.0);
       const double in_lo = std::max(0.0, in_center - in_width / 2);
       const double in_hi = std::min(100.0, in_center + in_width / 2);
       inst.qin.set(qos.level, qos::QosValue::range(in_lo, in_hi));
-      if (!rng.bernoulli(params.any_format_prob)) {
+      if (!rng.bernoulli(kAnyFormatProb)) {
         inst.qin.set(qos.format,
                      qos::QosValue::symbol(static_cast<qos::Symbol>(
-                         rng.index(static_cast<std::size_t>(params.formats)))));
+                         rng.index(static_cast<std::size_t>(kFormats)))));
       }
     }
 
     // Output: a narrow quality window and a definite format.
-    const double out_width =
-        rng.uniform(params.min_out_width, params.max_out_width);
+    const double out_width = rng.uniform(kMinOutWidth, kMaxOutWidth);
     const double out_center = rng.uniform(10.0, 90.0);
     const double out_lo = std::max(0.0, out_center - out_width / 2);
     const double out_hi = std::min(100.0, out_center + out_width / 2);
     inst.qout.set(qos.level, qos::QosValue::range(out_lo, out_hi));
     inst.qout.set(qos.format,
                   qos::QosValue::symbol(static_cast<qos::Symbol>(
-                      rng.index(static_cast<std::size_t>(params.formats)))));
+                      rng.index(static_cast<std::size_t>(kFormats)))));
 
     inst.resources = translator.resources(inst.qin, inst.qout);
     inst.bandwidth_kbps = translator.bandwidth_kbps(inst.qout);

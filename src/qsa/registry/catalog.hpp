@@ -1,6 +1,8 @@
 // The service catalog: all abstract services and their instances, plus the
 // generator reproducing the paper's experimental distributions (Section 4.1:
-// 10-20 instances per service, random Qin/Qout/R).
+// 10-20 instances per service, random Qin/Qout/R). The distributions are
+// fixed at the paper's setup (constants in catalog.cpp); only the seed
+// varies.
 #pragma once
 
 #include <cstdint>
@@ -51,24 +53,11 @@ struct QosUniverse {
   [[nodiscard]] static QosUniverse standard(util::Interner& interner);
 };
 
-/// Knobs for catalog generation, defaulted to the paper's setup.
-struct CatalogParams {
-  std::uint64_t seed = 1;
-  int min_instances_per_service = 10;  ///< paper: 10
-  int max_instances_per_service = 20;  ///< paper: 20
-  int formats = 4;                     ///< symbolic format universe size
-  /// Probability an instance accepts any input format (omits the format
-  /// dimension from Qin). Keeps layered paths plentiful, mirroring services
-  /// that handle several codecs.
-  double any_format_prob = 0.4;
-  double min_in_width = 40, max_in_width = 70;  ///< input acceptance widths
-  double min_out_width = 5, max_out_width = 15; ///< output widths
-};
-
-/// Generates instances for `service`, using `translator` for R and b.
-/// `is_source` instances have empty Qin (data sources accept no input).
+/// Generates instances for `service` from `seed`, using `translator` for R
+/// and b. `is_source` instances have empty Qin (data sources accept no
+/// input).
 void generate_instances(ServiceCatalog& catalog, ServiceId service,
-                        const CatalogParams& params, const QosUniverse& qos,
+                        std::uint64_t seed, const QosUniverse& qos,
                         const qos::AnalyticTranslator& translator,
                         bool is_source);
 

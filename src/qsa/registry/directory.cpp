@@ -1,6 +1,7 @@
 #include "qsa/registry/directory.hpp"
 
 #include "qsa/overlay/chord_id.hpp"
+#include "qsa/util/expects.hpp"
 
 namespace qsa::registry {
 
@@ -30,13 +31,7 @@ void ServiceDirectory::publish_all() {
 }
 
 void ServiceDirectory::set_metrics(obs::MetricsRegistry* metrics) {
-  if (metrics == nullptr) {
-    lookups_ = nullptr;
-    lookup_hops_ = nullptr;
-    lookup_latency_ = nullptr;
-    cache_.set_metrics(nullptr);
-    return;
-  }
+  QSA_EXPECTS(metrics != nullptr);
   lookups_ = &metrics->counter("directory.lookups");
   lookup_hops_ = &metrics->histogram("directory.lookup_hops");
   lookup_latency_ = &metrics->histogram("directory.lookup_latency_ms");
@@ -45,22 +40,11 @@ void ServiceDirectory::set_metrics(obs::MetricsRegistry* metrics) {
   cache_.set_metrics(cache_.enabled() ? metrics : nullptr);
 }
 
-Discovery ServiceDirectory::discover(ServiceId service, net::PeerId from,
-                                     const net::NetworkModel* net,
-                                     sim::SimTime now) const {
-  Discovery d;
-  const DiscoveryStats stats =
-      discover_into(service, from, net, now, d.instances);
-  d.hops = stats.hops;
-  d.latency = stats.latency;
-  return d;
-}
-
-DiscoveryStats ServiceDirectory::discover_into(ServiceId service,
-                                               net::PeerId from,
+DiscoveryStats ServiceDirectory::discover_into(const DiscoveryQuery& query,
                                                const net::NetworkModel* net,
                                                sim::SimTime now,
                                                std::vector<InstanceId>& out) const {
+  const ServiceId service = query.service;
   if (const auto* cached = cache_.find(service, now)) {
     // Served from the requester's soft-state cache: no routing, no hops, no
     // latency, and no lookup recorded — the overlay was never consulted.
@@ -69,7 +53,7 @@ DiscoveryStats ServiceDirectory::discover_into(ServiceId service,
   }
   out.clear();
   const overlay::ChordKey key = key_of(service);
-  const overlay::LookupStats stats = ring_.route(key, from, net);
+  const overlay::LookupStats stats = ring_.route(key, query.from, net);
   DiscoveryStats cost{stats.hops, stats.latency};
   if (stats.ok()) {
     // Under fault injection a lookup whose hop messages were all lost never

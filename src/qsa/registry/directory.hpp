@@ -9,7 +9,8 @@
 // Registrations are soft state: under churn, overlay nodes vanish with part
 // of the key space and a periodic republish (re-inserting every instance)
 // heals the directory, as P2P registries do. The directory programs against
-// the LookupService interface, so it runs unchanged on Chord or CAN.
+// the LookupService interface, so it runs unchanged on Chord, CAN or
+// Pastry, and is reached only through the DiscoveryBackend seam.
 #pragma once
 
 #include <vector>
@@ -22,12 +23,6 @@
 #include "qsa/registry/placement.hpp"
 
 namespace qsa::registry {
-
-struct Discovery {
-  std::vector<InstanceId> instances;  ///< candidates found for the service
-  int hops = 0;                       ///< Chord routing hops paid
-  sim::SimTime latency;               ///< summed lookup latency
-};
 
 class ServiceDirectory final : public DiscoveryBackend {
  public:
@@ -54,31 +49,18 @@ class ServiceDirectory final : public DiscoveryBackend {
     invalidate_cache();
   }
 
-  /// Chord lookup of the candidate instances for `service`, routed from
-  /// `from`. `net` (optional) prices per-hop latency. `now` feeds the TTL'd
-  /// discovery cache: a fresh cached entry is served without routing (zero
-  /// hops, zero latency); with the cache disabled (the default) `now` is
-  /// unused and every call routes.
-  [[nodiscard]] Discovery discover(ServiceId service, net::PeerId from,
-                                   const net::NetworkModel* net = nullptr,
-                                   sim::SimTime now = sim::SimTime::zero()) const;
-
-  /// Allocation-aware variant of discover(): writes the candidates into
-  /// `out` (reusing its buffer) and returns the routing cost. With the
-  /// cache enabled, a hit copy-assigns into `out` — zero allocation once
-  /// `out`'s capacity has plateaued. Results are identical to discover().
-  DiscoveryStats discover_into(ServiceId service, net::PeerId from,
-                               const net::NetworkModel* net, sim::SimTime now,
-                               std::vector<InstanceId>& out) const;
-
-  /// DiscoveryBackend entry point: the directory answers by service key
-  /// alone — the query's range predicates are ignored (composition and
-  /// selection filter downstream), which is exactly the pre-seam behaviour.
+  /// Overlay lookup of the candidate instances for `query.service`, routed
+  /// from `query.from`, written into `out` (reusing its buffer); returns
+  /// the routing cost. The directory answers by service key alone — the
+  /// query's range predicates are ignored (composition and selection
+  /// filter downstream). `net` (optional) prices per-hop latency. `now`
+  /// feeds the TTL'd discovery cache: a fresh cached entry is served
+  /// without routing (zero hops, zero latency) by copy-assigning into
+  /// `out`, which allocates nothing once `out`'s capacity has plateaued;
+  /// with the cache disabled (the default) every call routes.
   DiscoveryStats discover_into(const DiscoveryQuery& query,
                                const net::NetworkModel* net, sim::SimTime now,
-                               std::vector<InstanceId>& out) const override {
-    return discover_into(query.service, query.from, net, now, out);
-  }
+                               std::vector<InstanceId>& out) const override;
 
   /// Enables the TTL'd discovery cache (zero, the default, disables it —
   /// accounting is then byte-identical to a cacheless directory).
@@ -89,10 +71,10 @@ class ServiceDirectory final : public DiscoveryBackend {
   /// the narrower per-service invalidate instead.
   void invalidate_cache() const { cache_.invalidate(); }
 
-  /// Attaches observability (optional; null detaches). Records per-lookup
+  /// Attaches observability (`metrics` non-null). Records per-lookup
   /// `directory.lookup_hops` and `directory.lookup_latency_ms` histograms
   /// plus a `directory.lookups` counter; when the discovery cache is
-  /// enabled, also its `cache.discovery.*` counters.
+  /// enabled (set the TTL first), also its `cache.discovery.*` counters.
   void set_metrics(obs::MetricsRegistry* metrics) override;
 
  private:

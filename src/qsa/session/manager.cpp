@@ -26,20 +26,9 @@ SessionManager::SessionManager(sim::Simulator& simulator,
 
 void SessionManager::set_observability(obs::Tracer* tracer,
                                        obs::MetricsRegistry* metrics) {
+  QSA_EXPECTS(metrics != nullptr);
   tracer_ = tracer;
   metrics_ = metrics;
-  if (metrics == nullptr) {
-    active_gauge_ = nullptr;
-    duration_hist_ = nullptr;
-    time_to_failure_hist_ = nullptr;
-    recovery_salvaged_hist_ = nullptr;
-    provider_load_hist_ = nullptr;
-    for (auto& [svc, sl] : service_load_) {
-      sl.max_gauge = nullptr;
-      sl.mean_gauge = nullptr;
-    }
-    return;
-  }
   active_gauge_ = &metrics->gauge("session.active");
   duration_hist_ = &metrics->histogram("session.duration_ms");
   time_to_failure_hist_ = &metrics->histogram("session.time_to_failure_ms");
@@ -47,11 +36,6 @@ void SessionManager::set_observability(obs::Tracer* tracer,
       &metrics->histogram("session.recovery_salvaged_ms");
   // provider.load* names are registered lazily on the first tracked
   // admission, so untracked runs export no concentration instruments.
-}
-
-std::uint32_t SessionManager::provider_load(net::PeerId peer) const {
-  auto it = hosted_load_.find(peer);
-  return it == hosted_load_.end() ? 0 : it->second;
 }
 
 namespace {

@@ -103,7 +103,7 @@ class SessionManager {
   /// default so untracked runs register no new metric names.
   void set_load_tracking(bool on) { track_load_ = on; }
 
-  /// Attaches observability (optional; null detaches). Traced sessions
+  /// Attaches observability (`metrics` non-null). Traced sessions
   /// (request trace_id != 0) get a `running` span from admission to
   /// completion/abort, `recovery` spans per repair attempt and a `teardown`
   /// span on normal completion; the registry gains session.* histograms and
@@ -181,9 +181,6 @@ class SessionManager {
                : concentration_sum_ /
                      static_cast<double>(concentration_admissions_);
   }
-  /// Sessions `peer` currently hosts (0 when untracked or unknown).
-  [[nodiscard]] std::uint32_t provider_load(net::PeerId peer) const;
-
   /// Host resources reserved on `peer` since the current probe-epoch
   /// boundary — commitments a probed snapshot cannot see yet. Zero when
   /// load tracking is off or nothing was reserved this epoch. Feeds the

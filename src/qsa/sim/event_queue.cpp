@@ -30,14 +30,13 @@ EventHandle EventQueue::schedule(SimTime at, Action action) {
 
 void EventQueue::cancel(EventHandle h) {
   if (!h.valid()) return;
-  // Stale handles are inert: the slot may have been recycled (seq differs),
-  // or even truncated away by the shrink policy (index out of range).
+  // Stale handles are inert: the slot may have been recycled (seq differs).
+  // A slot past this slab (a handle from another queue) is ignored.
   if (h.slot_ >= slots_.size()) return;
   Slot& s = slots_[h.slot_];
   if (s.seq != h.seq_) return;
   remove_from_heap(s.heap_pos);
   release(h.slot_);
-  maybe_shrink();
 }
 
 EventQueue::Fired EventQueue::pop() {
@@ -53,7 +52,6 @@ EventQueue::Fired EventQueue::pop() {
     sift_down(0);
   }
   release(slot);
-  maybe_shrink();
   return fired;
 }
 
@@ -109,31 +107,6 @@ void EventQueue::release(std::uint32_t slot) noexcept {
   s.action.reset();  // a popped action was moved out; reset is then a no-op
   s.next_free = free_head_;
   free_head_ = slot;
-}
-
-void EventQueue::maybe_shrink() {
-  const std::size_t live = heap_.size();
-  if (slots_.size() < kShrinkMin || live * 4 >= slots_.size()) return;
-  // Keep 2x the live count (hysteresis: re-growing right back would defeat
-  // the point) and never go below the no-shrink floor.
-  const std::size_t target = std::max(live * 2, kShrinkMin / 2);
-  std::size_t new_size = slots_.size();
-  while (new_size > target && slots_[new_size - 1].seq == 0) --new_size;
-  if (new_size == slots_.size()) return;
-  slots_.resize(new_size);
-  slots_.shrink_to_fit();
-  // The free list may reference truncated slots; rebuild it over the
-  // survivors. Free-list order only decides which slot index a future event
-  // reuses — firing order is (time, seq), so this cannot affect replay.
-  free_head_ = kNil;
-  for (std::size_t i = new_size; i-- > 0;) {
-    if (slots_[i].seq == 0) {
-      slots_[i].next_free = free_head_;
-      free_head_ = static_cast<std::uint32_t>(i);
-    }
-  }
-  heap_.shrink_to_fit();
-  ++shrinks_;
 }
 
 }  // namespace qsa::sim

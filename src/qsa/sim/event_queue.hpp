@@ -10,10 +10,11 @@
 //    side structures, no lazy skimming;
 //  - pop() moves the callable out of the slot and releases it to the free
 //    list.
-// In steady state (slab at its high-water mark) none of the three touches
-// the allocator. A handle is {slot, seq}: seq is globally unique and never
-// reused, so handles to fired/cancelled events are inert forever, even
-// after their slot has been recycled.
+// The slab grows to the high-water mark of live events and never shrinks,
+// so in steady state none of the three touches the allocator. A handle is
+// {slot, seq}: seq is unique within its queue and never reused, so handles
+// to fired/cancelled events are inert forever, even after their slot has
+// been recycled.
 #pragma once
 
 #include <cstdint>
@@ -80,14 +81,9 @@ class EventQueue {
   }
   /// High-water mark of the live event count.
   [[nodiscard]] std::size_t peak_live() const noexcept { return peak_live_; }
-  /// Times the shrink policy released slab/heap storage after a spike.
-  [[nodiscard]] std::size_t shrink_count() const noexcept { return shrinks_; }
 
  private:
   static constexpr std::uint32_t kNil = 0xffffffffU;
-  /// Slabs below this size never shrink: small queues keep their storage so
-  /// steady-state scheduling stays allocation-free.
-  static constexpr std::size_t kShrinkMin = 1024;
 
   struct Slot {
     SimTime time;
@@ -111,17 +107,12 @@ class EventQueue {
   void remove_from_heap(std::size_t pos) noexcept;
   /// Recycles `slot` onto the free list (destroys any held action).
   void release(std::uint32_t slot) noexcept;
-  /// After a churn spike: once live events fall below 1/4 of the slab, drop
-  /// trailing free slots and return the spare storage. Live slots are never
-  /// moved (outstanding handles index them), so this is opportunistic.
-  void maybe_shrink();
 
   std::vector<Slot> slots_;           ///< slab, grows to high-water and stays
   std::vector<std::uint32_t> heap_;   ///< 4-ary heap of slot indices
   std::uint32_t free_head_ = kNil;    ///< intrusive free list through slots
   std::uint64_t next_seq_ = 1;
   std::size_t peak_live_ = 0;
-  std::size_t shrinks_ = 0;
 };
 
 }  // namespace qsa::sim

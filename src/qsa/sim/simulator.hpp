@@ -51,7 +51,6 @@ class Simulator {
   [[nodiscard]] std::size_t max_pending_events() const noexcept {
     return queue_.peak_live();
   }
-  [[nodiscard]] const EventQueue& queue() const noexcept { return queue_; }
 
  private:
   struct Periodic {

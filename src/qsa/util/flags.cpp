@@ -61,7 +61,7 @@ Flags::Flags(int argc, const char* const* argv) {
         kv_.emplace_back(std::string(arg), "true");
       }
     } else {
-      positional_.emplace_back(arg);
+      strays_.emplace_back(arg);
     }
   }
 }
@@ -87,6 +87,7 @@ std::vector<std::string> Flags::unknown() const {
     }
     if (std::find(out.begin(), out.end(), k) == out.end()) out.push_back(k);
   }
+  out.insert(out.end(), strays_.begin(), strays_.end());
   return out;
 }
 
@@ -101,7 +102,11 @@ void reject_unknown_flags(const Flags& flags, std::string_view program) {
   if (bad.empty()) return;
   std::fprintf(stderr, "%.*s: unknown flag", static_cast<int>(program.size()),
                program.data());
-  for (const auto& f : bad) std::fprintf(stderr, " --%s", f.c_str());
+  // unknown() lists the unconsulted flags by name, then the strays as typed.
+  const std::size_t first_stray = bad.size() - flags.strays_.size();
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    std::fprintf(stderr, i < first_stray ? " --%s" : " %s", bad[i].c_str());
+  }
   std::fprintf(stderr, "\nusage: %.*s [--flag=value ...]\nrecognized flags:",
                static_cast<int>(program.size()), program.data());
   for (const auto& f : flags.known()) std::fprintf(stderr, " --%s", f.c_str());

@@ -1,6 +1,8 @@
 // Minimal command-line / environment flag parsing for the bench and example
 // binaries: `--name=value` or `--name value` arguments, falling back to a
-// `QSA_NAME` environment variable, falling back to a default.
+// `QSA_NAME` environment variable, falling back to a default. No program
+// takes a positional argument, so any other argument is a stray one that
+// unknown() reports.
 #pragma once
 
 #include <cstdint>
@@ -30,34 +32,34 @@ class Flags {
   /// `--flag` is "true"). Any other value exits 2 like a bad number.
   [[nodiscard]] bool get_bool(std::string_view name, bool def) const;
 
-  /// Positional (non --flag) arguments in order.
-  [[nodiscard]] const std::vector<std::string>& positional() const {
-    return positional_;
-  }
-
   /// True if --help was passed.
   [[nodiscard]] bool help() const { return help_; }
 
-  /// Command-line `--flags` that no raw()/get*() lookup has consulted so
-  /// far — typos that would otherwise silently run the wrong experiment.
-  /// First-occurrence order, deduplicated. Call after the last lookup.
+  /// Command-line arguments no raw()/get*() lookup has consulted so far —
+  /// typos that would otherwise silently run the wrong experiment: the
+  /// unconsulted `--flags` by name (first-occurrence order, deduplicated),
+  /// then every argument that is not a `--flag` (`-seed=3`, `extra`) as
+  /// typed. Call after the last lookup.
   [[nodiscard]] std::vector<std::string> unknown() const;
 
   /// Every flag name the program has consulted (its vocabulary), sorted.
   [[nodiscard]] std::vector<std::string> known() const;
 
  private:
+  friend void reject_unknown_flags(const Flags& flags,
+                                   std::string_view program);
+
   std::vector<std::pair<std::string, std::string>> kv_;
-  std::vector<std::string> positional_;
+  std::vector<std::string> strays_;  ///< arguments that are not --flags
   // Names consulted via raw(); mutable because lookups are logically const.
   mutable std::vector<std::string> queried_;
   bool help_ = false;
 };
 
 /// Standard unknown-flag policy for the CLI binaries: if `flags` holds a
-/// `--flag` the program never consulted, print the offenders and the
-/// recognized vocabulary to stderr and exit with status 2. Call after the
-/// last get*() lookup.
+/// `--flag` the program never consulted or a stray argument, print the
+/// offenders and the recognized vocabulary to stderr and exit with status
+/// 2. Call after the last get*() lookup.
 void reject_unknown_flags(const Flags& flags, std::string_view program);
 
 /// Integer flag lookup bounded to [lo, hi]: `--name=<int>` (or QSA_<NAME>);

@@ -23,9 +23,4 @@ std::string_view Interner::name(Id id) const {
   return names_[id];
 }
 
-void Interner::clear() {
-  ids_.clear();
-  names_.clear();
-}
-
 }  // namespace qsa::util

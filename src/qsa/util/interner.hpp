@@ -27,8 +27,6 @@ class Interner {
 
   [[nodiscard]] std::size_t size() const noexcept { return names_.size(); }
 
-  void clear();
-
  private:
   // Transparent hash: lookups take a string_view directly, no temporary
   // std::string per probe.

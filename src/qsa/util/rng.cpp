@@ -49,9 +49,4 @@ double Rng::exponential(double mean) noexcept {
   return -mean * std::log(1.0 - uniform());
 }
 
-double Rng::pareto(double xm, double alpha) noexcept {
-  QSA_EXPECTS(xm > 0 && alpha > 0);
-  return xm / std::pow(1.0 - uniform(), 1.0 / alpha);
-}
-
 }  // namespace qsa::util

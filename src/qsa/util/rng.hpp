@@ -89,9 +89,6 @@ class Rng {
   /// Exponential with the given mean (> 0). Used for Poisson inter-arrivals.
   [[nodiscard]] double exponential(double mean) noexcept;
 
-  /// Pareto with scale xm > 0 and shape alpha > 0 (heavy-tailed lifetimes).
-  [[nodiscard]] double pareto(double xm, double alpha) noexcept;
-
   /// Picks one element of a non-empty span uniformly.
   template <typename T>
   [[nodiscard]] const T& pick(std::span<const T> items) noexcept {

@@ -40,12 +40,13 @@ qos::QosVector requirement_for(QosLevel level,
 
 ApplicationCatalog::ApplicationCatalog(
     registry::ServiceCatalog& services, const registry::QosUniverse& universe,
-    const qos::AnalyticTranslator& translator, const AppCatalogParams& params) {
+    const qos::AnalyticTranslator& translator, const AppCatalogParams& params,
+    std::uint64_t seed) {
   QSA_EXPECTS(params.applications >= 1);
   QSA_EXPECTS(params.min_path_len >= 1);
   QSA_EXPECTS(params.max_path_len >= params.min_path_len);
 
-  util::Rng rng(util::derive_seed(params.seed, "apps", 0));
+  util::Rng rng(util::derive_seed(seed, "apps", 0));
   apps_.reserve(static_cast<std::size_t>(params.applications));
   for (int a = 0; a < params.applications; ++a) {
     Application app;
@@ -55,10 +56,9 @@ ApplicationCatalog::ApplicationCatalog(
     for (int p = 0; p < len; ++p) {
       const registry::ServiceId sid = services.add_service(
           "app" + std::to_string(a) + ".svc" + std::to_string(p));
-      registry::CatalogParams cp = params.catalog;
-      cp.seed = util::derive_seed(params.seed, "instances", sid);
-      generate_instances(services, sid, cp, universe, translator,
-                         /*is_source=*/p == 0);
+      generate_instances(services, sid,
+                         util::derive_seed(seed, "instances", sid), universe,
+                         translator, /*is_source=*/p == 0);
       app.path.push_back(sid);
     }
     apps_.push_back(std::move(app));

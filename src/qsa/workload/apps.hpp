@@ -29,22 +29,23 @@ enum class QosLevel : std::uint8_t { kLow, kAverage, kHigh };
 [[nodiscard]] qos::QosVector requirement_for(QosLevel level,
                                              const registry::QosUniverse& u);
 
+/// The application universe's shape; the service instances behind it
+/// follow the paper's fixed distributions (registry::generate_instances).
 struct AppCatalogParams {
-  std::uint64_t seed = 1;
   int applications = 10;   ///< paper: 10
   int min_path_len = 2;    ///< paper: 2
   int max_path_len = 5;    ///< paper: 5
-  registry::CatalogParams catalog;  ///< instance-generation knobs
 };
 
 /// Builds the abstract applications together with their services and
-/// service instances (source services get empty Qin).
+/// service instances (source services get empty Qin), all drawn from
+/// `seed`.
 class ApplicationCatalog {
  public:
   ApplicationCatalog(registry::ServiceCatalog& services,
                      const registry::QosUniverse& universe,
                      const qos::AnalyticTranslator& translator,
-                     const AppCatalogParams& params);
+                     const AppCatalogParams& params, std::uint64_t seed);
 
   [[nodiscard]] std::span<const Application> apps() const noexcept {
     return apps_;

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "directory_lookup.hpp"
 #include "obs_capture.hpp"
 #include "qsa/cache/compose_cache.hpp"
 #include "qsa/cache/discovery_cache.hpp"
@@ -95,8 +96,6 @@ TEST(ComposeCache, CostTableMatchesScalarize) {
   const double direct = qos::scalarize(qos::ResourceTuple{r, 300.0}, weights,
                                        schema);
   EXPECT_EQ(cc.costs.cost(5, r, 300.0, weights, schema), direct);
-  EXPECT_EQ(cc.costs.cost(5, r, 300.0, weights, schema), direct);
-  cc.clear();
   EXPECT_EQ(cc.costs.cost(5, r, 300.0, weights, schema), direct);
 }
 
@@ -267,8 +266,8 @@ TEST_F(CachedDirectoryFixture, HitServesLastLookupWithZeroCost) {
   dir.publish_all();
   net::NetworkModel net(1, net::ProbeClock(sim::SimTime::seconds(30)));
 
-  const auto first = dir.discover(s0, 5, &net, sim::SimTime::zero());
-  const auto hit = dir.discover(s0, 5, &net, sim::SimTime::seconds(10));
+  const auto first = test::discover(dir, s0, 5, &net, sim::SimTime::zero());
+  const auto hit = test::discover(dir, s0, 5, &net, sim::SimTime::seconds(10));
   EXPECT_EQ(hit.instances, first.instances);
   EXPECT_EQ(hit.hops, 0);
   EXPECT_EQ(hit.latency, sim::SimTime::zero());
@@ -285,8 +284,8 @@ TEST_F(CachedDirectoryFixture, EntryExpiresAfterTtl) {
   dir.set_metrics(&reg);
   dir.publish_all();
 
-  const auto first = dir.discover(s0, 5, nullptr, sim::SimTime::zero());
-  const auto again = dir.discover(s0, 5, nullptr, sim::SimTime::minutes(5));
+  const auto first = test::discover(dir, s0, 5, nullptr, sim::SimTime::zero());
+  const auto again = test::discover(dir, s0, 5, nullptr, sim::SimTime::minutes(5));
   EXPECT_EQ(again.instances, first.instances);  // re-looked-up, same answer
   EXPECT_EQ(reg.counter("cache.discovery.misses").value, 2u);
   EXPECT_EQ(reg.counter("directory.lookups").value, 2u);
@@ -299,17 +298,17 @@ TEST_F(CachedDirectoryFixture, RepublishAndPublishInvalidate) {
   dir.set_metrics(&reg);
   dir.publish_all();
 
-  (void)dir.discover(s0, 5, nullptr, sim::SimTime::zero());
+  (void)test::discover(dir, s0, 5, nullptr, sim::SimTime::zero());
   dir.publish_all();  // the periodic republish: one invalidation, not N
   EXPECT_EQ(reg.counter("cache.discovery.invalidations").value, 1u);
 
   // After a single publish (a replication clone) the next discover must see
   // the new instance immediately — within the TTL — because the
   // registration change dropped the cache.
-  (void)dir.discover(s0, 5, nullptr, sim::SimTime::seconds(1));
+  (void)test::discover(dir, s0, 5, nullptr, sim::SimTime::seconds(1));
   const registry::InstanceId i2 = catalog.add_instance(make_instance(s0));
   dir.publish(i2);
-  const auto d = dir.discover(s0, 5, nullptr, sim::SimTime::seconds(2));
+  const auto d = test::discover(dir, s0, 5, nullptr, sim::SimTime::seconds(2));
   EXPECT_EQ(d.instances, (std::vector<registry::InstanceId>{i0, i1, i2}));
   EXPECT_EQ(reg.counter("cache.discovery.invalidations").value, 2u);
 }
@@ -326,20 +325,20 @@ TEST_F(CachedDirectoryFixture, PublishInvalidatesOnlyItsOwnService) {
   dir.set_metrics(&reg);
   dir.publish_all();
 
-  (void)dir.discover(s0, 5, nullptr, sim::SimTime::zero());
-  (void)dir.discover(s1, 5, nullptr, sim::SimTime::zero());
+  (void)test::discover(dir, s0, 5, nullptr, sim::SimTime::zero());
+  (void)test::discover(dir, s1, 5, nullptr, sim::SimTime::zero());
   EXPECT_EQ(reg.counter("cache.discovery.misses").value, 2u);
 
   // Registration churn on s0 only: s1's entry stays warm.
   dir.publish(i1);
-  const auto warm = dir.discover(s1, 5, nullptr, sim::SimTime::seconds(1));
+  const auto warm = test::discover(dir, s1, 5, nullptr, sim::SimTime::seconds(1));
   EXPECT_EQ(warm.instances, (std::vector<registry::InstanceId>{j0}));
   EXPECT_EQ(warm.hops, 0);
   EXPECT_EQ(reg.counter("cache.discovery.hits").value, 1u);
   EXPECT_EQ(reg.counter("directory.lookups").value, 2u);  // no re-route of s1
 
   // s0's entry did drop: its next discover routes again and sees i1 back.
-  const auto cold = dir.discover(s0, 5, nullptr, sim::SimTime::seconds(2));
+  const auto cold = test::discover(dir, s0, 5, nullptr, sim::SimTime::seconds(2));
   EXPECT_EQ(cold.instances, (std::vector<registry::InstanceId>{i0, i1}));
   EXPECT_EQ(reg.counter("cache.discovery.misses").value, 3u);
   EXPECT_EQ(reg.counter("directory.lookups").value, 3u);
@@ -350,8 +349,8 @@ TEST_F(CachedDirectoryFixture, DisabledCacheRegistersNoCacheMetrics) {
   obs::MetricsRegistry reg;
   dir.set_metrics(&reg);  // TTL off: cache.* names must not appear
   dir.publish_all();
-  (void)dir.discover(s0, 5);
-  (void)dir.discover(s0, 5);
+  (void)test::discover(dir, s0, 5);
+  (void)test::discover(dir, s0, 5);
   EXPECT_EQ(reg.counters().count("cache.discovery.hits"), 0u);
   EXPECT_EQ(reg.counters().count("cache.discovery.misses"), 0u);
   EXPECT_EQ(reg.counter("directory.lookups").value, 2u);
@@ -384,8 +383,8 @@ TEST_F(CachedDirectoryFixture, ReplicaPublishInvalidatesCachedDiscovery) {
                               qos::TupleWeights::uniform(2),
                               qos::ResourceSchema::paper());
 
-  (void)dir.discover(s0, 5, nullptr, sim::SimTime::zero());
-  (void)dir.discover(s0, 5, nullptr, sim::SimTime::seconds(1));
+  (void)test::discover(dir, s0, 5, nullptr, sim::SimTime::zero());
+  (void)test::discover(dir, s0, 5, nullptr, sim::SimTime::seconds(1));
   EXPECT_EQ(reg.counter("cache.discovery.hits").value, 1u);
 
   // The replica lands mid-TTL; its publish must drop the cached candidate
@@ -397,12 +396,12 @@ TEST_F(CachedDirectoryFixture, ReplicaPublishInvalidatesCachedDiscovery) {
 
   // ...so the next discover routes through the overlay again instead of
   // serving the pre-replica state for the rest of the TTL.
-  (void)dir.discover(s0, 5, nullptr, sim::SimTime::seconds(3));
+  (void)test::discover(dir, s0, 5, nullptr, sim::SimTime::seconds(3));
   EXPECT_EQ(reg.counter("cache.discovery.misses").value, 2u);
   EXPECT_EQ(reg.counter("directory.lookups").value, 2u);
 
   // Retirement narrows the pool: the cache drops again.
-  (void)dir.discover(s0, 5, nullptr, sim::SimTime::seconds(4));
+  (void)test::discover(dir, s0, 5, nullptr, sim::SimTime::seconds(4));
   mgr.sweep(sim::SimTime::minutes(30));
   ASSERT_EQ(mgr.stats().retired, 1u);
   EXPECT_EQ(reg.counter("cache.discovery.invalidations").value, 2u);

@@ -56,8 +56,8 @@ TEST(CanOverlay, ZonesAlwaysTileTheTorus) {
     EXPECT_NEAR(can.total_leaf_volume(), 1.0, 1e-12) << "after join " << p;
   }
   for (net::PeerId p = 0; p < 32; ++p) {
-    can.leave(p);
-    EXPECT_NEAR(can.total_leaf_volume(), 1.0, 1e-12) << "after leave " << p;
+    can.fail(p);
+    EXPECT_NEAR(can.total_leaf_volume(), 1.0, 1e-12) << "after fail " << p;
   }
 }
 
@@ -154,23 +154,6 @@ TEST(CanOverlay, JoinMovesKeysWithZone) {
   }
 }
 
-TEST(CanOverlay, GracefulLeavePreservesData) {
-  auto can = make_can(32);
-  util::Rng rng(12);
-  std::vector<Key> keys;
-  for (int i = 0; i < 64; ++i) {
-    keys.push_back(rng());
-    can.insert(keys.back(), static_cast<std::uint64_t>(i));
-  }
-  for (net::PeerId p = 0; p < 16; ++p) can.leave(p);
-  for (int i = 0; i < 64; ++i) {
-    const auto values = can.get(keys[static_cast<std::size_t>(i)]);
-    EXPECT_TRUE(std::find(values.begin(), values.end(),
-                          static_cast<std::uint64_t>(i)) != values.end())
-        << "key " << i << " lost after graceful leaves";
-  }
-}
-
 TEST(CanOverlay, SingleFailureSurvivedByReplicas) {
   auto can = make_can(32, /*seed=*/2, /*replicas=*/3);
   util::Rng rng(13);
@@ -190,14 +173,13 @@ TEST(CanOverlay, SingleFailureSurvivedByReplicas) {
 
 TEST(CanOverlay, LeaveUnknownPeerIsNoop) {
   auto can = make_can(4);
-  can.leave(99);
   can.fail(99);
   EXPECT_EQ(can.size(), 4u);
 }
 
 TEST(CanOverlay, LastNodeLeavingEmptiesOverlay) {
   auto can = make_can(1);
-  can.leave(0);
+  can.fail(0);
   EXPECT_EQ(can.size(), 0u);
   EXPECT_TRUE(can.get(42).empty());
   // A fresh join bootstraps again.
@@ -205,7 +187,7 @@ TEST(CanOverlay, LastNodeLeavingEmptiesOverlay) {
   EXPECT_EQ(can.owner_of(42), 5u);
 }
 
-// Property sweep mirroring the Chord churn property: random join/leave/fail
+// Property sweep mirroring the Chord churn property: random join/fail
 // sequences keep routing consistent with the oracle owner.
 class CanChurnProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -226,11 +208,7 @@ TEST_P(CanChurnProperty, RoutingStaysCorrectUnderChurn) {
     } else {
       auto it = members.begin();
       std::advance(it, static_cast<long>(rng.index(members.size())));
-      if (action == 1) {
-        can.leave(*it);
-      } else {
-        can.fail(*it);
-      }
+      can.fail(*it);
       members.erase(it);
     }
     EXPECT_NEAR(can.total_leaf_volume(), 1.0, 1e-9) << "step " << step;

@@ -95,31 +95,6 @@ TYPED_TEST(LookupConformance, StorageRoundTrip) {
   }
 }
 
-TYPED_TEST(LookupConformance, GracefulChurnNeverLosesData) {
-  auto o = TestFixture::make(5, 2);
-  for (net::PeerId p = 0; p < 40; ++p) o->join(p);
-  o->stabilize_all();
-  util::Rng rng(10);
-  std::vector<Key> keys;
-  for (int i = 0; i < 50; ++i) {
-    keys.push_back(rng());
-    o->insert(keys.back(), static_cast<std::uint64_t>(i));
-  }
-  net::PeerId next = 40;
-  for (int step = 0; step < 30; ++step) {
-    o->leave(static_cast<net::PeerId>(step));
-    o->join(next++);
-    o->stabilize_all();
-    for (int i = 0; i < 50; ++i) {
-      const auto values = o->get(keys[static_cast<std::size_t>(i)]);
-      EXPECT_TRUE(std::find(values.begin(), values.end(),
-                            static_cast<std::uint64_t>(i)) != values.end())
-          << OverlayNames::GetName<TypeParam>(0) << " lost key " << i
-          << " at step " << step;
-    }
-  }
-}
-
 TYPED_TEST(LookupConformance, AbruptFailureHealedByRepublish) {
   auto o = TestFixture::make(6, 2);
   for (net::PeerId p = 0; p < 40; ++p) o->join(p);
@@ -187,7 +162,7 @@ TYPED_TEST(LookupConformance, LastNodeLeavingEmptiesOverlay) {
   auto o = TestFixture::make(11, 2);
   o->join(0);
   o->insert(42, 7);
-  o->leave(0);
+  o->fail(0);
   EXPECT_EQ(o->size(), 0u);
   EXPECT_FALSE(o->contains(0));
   EXPECT_TRUE(o->get(42).empty());

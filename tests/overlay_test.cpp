@@ -156,25 +156,6 @@ TEST(ChordRing, GetMissingKeyIsEmpty) {
   EXPECT_TRUE(ring.get(data_key(1, "nothing")).empty());
 }
 
-TEST(ChordRing, GracefulLeaveHandsOffKeys) {
-  auto ring = make_ring(32);
-  util::Rng rng(12);
-  std::vector<ChordKey> keys;
-  for (int i = 0; i < 64; ++i) {
-    keys.push_back(rng());
-    ring.insert(keys.back(), static_cast<std::uint64_t>(i));
-  }
-  // Gracefully remove half the nodes.
-  for (net::PeerId p = 0; p < 16; ++p) ring.leave(p);
-  ring.stabilize_all();
-  for (int i = 0; i < 64; ++i) {
-    const auto values = ring.get(keys[static_cast<std::size_t>(i)]);
-    EXPECT_TRUE(std::find(values.begin(), values.end(),
-                          static_cast<std::uint64_t>(i)) != values.end())
-        << "key " << i << " lost after graceful leaves";
-  }
-}
-
 TEST(ChordRing, AbruptFailureSurvivedByReplicas) {
   // With replication 3, any single failure keeps every value readable.
   auto ring = make_ring(32, /*seed=*/2, /*replicas=*/3);
@@ -196,7 +177,6 @@ TEST(ChordRing, AbruptFailureSurvivedByReplicas) {
 
 TEST(ChordRing, LeaveUnknownPeerIsNoop) {
   auto ring = make_ring(4);
-  ring.leave(99);
   ring.fail(99);
   EXPECT_EQ(ring.size(), 4u);
 }
@@ -275,8 +255,8 @@ TEST(ChordRing, JoinAfterDataMovesResponsibility) {
   }
 }
 
-// Property sweep: random join/leave/fail churn, then every key lookup from
-// every surviving node agrees with the oracle owner.
+// Property sweep: random join/fail churn, then every key lookup from every
+// surviving node agrees with the oracle owner.
 class ChordChurnProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ChordChurnProperty, RoutingStaysCorrectUnderChurn) {
@@ -294,12 +274,7 @@ TEST_P(ChordChurnProperty, RoutingStaysCorrectUnderChurn) {
     if (action == 0 || members.size() < 8) {
       ring.join(next);
       members.insert(next++);
-    } else if (action == 1) {
-      auto it = members.begin();
-      std::advance(it, static_cast<long>(rng.index(members.size())));
-      ring.leave(*it);
-      members.erase(it);
-    } else if (action == 2) {
+    } else if (action <= 2) {
       auto it = members.begin();
       std::advance(it, static_cast<long>(rng.index(members.size())));
       ring.fail(*it);

@@ -130,23 +130,6 @@ TEST(PastryOverlay, JoinMovesOwnership) {
   }
 }
 
-TEST(PastryOverlay, GracefulLeavePreservesData) {
-  auto p = make_pastry(32);
-  util::Rng rng(12);
-  std::vector<Key> keys;
-  for (int i = 0; i < 64; ++i) {
-    keys.push_back(rng());
-    p.insert(keys.back(), static_cast<std::uint64_t>(i));
-  }
-  for (net::PeerId id = 0; id < 16; ++id) p.leave(id);
-  for (int i = 0; i < 64; ++i) {
-    const auto values = p.get(keys[static_cast<std::size_t>(i)]);
-    EXPECT_TRUE(std::find(values.begin(), values.end(),
-                          static_cast<std::uint64_t>(i)) != values.end())
-        << "key " << i;
-  }
-}
-
 TEST(PastryOverlay, SingleFailureSurvivedByReplicas) {
   auto p = make_pastry(32, 2, 3);
   util::Rng rng(13);
@@ -178,7 +161,6 @@ TEST(PastryOverlay, RoutesWithStaleTablesAfterChurn) {
 
 TEST(PastryOverlay, LeaveUnknownPeerIsNoop) {
   auto p = make_pastry(4);
-  p.leave(99);
   p.fail(99);
   EXPECT_EQ(p.size(), 4u);
 }
@@ -205,11 +187,7 @@ TEST_P(PastryChurnProperty, RoutingStaysCorrectUnderChurn) {
     } else {
       auto it = members.begin();
       std::advance(it, static_cast<long>(rng.index(members.size())));
-      if (action == 1) {
-        p.leave(*it);
-      } else {
-        p.fail(*it);
-      }
+      p.fail(*it);
       members.erase(it);
     }
     const Key key = rng();

@@ -201,22 +201,6 @@ TEST(NeighborTable, LongestExpiredIsReclaimedFirst) {
   EXPECT_TRUE(t.find(2).has_value());
 }
 
-TEST(NeighborTable, PurgeDropsExpired) {
-  NeighborTable t(10);
-  t.add(1, 1, NeighborKind::kDirect, SimTime::zero(), SimTime::minutes(1));
-  t.add(2, 1, NeighborKind::kDirect, SimTime::zero(), SimTime::minutes(60));
-  t.purge(SimTime::minutes(5));
-  EXPECT_EQ(t.size(), 1u);
-  EXPECT_TRUE(t.knows(2, SimTime::minutes(5)));
-}
-
-TEST(NeighborTable, EraseRemovesEntry) {
-  NeighborTable t(10);
-  t.add(1, 1, NeighborKind::kDirect, SimTime::zero(), SimTime::minutes(10));
-  t.erase(1);
-  EXPECT_FALSE(t.knows(1, SimTime::zero()));
-}
-
 TEST(NeighborTable, FillsToTheSlotCap) {
   // Rows and heap slots are 16-bit: a table at the cap still indexes every
   // row and evicts through the heap.
@@ -235,8 +219,8 @@ TEST(NeighborTable, FillsToTheSlotCap) {
 
 TEST(NeighborTable, FullTableChurnAllocatesNothing) {
   // Once a table holds M = 100 rows, refreshes (rank upgrades among them),
-  // rejections, live and expired evictions, erases and purges reuse its
-  // rows, heap and index without touching the allocator.
+  // rejections, and live and expired evictions reuse its rows, heap and
+  // index without touching the allocator.
   NeighborTable t(100);
   SimTime now = SimTime::zero();
   const SimTime ttl = SimTime::minutes(90);
@@ -262,11 +246,6 @@ TEST(NeighborTable, FullTableChurnAllocatesNothing) {
     if (t.add(next++, 1, NeighborKind::kDirect, now, life) && full) {
       ++evictions;
     }
-    if (round % 10 == 0) {
-      t.erase(old);
-      t.add(next++, 2, NeighborKind::kDirect, now, ttl);
-    }
-    if (round % 25 == 0) t.purge(now);
   }
   const std::uint64_t allocations = test::allocation_count() - before;
   EXPECT_EQ(allocations, 0u);

@@ -194,26 +194,11 @@ TEST_P(NeighborTableModel, InvariantsUnderRandomOps) {
   for (int step = 0; step < 2000; ++step) {
     now += sim::SimTime::seconds(rng.uniform(0, 30));
     const auto peer = static_cast<net::PeerId>(rng.index(40));
-    switch (rng.index(4)) {
-      case 0:
-      case 1: {
-        const auto hop = static_cast<std::uint8_t>(1 + rng.index(4));
-        const auto kind = rng.bernoulli(0.5) ? probe::NeighborKind::kDirect
-                                             : probe::NeighborKind::kIndirect;
-        const bool added =
-            table.add(peer, hop, kind, now, sim::SimTime::minutes(30));
-        if (added) {
-          EXPECT_TRUE(table.knows(peer, now));
-        }
-        break;
-      }
-      case 2:
-        table.erase(peer);
-        EXPECT_FALSE(table.knows(peer, now));
-        break;
-      default:
-        table.purge(now);
-        break;
+    const auto hop = static_cast<std::uint8_t>(1 + rng.index(4));
+    const auto kind = rng.bernoulli(0.5) ? probe::NeighborKind::kDirect
+                                         : probe::NeighborKind::kIndirect;
+    if (table.add(peer, hop, kind, now, sim::SimTime::minutes(30))) {
+      EXPECT_TRUE(table.knows(peer, now));
     }
     // Invariants: never over budget; knows() == unexpired entry.
     ASSERT_LE(table.size(), kBudget) << "step " << step;
@@ -303,13 +288,6 @@ class ScanNeighborTable {
     return true;
   }
 
-  void erase(net::PeerId peer) { entries_.erase(peer); }
-
-  void purge(sim::SimTime now) {
-    std::erase_if(entries_,
-                  [now](const auto& kv) { return kv.second.expires <= now; });
-  }
-
   [[nodiscard]] const std::map<net::PeerId, probe::NeighborEntry>& entries()
       const noexcept {
     return entries_;
@@ -336,11 +314,11 @@ std::tuple<int, int, std::int64_t> fields(const probe::NeighborEntry& e) {
 }
 
 TEST_P(NeighborTableModel, VictimMatchesScanReference) {
-  // Random add / refresh / rank-upgrade / erase / purge sequences drive the
-  // heap-indexed table and the scan side by side. Deadlines are whole
-  // minutes a few minutes out, so rank ties, deadline ties and expired
-  // entries are all common; after every step both must agree on add()'s
-  // verdict and on the full contents (hence on every victim).
+  // Random add / refresh / rank-upgrade sequences drive the heap-indexed
+  // table and the scan side by side. Deadlines are whole minutes a few
+  // minutes out, so rank ties, deadline ties and expired entries are all
+  // common; after every step both must agree on add()'s verdict and on the
+  // full contents (hence on every victim).
   constexpr std::size_t kBudgets[] = {1, 2, 12, 100};
   for (const std::size_t budget : kBudgets) {
     util::Rng rng(util::derive_seed(GetParam(), "nt-victim", budget));
@@ -399,15 +377,7 @@ TEST_P(NeighborTableModel, VictimMatchesScanReference) {
           ++(!added ? rejected : any_expired ? expired_evictions
                                              : live_evictions);
         }
-      } else if (op <= 7) {
-        const auto* e = op == 6 ? existing() : nullptr;
-        if (e != nullptr) peer = e->first;
-        table.erase(peer);
-        ref.erase(peer);
-      } else if (op == 8) {
-        table.purge(now);
-        ref.purge(now);
-      }  // op 9: time passes with no operation
+      }  // ops 6-9: time passes with no operation
       ASSERT_EQ(table.size(), ref.entries().size())
           << "budget " << budget << " step " << step;
       const auto got = contents(table);
@@ -539,8 +509,8 @@ class ShadowedRing {
     members_.emplace(overlay::node_key(seed_, peer), peer);
   }
 
-  void leave(net::PeerId peer, bool abrupt) {
-    abrupt ? ring_.fail(peer) : ring_.leave(peer);
+  void fail(net::PeerId peer) {
+    ring_.fail(peer);
     members_.erase(overlay::node_key(seed_, peer));
   }
 
@@ -605,11 +575,11 @@ class ChordFingerModel : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ChordFingerModel, SweepMatchesSortedSearchReference) {
   std::size_t compared = 0;
-  // Rounds: random joins, deferred joins, leaves and failures between
-  // stabilize rounds of every size, then a full pass with no change, after
-  // which every node's fingers must equal the reference's. Each epoch also
-  // has a peer leave and rejoin between two rounds, and some epochs a burst
-  // of deferred joins that fills the universe.
+  // Rounds: random joins, deferred joins and failures between stabilize
+  // rounds of every size, then a full pass with no change, after which
+  // every node's fingers must equal the reference's. Each epoch also has a
+  // peer fail and rejoin between two rounds, and some epochs a burst of
+  // deferred joins that fills the universe.
   constexpr double kFractions[] = {0.01, 0.05, 0.1, 0.3, 0.5, 1.0, 1.7};
   for (const double fraction : kFractions) {
     util::Rng rng(util::derive_seed(GetParam(), "chord-sweep",
@@ -627,12 +597,12 @@ TEST_P(ChordFingerModel, SweepMatchesSortedSearchReference) {
         if (!model.has(peer)) {
           model.join(peer, rng.bernoulli(0.5));
         } else if (model.size() > 1) {
-          model.leave(peer, rng.bernoulli(0.5));
+          model.fail(peer);
         }
         if (rng.bernoulli(0.2)) model.ring().stabilize_round(fraction);
       }
       const net::PeerId back = model.any_member(rng);
-      model.leave(back, rng.bernoulli(0.5));
+      model.fail(back);
       model.join(back, rng.bernoulli(0.5));
       model.ring().stabilize_round(fraction);
       if (epoch % 4 == 3) {
@@ -665,11 +635,11 @@ TEST_P(ChordFingerModel, SweepMatchesSortedSearchReference) {
     // index the joins and departures edited in place.
     for (std::size_t step = 0; step < 2 + size / 64; ++step) {
       const net::PeerId out = model.any_member(rng);
-      model.leave(out, rng.bernoulli(0.5));
+      model.fail(out);
       model.join(static_cast<net::PeerId>(size + step), rng.bernoulli(0.5));
-      if (step % 3 == 0) {  // and a peer that leaves and comes back
+      if (step % 3 == 0) {  // and a peer that fails and comes back
         const net::PeerId back = model.any_member(rng);
-        model.leave(back, rng.bernoulli(0.5));
+        model.fail(back);
         model.join(back, rng.bernoulli(0.5));
       }
     }
@@ -686,8 +656,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ChordFingerModel, ::testing::Values(1, 2, 3));
 // ------------------------------------------------- ChordRing (whole ring)
 
 /// The map-based ChordRing the flat one replaced, verbatim but for its
-/// name: a std::map of ~600-byte nodes with key fingers, a peer -> key hash
-/// map, and a sorted key vector kept in step by a change log.
+/// name and the graceful leave both rings have since dropped: a std::map of
+/// ~600-byte nodes with key fingers, a peer -> key hash map, and a sorted
+/// key vector kept in step by a change log.
 namespace map_ring {
 using namespace overlay;
 
@@ -708,9 +679,6 @@ class MapChordRing final : public LookupService {
   /// recomputes every table anyway. Joining N peers this way is O(N log N)
   /// map inserts instead of O(N * 64 log N) finger lookups.
   void join_deferred(net::PeerId peer) override;
-
-  /// Graceful departure: hands stored keys to the successor, then leaves.
-  void leave(net::PeerId peer) override;
 
   /// Abrupt failure: the node vanishes with its store; replicas on
   /// successors keep surviving copies reachable.
@@ -967,24 +935,6 @@ void MapChordRing::join(net::PeerId peer) { join_impl(peer, /*deferred=*/false);
 
 void MapChordRing::join_deferred(net::PeerId peer) {
   join_impl(peer, /*deferred=*/true);
-}
-
-void MapChordRing::leave(net::PeerId peer) {
-  auto pit = key_of_peer_.find(peer);
-  if (pit == key_of_peer_.end()) return;
-  const ChordKey key = pit->second;
-  auto it = ring_.find(key);
-  QSA_ASSERT(it != ring_.end());
-  if (ring_.size() > 1) {
-    // Graceful handoff of the store to the successor.
-    auto next = std::next(it) == ring_.end() ? ring_.begin() : std::next(it);
-    for (auto& [k, values] : it->second.store) {
-      next->second.store[k].insert(values.begin(), values.end());
-    }
-  }
-  ring_.erase(it);
-  key_of_peer_.erase(pit);
-  log_change(key);
 }
 
 void MapChordRing::fail(net::PeerId peer) {
@@ -1280,8 +1230,8 @@ class ChordRingModel : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(ChordRingModel, MatchesMapRingReference) {
   // Per ring size, with and without lookup loss: a bootstrap (deferred joins
   // from empty, or a mix of joins and deferred joins), then random joins,
-  // deferred joins, leaves, failures, inserts, erases, stabilize rounds of
-  // every size and full rebuilds, with a peer that leaves and rejoins. Every
+  // deferred joins, failures, inserts, erases, stabilize rounds of every
+  // size and full rebuilds, with a peer that fails and rejoins. Every
   // observable is compared after every step (bootstrap joins of the big ring
   // are compared once, at its end).
   constexpr std::size_t kSizes[] = {1, 2, 3, 17,
@@ -1347,11 +1297,8 @@ TEST_P(ChordRingModel, MatchesMapRingReference) {
           step = (deferred ? "join_deferred " : "join ") + std::to_string(p);
         } else if (op <= 3 && members > 0) {
           const net::PeerId p = any(true);
-          const bool abrupt = op == 3;
-          rings.apply([&](auto& ring) {
-            abrupt ? ring.fail(p) : ring.leave(p);
-          });
-          step = (abrupt ? "fail " : "leave ") + std::to_string(p);
+          rings.apply([&](auto& ring) { ring.fail(p); });
+          step = "fail " + std::to_string(p);
         } else if (op == 4 && members > 0) {
           const ChordKey key = data[rng.index(data.size())];
           const std::uint64_t value = rng.index(4);
@@ -1370,12 +1317,9 @@ TEST_P(ChordRingModel, MatchesMapRingReference) {
           rings.apply([](auto& ring) { ring.stabilize_all(); });
           step = "stabilize_all";
         } else if (members > 0) {
-          // A peer leaves (or fails) and rejoins under the same key.
+          // A peer fails and rejoins under the same key.
           const net::PeerId p = any(true);
-          const bool abrupt = rng.bernoulli(0.5);
-          rings.apply([&](auto& ring) {
-            abrupt ? ring.fail(p) : ring.leave(p);
-          });
+          rings.apply([&](auto& ring) { ring.fail(p); });
           ASSERT_EQ(differs("rejoin's departure of " + std::to_string(p)), "");
           const bool deferred = rng.bernoulli(0.5);
           rings.apply([&](auto& ring) {

@@ -2,6 +2,8 @@
 
 #include <set>
 
+#include "directory_lookup.hpp"
+
 #include "qsa/overlay/chord_ring.hpp"
 #include "qsa/qos/satisfy.hpp"
 #include "qsa/qos/translator.hpp"
@@ -68,12 +70,10 @@ struct GeneratedCatalog {
 
 TEST(GenerateInstances, CountWithinPaperBounds) {
   GeneratedCatalog g;
-  CatalogParams params;
   for (int s = 0; s < 20; ++s) {
     const auto sid = g.catalog.add_service("svc");
-    params.seed = static_cast<std::uint64_t>(s + 1);
-    generate_instances(g.catalog, sid, params, g.universe, g.translator,
-                       false);
+    generate_instances(g.catalog, sid, static_cast<std::uint64_t>(s + 1),
+                       g.universe, g.translator, false);
     const auto n = g.catalog.instances_of(sid).size();
     EXPECT_GE(n, 10u);
     EXPECT_LE(n, 20u);
@@ -83,7 +83,7 @@ TEST(GenerateInstances, CountWithinPaperBounds) {
 TEST(GenerateInstances, SourceInstancesHaveEmptyQin) {
   GeneratedCatalog g;
   const auto sid = g.catalog.add_service("src");
-  generate_instances(g.catalog, sid, CatalogParams{}, g.universe,
+  generate_instances(g.catalog, sid, /*seed=*/1, g.universe,
                      g.translator, /*is_source=*/true);
   for (const auto id : g.catalog.instances_of(sid)) {
     EXPECT_TRUE(g.catalog.instance(id).qin.empty());
@@ -94,7 +94,7 @@ TEST(GenerateInstances, SourceInstancesHaveEmptyQin) {
 TEST(GenerateInstances, NonSourceInstancesHaveLevelAcceptance) {
   GeneratedCatalog g;
   const auto sid = g.catalog.add_service("mid");
-  generate_instances(g.catalog, sid, CatalogParams{}, g.universe,
+  generate_instances(g.catalog, sid, /*seed=*/1, g.universe,
                      g.translator, false);
   for (const auto id : g.catalog.instances_of(sid)) {
     const auto& inst = g.catalog.instance(id);
@@ -108,7 +108,7 @@ TEST(GenerateInstances, NonSourceInstancesHaveLevelAcceptance) {
 TEST(GenerateInstances, ResourcesAndBandwidthPositive) {
   GeneratedCatalog g;
   const auto sid = g.catalog.add_service("svc");
-  generate_instances(g.catalog, sid, CatalogParams{}, g.universe,
+  generate_instances(g.catalog, sid, /*seed=*/1, g.universe,
                      g.translator, false);
   for (const auto id : g.catalog.instances_of(sid)) {
     const auto& inst = g.catalog.instance(id);
@@ -123,10 +123,8 @@ TEST(GenerateInstances, DeterministicPerSeed) {
   GeneratedCatalog g1, g2;
   const auto s1 = g1.catalog.add_service("svc");
   const auto s2 = g2.catalog.add_service("svc");
-  CatalogParams params;
-  params.seed = 77;
-  generate_instances(g1.catalog, s1, params, g1.universe, g1.translator, false);
-  generate_instances(g2.catalog, s2, params, g2.universe, g2.translator, false);
+  generate_instances(g1.catalog, s1, 77, g1.universe, g1.translator, false);
+  generate_instances(g2.catalog, s2, 77, g2.universe, g2.translator, false);
   ASSERT_EQ(g1.catalog.instance_count(), g2.catalog.instance_count());
   for (InstanceId i = 0; i < g1.catalog.instance_count(); ++i) {
     EXPECT_EQ(g1.catalog.instance(i).qout, g2.catalog.instance(i).qout);
@@ -140,9 +138,8 @@ TEST(GenerateInstances, ConsecutiveLayersOftenComposable) {
   GeneratedCatalog g;
   const auto a = g.catalog.add_service("a");
   const auto b = g.catalog.add_service("b");
-  CatalogParams params;
-  generate_instances(g.catalog, a, params, g.universe, g.translator, false);
-  generate_instances(g.catalog, b, params, g.universe, g.translator, false);
+  generate_instances(g.catalog, a, 1, g.universe, g.translator, false);
+  generate_instances(g.catalog, b, 1, g.universe, g.translator, false);
   int consistent_pairs = 0;
   for (const auto pa : g.catalog.instances_of(a)) {
     for (const auto pb : g.catalog.instances_of(b)) {
@@ -276,16 +273,16 @@ struct DirectoryFixture : ::testing::Test {
 TEST_F(DirectoryFixture, PublishAndDiscover) {
   ServiceDirectory dir(1, ring, catalog);
   dir.publish_all();
-  const auto d0 = dir.discover(s0, 5);
+  const auto d0 = test::discover(dir, s0, 5);
   EXPECT_EQ(std::set<InstanceId>(d0.instances.begin(), d0.instances.end()),
             (std::set<InstanceId>{i0, i1}));
-  const auto d1 = dir.discover(s1, 5);
+  const auto d1 = test::discover(dir, s1, 5);
   EXPECT_EQ(d1.instances, (std::vector<InstanceId>{i2}));
 }
 
 TEST_F(DirectoryFixture, DiscoverUnpublishedIsEmpty) {
   ServiceDirectory dir(1, ring, catalog);
-  EXPECT_TRUE(dir.discover(s0, 3).instances.empty());
+  EXPECT_TRUE(test::discover(dir, s0, 3).instances.empty());
 }
 
 TEST_F(DirectoryFixture, DiscoveryPaysChordHops) {
@@ -295,7 +292,7 @@ TEST_F(DirectoryFixture, DiscoveryPaysChordHops) {
   // Over many vantage points, at least some lookups need routing hops.
   int total_hops = 0;
   for (net::PeerId p = 0; p < 32; ++p) {
-    total_hops += dir.discover(s0, p, &net).hops;
+    total_hops += test::discover(dir, s0, p, &net).hops;
   }
   EXPECT_GT(total_hops, 0);
 }
@@ -308,7 +305,7 @@ TEST_F(DirectoryFixture, RepublishHealsAfterFailures) {
   for (net::PeerId p = 0; p < 10; ++p) ring.fail(p);
   ring.stabilize_all();
   dir.publish_all();  // the periodic republish
-  const auto d = dir.discover(s0, 20);
+  const auto d = test::discover(dir, s0, 20);
   EXPECT_EQ(std::set<InstanceId>(d.instances.begin(), d.instances.end()),
             (std::set<InstanceId>{i0, i1}));
 }

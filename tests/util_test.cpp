@@ -117,20 +117,6 @@ TEST(Rng, ExponentialIsPositive) {
   for (int i = 0; i < 1000; ++i) EXPECT_GE(rng.exponential(0.001), 0.0);
 }
 
-TEST(Rng, ParetoRespectsScale) {
-  Rng rng(9);
-  for (int i = 0; i < 1000; ++i) EXPECT_GE(rng.pareto(3.0, 1.5), 3.0);
-}
-
-TEST(Rng, ParetoIsHeavyTailed) {
-  Rng rng(10);
-  // With shape 1.1, the max of many draws dwarfs the median.
-  std::vector<double> xs;
-  for (int i = 0; i < 10'000; ++i) xs.push_back(rng.pareto(1.0, 1.1));
-  std::sort(xs.begin(), xs.end());
-  EXPECT_GT(xs.back(), 20 * xs[xs.size() / 2]);
-}
-
 TEST(Rng, ShufflePreservesElements) {
   Rng rng(11);
   std::vector<int> v{1, 2, 3, 4, 5, 6, 7};
@@ -324,11 +310,18 @@ TEST(Flags, CliBeatsEnvironment) {
 }
 
 TEST(Flags, PositionalArguments) {
-  const char* argv[] = {"prog", "alpha", "--k=1", "beta"};
-  Flags f(4, argv);
-  ASSERT_EQ(f.positional().size(), 2u);
-  EXPECT_EQ(f.positional()[0], "alpha");
-  EXPECT_EQ(f.positional()[1], "beta");
+  // No program takes a positional argument: a stray one (or a one-dash
+  // typo of a flag) is unknown, listed as typed after the unknown flags,
+  // even after every flag has been consulted.
+  const char* argv[] = {"prog", "alpha", "--k=1", "-seed=3", "beta", "--z"};
+  Flags f(6, argv);
+  EXPECT_EQ(f.unknown(),
+            (std::vector<std::string>{"k", "z", "alpha", "-seed=3", "beta"}));
+  EXPECT_EQ(f.get_int("k", 0), 1);
+  EXPECT_TRUE(f.get_bool("z", false));
+  EXPECT_EQ(f.get_int("seed", 42), 42);
+  EXPECT_EQ(f.unknown(),
+            (std::vector<std::string>{"alpha", "-seed=3", "beta"}));
 }
 
 TEST(Flags, HelpDetected) {
@@ -368,12 +361,12 @@ TEST(Flags, UnknownShrinksAsFlagsAreQueried) {
   EXPECT_TRUE(f.unknown().empty());
 }
 
-TEST(Flags, UnknownIgnoresHelpPositionalsAndEnvironment) {
-  // --help never reaches kv_, positionals are not flags, and environment
-  // variables cannot be typos on this command line.
+TEST(Flags, UnknownIgnoresHelpAndEnvironment) {
+  // --help never reaches kv_, and environment variables cannot be typos on
+  // this command line.
   ::setenv("QSA_NOT_ON_CLI", "1", 1);
-  const char* argv[] = {"prog", "--help", "positional"};
-  Flags f(3, argv);
+  const char* argv[] = {"prog", "--help"};
+  Flags f(2, argv);
   EXPECT_TRUE(f.help());
   EXPECT_TRUE(f.unknown().empty());
   ::unsetenv("QSA_NOT_ON_CLI");
@@ -400,6 +393,11 @@ TEST(FlagsDeathTest, RejectUnknownFlagsExitsWithStatusTwo) {
   (void)f.get_double("replica-threshold", 8);
   EXPECT_EXIT(reject_unknown_flags(f, "prog"),
               ::testing::ExitedWithCode(2), "unknown flag --replica-treshold");
+  const char* stray[] = {"prog", "--rate=5", "extra"};
+  Flags g(3, stray);
+  EXPECT_EQ(g.get_int("rate", 0), 5);
+  EXPECT_EXIT(reject_unknown_flags(g, "prog"),
+              ::testing::ExitedWithCode(2), "unknown flag extra");
 }
 
 TEST(Flags, RejectUnknownFlagsReturnsWhenAllQueried) {

@@ -28,7 +28,8 @@ struct WorkloadFixture : ::testing::Test {
   }
 
   ApplicationCatalog make_apps(AppCatalogParams params = {}) {
-    return ApplicationCatalog(services, universe, translator, params);
+    return ApplicationCatalog(services, universe, translator, params,
+                              /*seed=*/1);
   }
 
   util::Interner interner;
@@ -79,7 +80,8 @@ TEST_F(WorkloadFixture, OnlySourcesLackInput) {
 TEST_F(WorkloadFixture, AppsAreSeedDeterministic) {
   registry::ServiceCatalog cat2;
   ApplicationCatalog a1 = make_apps();
-  ApplicationCatalog a2(cat2, universe, translator, AppCatalogParams{});
+  ApplicationCatalog a2(cat2, universe, translator, AppCatalogParams{},
+                        /*seed=*/1);
   ASSERT_EQ(a1.apps().size(), a2.apps().size());
   for (std::size_t i = 0; i < a1.apps().size(); ++i) {
     EXPECT_EQ(a1.apps()[i].path.size(), a2.apps()[i].path.size());
