@@ -237,11 +237,10 @@ Report window_rows(const Windows& w) {
   return out;
 }
 
-/// qsa, random and fixed cells sampling psi every 2 minutes.
+/// qsa, random and fixed cells, each sampling psi every
+/// GridConfig::sample_period (2 minutes).
 Cells windowed_cells(const GridConfig& base, double) {
-  GridConfig cfg = base;
-  cfg.sample_period = SimTime::minutes(2);
-  return harness::algorithm_comparison(cfg);
+  return harness::algorithm_comparison(base);
 }
 
 Report fig6_report(const Results& r) {
@@ -372,7 +371,7 @@ Cells uptime_cells(const GridConfig& base, double scale) {
     for (const bool uptime : {true, false}) {
       GridConfig cfg = base;
       cfg.churn.events_per_min = churn * scale;
-      cfg.qsa_options.selector.use_uptime_filter = uptime;
+      cfg.qsa_options.use_uptime_filter = uptime;
       cells.push_back({strf(uptime ? "with@%.0f" : "without@%.0f", churn),
                        cfg});
     }

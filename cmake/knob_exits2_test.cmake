@@ -1,5 +1,5 @@
-# Out-of-range knobs of the front ends that build grids from their own
-# flags, run by ctest:
+# Out-of-range knobs and stray arguments of the front ends that read their
+# own flags, run by ctest:
 #
 #   cmake -DPROGRAM=<binary> -DCASE=<program name> -DWORK=<scratch dir>
 #         -P knob_exits2_test.cmake
@@ -32,6 +32,19 @@ elseif(CASE STREQUAL "bench_obs_overhead")
       "--repeats=0@--repeats=0 is out of range"
       "extra@unknown flag extra")
   set(bounds --trace-sample=4294967295)
+elseif(CASE STREQUAL "content_retrieval")
+  set(defaults)
+  set(cases
+      "--requests=4294967297@--requests=4294967297 is out of range"
+      "--requests=-5@--requests=-5 is out of range")
+  set(bounds --requests=1)
+elseif(CASE STREQUAL "media_streaming")
+  # The scenario takes no flags at all.
+  set(defaults)
+  set(cases
+      "--seed=3@unknown flag --seed"
+      "extra@unknown flag extra")
+  set(bounds)
 else()
   message(FATAL_ERROR "unknown CASE '${CASE}'")
 endif()

@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
   base.horizon = sim::SimTime::minutes(minutes);
   base.algorithm = harness::AlgorithmKind::kQsa;
   harness::GridConfig blind = base;
-  blind.qsa_options.selector.use_uptime_filter = false;
+  blind.qsa_options.use_uptime_filter = false;
   // A grid aborts on a config that breaks a rule; check both first.
   for (const harness::GridConfig* cfg : {&base, &blind}) {
     if (const std::string_view rule = cfg->validate(); !rule.empty()) {

@@ -7,6 +7,7 @@
 //   ./examples/content_retrieval [--requests=300]
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <map>
 
 #include "qsa/harness/grid.hpp"
@@ -71,7 +72,9 @@ void report(const char* name, const Outcome& o) {
 
 int main(int argc, char** argv) {
   util::Flags flags(argc, argv);
-  const int requests = static_cast<int>(flags.get_int("requests", 300));
+  const int requests = static_cast<int>(
+      util::get_int_in(flags, "requests", 300, 1,
+                       std::numeric_limits<int>::max(), "content_retrieval"));
   util::reject_unknown_flags(flags, "content_retrieval");
 
   harness::GridConfig config;

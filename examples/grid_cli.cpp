@@ -297,8 +297,9 @@ int main(int argc, char** argv) {
   if (trace_sink != nullptr) {
     trace_sink->flush();
     if (!closed(trace_os, "trace-out", trace_out)) return 1;
-    std::printf("trace   -> %s (%llu spans)\n", trace_out.c_str(),
-                static_cast<unsigned long long>(trace_sink->spans_written()));
+    std::printf(
+        "trace   -> %s (%llu spans)\n", trace_out.c_str(),
+        static_cast<unsigned long long>(grid.tracer()->emitted_spans()));
   }
   if (series_sink != nullptr) {
     series_sink->flush();

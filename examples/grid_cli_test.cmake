@@ -26,7 +26,8 @@
 #                           a numeric knob whose value is not wholly a
 #                           number, a boolean knob whose value is not a
 #                           boolean, an artifact flag whose recorder is off
-#                           and a stray argument; the bounds themselves run
+#                           or that is given bare, without a file name, and
+#                           a stray argument; the bounds themselves run
 #   UnwritableOutputFails   each artifact written to /dev/full (the .csv
 #                           metrics through a link to it) exits 1 with
 #                           'cannot write', where /dev/full exists
@@ -211,6 +212,7 @@ elseif(CASE STREQUAL "KnobRanges")
       "--seed=abc@--seed=abc is not a 64-bit integer"
       "--rate=30x@--rate=30x is not a finite number"
       "--recovery=ture@--recovery=ture is not a boolean"
+      "--trace-out@--trace-out needs a value"
       "--flight-recorder=0|--flight-out=f.jsonl@conflicting knobs: --flight-out needs --flight-recorder >= 1"
       "--obs-window-ms=0|--series-out=s.csv@conflicting knobs: --series-out needs --obs-window-ms >= 1"
       "-seed=3@unknown flag -seed=3")

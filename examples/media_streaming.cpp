@@ -17,6 +17,7 @@
 #include "qsa/net/peer.hpp"
 #include "qsa/probe/neighbor_table.hpp"
 #include "qsa/qos/satisfy.hpp"
+#include "qsa/util/flags.hpp"
 #include "qsa/util/interner.hpp"
 #include "qsa/util/rng.hpp"
 
@@ -64,7 +65,11 @@ registry::InstanceId add_instance(registry::ServiceCatalog& cat, Universe& u,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  // The scenario takes no flags; a flag or argument is a typo.
+  const util::Flags flags(argc, argv);
+  util::reject_unknown_flags(flags, "media_streaming");
+
   Universe u;
   registry::ServiceCatalog catalog;
 

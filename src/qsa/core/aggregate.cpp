@@ -70,7 +70,7 @@ QsaAlgorithm::QsaAlgorithm(GridServices services, qos::TupleWeights weights,
                            cache::ComposeCache* compose_cache)
     : services_(services),
       composer_(*services.catalog, weights, schema),
-      selector_(weights, schema, options.selector),
+      selector_(weights, schema, options.use_uptime_filter),
       options_(options),
       rng_(util::derive_seed(seed, "qsa-algorithm", 0)) {
   QSA_EXPECTS(services.catalog && services.placement && services.discovery &&

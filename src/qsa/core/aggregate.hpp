@@ -109,7 +109,7 @@ struct GridServices {
 struct QsaOptions {
   bool qcs_composition = true;    ///< false: random consistent path
   bool smart_selection = true;    ///< false: random peer per hop
-  SelectorOptions selector = {};  ///< uptime filter / Phi ranking switches
+  bool use_uptime_filter = true;  ///< false: selection ignores uptime
 };
 
 /// The paper's QSA algorithm: QCS composition + dynamic peer selection.

@@ -7,8 +7,10 @@
 namespace qsa::core {
 
 PeerSelector::PeerSelector(qos::TupleWeights weights,
-                           qos::ResourceSchema schema, SelectorOptions options)
-    : weights_(weights), schema_(schema), options_(options) {}
+                           qos::ResourceSchema schema, bool use_uptime_filter)
+    : weights_(weights),
+      schema_(schema),
+      use_uptime_filter_(use_uptime_filter) {}
 
 double PeerSelector::phi(const probe::PerfSnapshot& snap,
                          const registry::ServiceInstance& instance) const {
@@ -25,24 +27,24 @@ double PeerSelector::phi(const probe::PerfSnapshot& snap,
   return value;
 }
 
-net::PeerId PeerSelector::filter_pass(
-    const registry::ServiceInstance& instance, sim::SimTime session_duration,
-    bool with_uptime) const {
-  net::PeerId best = net::kNoPeer;
-  double best_phi = 0;
-  for (const Known& k : known_) {
-    if (!k.snap.alive) continue;
-    if (with_uptime && k.snap.uptime < session_duration) continue;
-    if (!instance.resources.fits_within(k.snap.available)) continue;
-    if (k.snap.bandwidth_kbps < instance.bandwidth_kbps) continue;
-    const double value = phi(k.snap, instance);
-    if (best == net::kNoPeer || value > best_phi ||
-        (value == best_phi && k.peer < best)) {
-      best = k.peer;
-      best_phi = value;
+PeerSelector::Ranked PeerSelector::rank(
+    std::span<const Candidate> candidates,
+    const registry::ServiceInstance& instance,
+    std::optional<sim::SimTime> min_uptime) const {
+  Ranked out;
+  for (const Candidate& c : candidates) {
+    if (!c.snap.alive) continue;
+    if (min_uptime && c.snap.uptime < *min_uptime) continue;
+    if (!instance.resources.fits_within(c.snap.available)) continue;
+    if (c.snap.bandwidth_kbps < instance.bandwidth_kbps) continue;
+    const double value = phi(c.snap, instance);
+    if (out.best == nullptr || value > out.phi ||
+        (value == out.phi && c.peer < out.best->peer)) {
+      out.best = &c;
+      out.phi = value;
     }
   }
-  return best;
+  return out;
 }
 
 HopSelection PeerSelector::select_hop(
@@ -57,7 +59,7 @@ HopSelection PeerSelector::select_hop(
 
   for (net::PeerId c : candidates) {
     if (table.knows(c, now)) {
-      Known k{c, probe::probe(peers, net, current, c, now)};
+      Candidate k{c, probe::probe(peers, net, current, c, now)};
       if (load_) {
         // Same-epoch reservation correction (replication tier): discount
         // what was committed on the candidate since the probe snapshot, so
@@ -76,12 +78,14 @@ HopSelection PeerSelector::select_hop(
   // nothing to relax, so exactly one pass runs — the old loop's second,
   // identical pass never executed either (it broke out), but it cost a
   // dead-code guard on every call and read as if it could.
-  net::PeerId best =
-      filter_pass(instance, session_duration, options_.use_uptime_filter);
-  if (best == net::kNoPeer && options_.use_uptime_filter) {
-    best = filter_pass(instance, session_duration, /*with_uptime=*/false);
+  const Candidate* best =
+      rank(known_, instance,
+           use_uptime_filter_ ? std::optional(session_duration) : std::nullopt)
+          .best;
+  if (best == nullptr && use_uptime_filter_) {
+    best = rank(known_, instance, std::nullopt).best;
   }
-  if (best != net::kNoPeer) return HopSelection{best, false};
+  if (best != nullptr) return HopSelection{best->peer, false};
 
   // Random fallback among candidates we lack information about.
   if (!unknown_.empty()) {

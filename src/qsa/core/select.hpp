@@ -17,6 +17,7 @@
 #pragma once
 
 #include <functional>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -36,21 +37,39 @@ struct HopSelection {
   [[nodiscard]] bool ok() const noexcept { return peer != net::kNoPeer; }
 };
 
-/// Selector options; the default is the full QSA behaviour, the switch
-/// drives the uptime ablation.
-struct SelectorOptions {
-  bool use_uptime_filter = true;  ///< match uptime against session duration
-};
-
 class PeerSelector {
  public:
+  /// `use_uptime_filter` matches uptime against the session duration (the
+  /// full QSA behaviour); false drives the uptime ablation.
   PeerSelector(qos::TupleWeights weights, qos::ResourceSchema schema,
-               SelectorOptions options = {});
+               bool use_uptime_filter = true);
 
   /// The composite metric Phi for a candidate snapshot against an instance's
   /// requirements. Requires strictly positive requirements.
   [[nodiscard]] double phi(const probe::PerfSnapshot& snap,
                            const registry::ServiceInstance& instance) const;
+
+  /// A candidate host and its probed snapshot.
+  struct Candidate {
+    net::PeerId peer = net::kNoPeer;
+    probe::PerfSnapshot snap;
+  };
+
+  /// The winner of one filter-and-rank pass.
+  struct Ranked {
+    const Candidate* best = nullptr;  ///< null when no candidate passes
+    double phi = 0;                   ///< best's Phi
+  };
+
+  /// One filter-and-rank pass (steps 2-3): among the candidates that are
+  /// probed-alive, whose uptime is at least `min_uptime` (no uptime check
+  /// when absent), whose availability fits R and whose bandwidth reaches b,
+  /// the Phi maximizer, the lower PeerId on a tie. No floor is not a zero
+  /// floor: a peer that joined inside the current probe epoch has a
+  /// negative probed uptime.
+  [[nodiscard]] Ranked rank(std::span<const Candidate> candidates,
+                            const registry::ServiceInstance& instance,
+                            std::optional<sim::SimTime> min_uptime) const;
 
   /// Same-epoch reservation correction for a candidate, supplied by the
   /// session layer: the host resources reserved since the current
@@ -77,32 +96,18 @@ class PeerSelector {
       std::span<const net::PeerId> candidates, sim::SimTime session_duration,
       sim::SimTime now, util::Rng& rng) const;
 
-  [[nodiscard]] const SelectorOptions& options() const noexcept {
-    return options_;
-  }
-
  private:
-  /// A candidate the current peer holds probe information about.
-  struct Known {
-    net::PeerId peer;
-    probe::PerfSnapshot snap;
-  };
-
-  /// One filter+rank pass over known_. Returns the winner or kNoPeer.
-  [[nodiscard]] net::PeerId filter_pass(
-      const registry::ServiceInstance& instance, sim::SimTime session_duration,
-      bool with_uptime) const;
-
   qos::TupleWeights weights_;
   qos::ResourceSchema schema_;
-  SelectorOptions options_;
+  bool use_uptime_filter_;
   LoadSignal load_;
 
   // select_hop() scratch (mutable: selection is logically const, these are
   // pure workspace). Grow-only capacity; PerfSnapshot is inline storage
   // (SmallVec), so a warm selector allocates nothing. One PeerSelector
-  // serves one thread.
-  mutable std::vector<Known> known_;
+  // serves one thread. known_ holds the candidates the current peer has
+  // probe information about.
+  mutable std::vector<Candidate> known_;
   mutable std::vector<net::PeerId> unknown_;
 };
 

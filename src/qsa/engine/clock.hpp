@@ -13,7 +13,7 @@
 
 namespace qsa::engine {
 
-/// Abstract monotonic time source, read once per serve() call.
+/// Abstract monotonic time source, read once per serve_into() call.
 class Clock {
  public:
   virtual ~Clock() = default;

@@ -4,8 +4,9 @@
 // compose/discovery memo caches, and the selector's live load signal —
 // assembled behind injected seams:
 //
-//   * time comes from an engine::Clock (the harness adapts the simulator's
-//     clock; a standalone request loop drives a ManualClock);
+//   * time comes from the caller (the harness passes the simulator's now
+//     to aggregate()) or from an engine::Clock (a standalone request loop
+//     drives a ManualClock through serve_into());
 //   * randomness is the algorithm's own deterministic RNG, derived from
 //     EngineConfig::seed with the same labels the harness always used, so a
 //     simulation routed through the engine is byte-identical to the
@@ -68,7 +69,7 @@ struct EngineDeps {
   const net::PeerTable* peers = nullptr;
   const net::NetworkModel* net = nullptr;
   probe::NeighborResolution* neighbors = nullptr;
-  /// Optional; required only by the clock-driven serve() entry points.
+  /// Optional; required only by the clock-driven serve_into().
   const Clock* clock = nullptr;
 };
 
@@ -89,14 +90,9 @@ class ServingEngine {
     return plan;
   }
 
-  /// Clock-driven entry points (a standalone request loop's): time is read
-  /// from the injected Clock. Requires EngineDeps::clock. serve_into reuses
-  /// `out`'s buffers (see AggregationAlgorithm::aggregate_into).
-  [[nodiscard]] core::AggregationPlan serve(
-      const core::ServiceRequest& request) {
-    QSA_EXPECTS(clock_ != nullptr);
-    return aggregate(request, clock_->now());
-  }
+  /// Clock-driven entry point (a standalone request loop's): time is read
+  /// from the injected Clock. Requires EngineDeps::clock. Reuses `out`'s
+  /// buffers (see AggregationAlgorithm::aggregate_into).
   void serve_into(const core::ServiceRequest& request,
                   core::AggregationPlan& out) {
     QSA_EXPECTS(clock_ != nullptr);

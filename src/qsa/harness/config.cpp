@@ -43,11 +43,6 @@ std::string_view GridConfig::validate() const {
       {probe_period > zero, "probe_period > 0"},
       {probe_budget >= 1 && probe_budget <= probe::kMaxNeighborBudget,
        "1 <= probe_budget <= 65535"},
-      {neighbor_ttl > zero, "neighbor_ttl > 0"},
-      {stabilize_period > zero, "stabilize_period > 0"},
-      {stabilize_fraction > 0 && stabilize_fraction <= 1,
-       "0 < stabilize_fraction <= 1"},
-      {republish_period > zero, "republish_period > 0"},
       {requests.rate_per_min >= 0, "requests.rate_per_min >= 0"},
       {churn.events_per_min >= 0, "churn.events_per_min >= 0"},
       {admission_retries >= 0, "admission_retries >= 0"},
@@ -62,7 +57,6 @@ std::string_view GridConfig::validate() const {
       {faults.max_extra_delay >= zero, "faults.max_extra_delay >= 0"},
       {faults.max_retries >= 0, "faults.max_retries >= 0"},
       {horizon > zero, "horizon > 0"},
-      {sample_period > zero, "sample_period > 0"},
       {obs_window >= zero, "obs_window >= 0"},
   };
   for (const auto& r : rules) {

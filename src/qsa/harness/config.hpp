@@ -61,13 +61,15 @@ struct GridConfig {
   // --- probing & neighbor maintenance ---
   sim::SimTime probe_period = sim::SimTime::seconds(30);
   std::size_t probe_budget = 100;      ///< M; paper: 100 (1% of peers)
-  sim::SimTime neighbor_ttl = sim::SimTime::minutes(90);
+  /// The soft-state lifetime one notification grants. This and the other
+  /// `static constexpr` periods below are constants: no program varies them.
+  static constexpr sim::SimTime neighbor_ttl = sim::SimTime::minutes(90);
 
   // --- overlay ---
   OverlayKind overlay = OverlayKind::kChord;
-  sim::SimTime stabilize_period = sim::SimTime::seconds(30);
-  double stabilize_fraction = 0.1;
-  sim::SimTime republish_period = sim::SimTime::minutes(2);
+  static constexpr sim::SimTime stabilize_period = sim::SimTime::seconds(30);
+  static constexpr double stabilize_fraction = 0.1;
+  static constexpr sim::SimTime republish_period = sim::SimTime::minutes(2);
 
   // --- applications & workload ---
   workload::AppCatalogParams apps;     ///< seeded from `seed`
@@ -132,7 +134,7 @@ struct GridConfig {
 
   // --- run control ---
   sim::SimTime horizon = sim::SimTime::minutes(400);
-  sim::SimTime sample_period = sim::SimTime::minutes(2);
+  static constexpr sim::SimTime sample_period = sim::SimTime::minutes(2);
 
   // --- observability ---
   /// Attach the qsa::obs layer: per-request trace spans (Tracer) and the
@@ -164,14 +166,13 @@ struct GridConfig {
   /// event loop, aggregation and admission with the host's monotonic clock
   /// (GridSimulation::profile_report()); this flag — when `observe`
   /// provides a registry — exports them as `perf.wall_ms.*` gauges with
-  /// `perf.events_per_sec` and the `sim.queue_peak` capacity watermark, and
-  /// adds the two `perf.*` live series. Off by default; the values are
-  /// wall-clock (non-deterministic), so the gate keeps knobs-off output
-  /// byte-identical.
+  /// `perf.events_per_sec`, and adds the two `perf.*` live series. Off by
+  /// default; the values are wall-clock (non-deterministic), so the gate
+  /// keeps knobs-off output byte-identical.
   bool profile = false;
 
   /// The first rule this config breaks, stated as the condition that must
-  /// hold (e.g. "0 < stabilize_fraction <= 1"); empty when it breaks none.
+  /// hold (e.g. "horizon > 0"); empty when it breaks none.
   /// GridSimulation requires an empty result, and front ends print the rule
   /// instead of starting a run with a nonsensical knob.
   [[nodiscard]] std::string_view validate() const;

@@ -1,10 +1,8 @@
 #include "qsa/harness/experiment.hpp"
 
 #include <memory>
-#include <ostream>
 
 #include "qsa/obs/export.hpp"
-#include "qsa/obs/sink.hpp"
 #include "qsa/util/thread_pool.hpp"
 
 namespace qsa::harness {
@@ -23,11 +21,6 @@ std::vector<ExperimentResult> ExperimentRunner::run(
     // index so output order never depends on scheduling.
     GridSimulation grid(cells[i].config);
     results[i].label = cells[i].label;
-    // The sidecar's obs.spans_emitted counts the spans a writer received,
-    // so the sampled trace is written, to a stream that keeps nothing.
-    std::ostream discard(nullptr);
-    obs::JsonlSpanSink trace(discard);
-    grid.set_span_sink(&trace);
     results[i].result = grid.run();
     if (cells[i].config.observe) {
       results[i].metrics_json = obs::metrics_json(*grid.metrics());

@@ -122,7 +122,6 @@ GridSimulation::GridSimulation(GridConfig config)
     deps.peers = peers_.get();
     deps.net = network_.get();
     deps.neighbors = neighbors_.get();
-    deps.clock = &sim_clock_;
     engine_ = std::make_unique<engine::ServingEngine>(ec, deps);
   }
 
@@ -163,30 +162,18 @@ GridSimulation::GridSimulation(GridConfig config)
 
   const qos::TupleWeights& weights = engine_->weights();
 
-  // The replication tier listens to the session manager's demand signals
-  // and widens hot provider pools through placement + directory publish.
-  // Constructed only when enabled: a disabled config schedules nothing and
-  // registers no metric names, keeping output byte-identical.
+  // The replication tier hears the demand of every request handle_request
+  // sets up (admissions, rejections, selection failures, and the end of the
+  // sessions it admitted) and widens hot provider pools through placement +
+  // directory publish. Constructed only when enabled: a disabled config
+  // schedules nothing and registers no metric names, keeping output
+  // byte-identical.
   if (config_.replication.enabled) {
     replica_ = std::make_unique<replica::ReplicaManager>(
         util::derive_seed(config_.seed, "replica", 0), config_.replication,
         catalog_, placement_, discovery(), *peers_, *network_, weights,
         peers_->schema());
     if (metrics_ != nullptr) replica_->set_metrics(metrics_.get());
-    manager_->set_demand_callback([this](const session::DemandSignal& sig) {
-      const sim::SimTime now = simulator_.now();
-      switch (sig.kind) {
-        case session::DemandSignal::Kind::kAdmitted:
-          replica_->on_admitted(sig.instances, now);
-          break;
-        case session::DemandSignal::Kind::kRejected:
-          replica_->on_rejected(sig.instances, sig.hosts, sig.blamed, now);
-          break;
-        case session::DemandSignal::Kind::kTeardown:
-          replica_->on_session_ended(sig.instances);
-          break;
-      }
-    });
     // The load-balancing half of the tier: selection subtracts each
     // candidate's same-epoch reservations from its probed availability, so
     // sessions admitted within one probe epoch see near-live headroom and
@@ -202,7 +189,7 @@ GridSimulation::GridSimulation(GridConfig config)
 
   if (config_.enable_recovery) {
     recovery_selector_ = std::make_unique<core::PeerSelector>(
-        weights, peers_->schema(), config_.qsa_options.selector);
+        weights, peers_->schema(), config_.qsa_options.use_uptime_filter);
     manager_->set_recovery([this](const session::Session& s,
                                   std::size_t position, net::PeerId failed) {
       return select_replacement(s, position, failed);
@@ -229,6 +216,7 @@ GridSimulation::GridSimulation(GridConfig config)
         // manager emits them before this callback), so route the chain and
         // recycle its nodes.
         if (tracer_ != nullptr) tracer_->finish(s.trace_id);
+        if (replica_ != nullptr) replica_->on_session_ended(s.instances);
       });
 
   ScopedWallTimer timer(profile_.bootstrap_ms);
@@ -287,9 +275,7 @@ void GridSimulation::bootstrap() {
 
 core::AggregationPlan GridSimulation::submit_request(
     const core::ServiceRequest& request) {
-  // Through the clock seam on purpose: the engine reads the adapted
-  // simulator clock, so this exercises exactly the serving-loop entry.
-  return engine_->serve(request);
+  return engine_->aggregate(request, simulator_.now());
 }
 
 void GridSimulation::record_success(sim::SimTime arrival) {
@@ -408,6 +394,14 @@ void GridSimulation::handle_request(const core::ServiceRequest& request) {
     {
       ScopedWallTimer timer(profile_.admission_ms);
       cause = manager_->start_session(attempt, plan, &blamed);
+      // start_session admits (kNone) or rejects (kAdmission).
+      if (replica_ != nullptr) {
+        if (cause == core::FailureCause::kNone) {
+          replica_->on_admitted(plan.instances, now);
+        } else {
+          replica_->on_rejected(plan.instances, plan.hosts, blamed, now);
+        }
+      }
     }
     const bool will_retry = cause == core::FailureCause::kAdmission &&
                             blamed != net::kNoPeer &&
@@ -749,6 +743,8 @@ GridResult GridSimulation::run() {
                   static_cast<double>(simulator_.max_pending_events()));
     metrics_->add("churn.departures", result_.churn_departures);
     metrics_->add("churn.arrivals", result_.churn_arrivals);
+    // Every notification the protocol sent, resends included (DESIGN §8).
+    metrics_->add("probe.notifications", result_.notification_messages);
     // The bounded-memory witness: resident span count never exceeds the
     // number of in-flight requests, whatever the total request volume.
     metrics_->set("obs.spans_live_high_water",
@@ -780,7 +776,6 @@ GridResult GridSimulation::run() {
     metrics_->set("perf.wall_ms.aggregate", profile_.aggregate_ms);
     metrics_->set("perf.wall_ms.admission", profile_.admission_ms);
     metrics_->set("perf.events_per_sec", profile_.events_per_sec);
-    metrics_->set("sim.queue_peak", static_cast<double>(profile_.queue_peak));
   }
   return result_;
 }

@@ -137,7 +137,7 @@ class AttributeIndex final : public registry::DiscoveryBackend {
   /// `index.lookup_latency_ms` histograms (`metrics` non-null). The harness
   /// only attaches them when the backend is enabled, so knobs-off exports
   /// never see these names.
-  void set_metrics(obs::MetricsRegistry* metrics) override;
+  void set_metrics(obs::MetricsRegistry* metrics);
 
   /// Answers `query` by routed bucket scans from `from`, writing the
   /// qualifying candidate instances (ascending, unique) into `out`. On a

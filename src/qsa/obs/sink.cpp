@@ -21,7 +21,6 @@ JsonlSpanSink::~JsonlSpanSink() { flush(); }
 void JsonlSpanSink::on_span(const Span& span) {
   append_span_json(buffer_, span);
   buffer_ += '\n';
-  ++spans_written_;
   if (buffer_.size() >= kChunk) flush();
 }
 

@@ -42,14 +42,9 @@ class JsonlSpanSink {
   /// whenever a consumer needs the output complete.
   void flush();
 
-  [[nodiscard]] std::uint64_t spans_written() const noexcept {
-    return spans_written_;
-  }
-
  private:
   std::ostream& os_;
   std::string buffer_;
-  std::uint64_t spans_written_ = 0;
 };
 
 /// Receives live time-series samples and writes CSV: header

@@ -186,12 +186,10 @@ void Tracer::finish(std::uint64_t request) {
 
   if (sampled(request)) {
     ++sampled_requests_;
-    if (sink_ != nullptr) {
-      for (std::uint32_t slot = chain.head; slot != kNil;
-           slot = slab_[slot].next) {
-        sink_->on_span(slab_[slot].span);
-        ++emitted_;
-      }
+    for (std::uint32_t slot = chain.head; slot != kNil;
+         slot = slab_[slot].next) {
+      if (sink_ != nullptr) sink_->on_span(slab_[slot].span);
+      ++emitted_;
     }
   }
 

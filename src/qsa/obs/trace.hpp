@@ -144,7 +144,8 @@ class Tracer {
   [[nodiscard]] std::size_t live_spans() const noexcept { return live_; }
   /// High-water mark of live_spans() — the bounded-memory witness.
   [[nodiscard]] std::size_t peak_live_spans() const noexcept { return peak_; }
-  /// Spans handed to the sink so far.
+  /// Spans of the sampled requests finished so far: what the sink received,
+  /// or would have received when none is attached.
   [[nodiscard]] std::uint64_t emitted_spans() const noexcept {
     return emitted_;
   }

@@ -16,7 +16,6 @@ void NeighborResolution::set_metrics(obs::MetricsRegistry* metrics,
                                      const net::NetworkModel* net) {
   QSA_EXPECTS(metrics != nullptr);
   net_ = net;
-  notifications_ = &metrics->counter("probe.notifications");
   stale_hits_ = &metrics->counter("probe.stale_hits");
   staleness_at_use_ = &metrics->histogram("probe.staleness_at_use_ms");
   probe_rtt_ = &metrics->histogram("probe.rtt_ms");
@@ -49,7 +48,6 @@ void NeighborResolution::register_path(
   // NeighborEntry::hop is a uint8_t: a path longer than kMaxHopIndex would
   // silently wrap the hop distance (and with it the benefit ranking).
   QSA_EXPECTS(hop_candidates.size() <= kMaxHopIndex);
-  const std::uint64_t before = messages_;
   NeighborTable& mine = table(requester);
   for (std::size_t i = 0; i < hop_candidates.size(); ++i) {
     const auto hop = static_cast<std::uint8_t>(i + 1);
@@ -72,7 +70,6 @@ void NeighborResolution::register_path(
       messages_ += hop_candidates[i].size() * hop_candidates[i + 1].size();
     }
   }
-  if (notifications_ != nullptr) notifications_->add(messages_ - before);
 }
 
 void NeighborResolution::prepare_selection(

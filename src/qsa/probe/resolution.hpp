@@ -40,11 +40,11 @@ class NeighborResolution {
   NeighborResolution(std::size_t budget, sim::SimTime ttl);
 
   /// Attaches observability (`metrics` non-null). Records
-  /// `probe.notifications` (counter), `probe.staleness_at_use_ms`
-  /// (histogram: entry age when a selector consults it),
-  /// `probe.stale_hits` (counter: consults that found the entry already
-  /// TTL-expired) and — when `net` is given — `probe.rtt_ms` (histogram:
-  /// round-trip of each direct notification).
+  /// `probe.staleness_at_use_ms` (histogram: entry age when a selector
+  /// consults it), `probe.stale_hits` (counter: consults that found the
+  /// entry already TTL-expired) and — when `net` is given — `probe.rtt_ms`
+  /// (histogram: round-trip of each direct notification). The grid exports
+  /// `probe.notifications` from messages() at the end of its run.
   void set_metrics(obs::MetricsRegistry* metrics,
                    const net::NetworkModel* net = nullptr);
 
@@ -103,7 +103,6 @@ class NeighborResolution {
   // Observability handles; all null when detached (the disabled path is a
   // pointer test, no allocation).
   const net::NetworkModel* net_ = nullptr;
-  obs::Counter* notifications_ = nullptr;
   obs::Counter* stale_hits_ = nullptr;
   obs::Histogram* staleness_at_use_ = nullptr;
   obs::Histogram* probe_rtt_ = nullptr;

@@ -20,7 +20,6 @@
 
 #include "qsa/net/network.hpp"
 #include "qsa/net/peer.hpp"
-#include "qsa/obs/registry.hpp"
 #include "qsa/qos/vector.hpp"
 #include "qsa/registry/service.hpp"
 #include "qsa/sim/time.hpp"
@@ -79,11 +78,6 @@ class DiscoveryBackend {
                                        const net::NetworkModel* net,
                                        sim::SimTime now,
                                        std::vector<InstanceId>& out) const = 0;
-
-  /// Attaches observability (`metrics` non-null). Implementations gate
-  /// their metric names on their features so knobs-off exports stay
-  /// byte-identical.
-  virtual void set_metrics(obs::MetricsRegistry* metrics) = 0;
 };
 
 }  // namespace qsa::registry

@@ -75,7 +75,7 @@ class ServiceDirectory final : public DiscoveryBackend {
   /// `directory.lookup_hops` and `directory.lookup_latency_ms` histograms
   /// plus a `directory.lookups` counter; when the discovery cache is
   /// enabled (set the TTL first), also its `cache.discovery.*` counters.
-  void set_metrics(obs::MetricsRegistry* metrics) override;
+  void set_metrics(obs::MetricsRegistry* metrics);
 
  private:
   [[nodiscard]] overlay::Key key_of(ServiceId service) const;

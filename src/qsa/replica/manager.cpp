@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "qsa/probe/snapshot.hpp"
 #include "qsa/util/expects.hpp"
 
 namespace qsa::replica {
@@ -141,43 +140,38 @@ ReplicaRecord ReplicaManager::select_host(registry::InstanceId instance,
 
   ReplicaRecord best;
   best.instance = instance;
-  double best_phi = 0;
   if (alive.empty()) return best;
 
   // Fixed number of draws regardless of what they hit: the RNG stream stays
   // aligned across candidate outcomes, which keeps runs with different
   // thresholds comparable draw-for-draw.
+  std::vector<core::PeerSelector::Candidate> candidates;
+  candidates.reserve(kCandidateSample);
   for (std::size_t d = 0; d < kCandidateSample; ++d) {
     const net::PeerId p = alive[rng_.index(alive.size())];
     if (std::find(providers.begin(), providers.end(), p) != providers.end()) {
       continue;  // already serves this instance
     }
     const net::ProbedPeer probed = peers_.probed(p, now);
-    if (!probed.alive) continue;
-    probe::PerfSnapshot snap;
-    snap.alive = true;
-    // Host capability: probed headroom must fit another copy's R...
-    snap.available = probed.available;
-    if (!inst.resources.fits_within(snap.available)) continue;
-    // ...the host must look stable enough to outlive a retirement cycle...
-    snap.uptime = probed.uptime;
-    if (snap.uptime < config_.cooldown) continue;
-    // ...and the path from the pool must sustain the instance's bitrate.
-    snap.bandwidth_kbps = anchor == net::kNoPeer || anchor == p
-                              ? inst.bandwidth_kbps
-                              : net_.probed_available_kbps(p, anchor, now);
-    if (snap.bandwidth_kbps < inst.bandwidth_kbps) continue;
-
-    const double phi = selector_.phi(snap, inst);
-    if (best.host == net::kNoPeer || phi > best_phi ||
-        (phi == best_phi && p < best.host)) {
-      best.host = p;
-      best.created = now;
-      best.headroom = snap.available;
-      best.phi = phi;
-      best_phi = phi;
-    }
+    core::PeerSelector::Candidate& c = candidates.emplace_back();
+    c.peer = p;
+    c.snap.alive = probed.alive;
+    c.snap.available = probed.available;
+    c.snap.uptime = probed.uptime;
+    c.snap.bandwidth_kbps = anchor == net::kNoPeer
+                                ? inst.bandwidth_kbps
+                                : net_.probed_available_kbps(p, anchor, now);
   }
+  // Host capability is dynamic selection's filter: probed headroom fits
+  // another copy's R, the path from the pool sustains the instance's
+  // bitrate, and the host looks stable enough to outlive a retirement cycle.
+  const core::PeerSelector::Ranked ranked =
+      selector_.rank(candidates, inst, config_.cooldown);
+  if (ranked.best == nullptr) return best;
+  best.host = ranked.best->peer;
+  best.created = now;
+  best.headroom = ranked.best->snap.available;
+  best.phi = ranked.phi;
   return best;
 }
 

@@ -75,7 +75,7 @@ class ReplicaManager {
   /// in stats(); the grid exports them at the end of its run.
   void set_metrics(obs::MetricsRegistry* metrics);
 
-  // --- demand signals (wired from the session manager / harness) ---
+  // --- demand signals (called from the grid's request path) ---
 
   /// A session using `instances` was admitted.
   void on_admitted(std::span<const registry::InstanceId> instances,

@@ -183,14 +183,6 @@ core::FailureCause SessionManager::start_session(
     release_all(s);
     ++stats_.rejected;
     if (blamed != nullptr) *blamed = blame;
-    if (demand_) {
-      DemandSignal sig;
-      sig.kind = DemandSignal::Kind::kRejected;
-      sig.instances = plan.instances;
-      sig.hosts = plan.hosts;
-      sig.blamed = blame;
-      demand_(sig);
-    }
     return core::FailureCause::kAdmission;
   }
 
@@ -213,13 +205,6 @@ core::FailureCause SessionManager::start_session(
     for (std::size_t i = 0; i < plan.hosts.size(); ++i) {
       track_host_gain(plan.hosts[i], plan.instances[i]);
     }
-  }
-  if (demand_) {
-    DemandSignal sig;
-    sig.kind = DemandSignal::Kind::kAdmitted;
-    sig.instances = plan.instances;
-    sig.hosts = plan.hosts;
-    demand_(sig);
   }
   return core::FailureCause::kNone;
 }
@@ -275,14 +260,6 @@ void SessionManager::finish_session(SessionId id, core::FailureCause cause) {
     }
   }
   if (outcome_) outcome_(s, cause);
-  if (demand_) {
-    DemandSignal sig;
-    sig.kind = DemandSignal::Kind::kTeardown;
-    sig.instances = s.instances;
-    sig.hosts = s.hosts;
-    sig.cause = cause;
-    demand_(sig);
-  }
 }
 
 bool SessionManager::try_recover(SessionId id, net::PeerId failed) {

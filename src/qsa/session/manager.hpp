@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -28,22 +27,6 @@
 #include "qsa/util/dense_map.hpp"
 
 namespace qsa::session {
-
-/// One admission outcome, as the replication tier wants to hear about it:
-/// what was asked for, where it landed (or failed), and why. The spans point
-/// into the plan/session and are only valid during the callback.
-struct DemandSignal {
-  enum class Kind : std::uint8_t {
-    kAdmitted,  ///< reservations held; session running
-    kRejected,  ///< reservation shortage; `blamed` names the short host
-    kTeardown,  ///< session over (cause kNone) or aborted (kDeparture)
-  };
-  Kind kind = Kind::kAdmitted;
-  std::span<const registry::InstanceId> instances;
-  std::span<const net::PeerId> hosts;
-  net::PeerId blamed = net::kNoPeer;                     ///< kRejected only
-  core::FailureCause cause = core::FailureCause::kNone;  ///< kTeardown only
-};
 
 namespace detail {
 
@@ -91,10 +74,6 @@ class SessionManager {
                  const registry::ServiceCatalog& catalog);
 
   void set_outcome_callback(OutcomeCallback cb) { outcome_ = std::move(cb); }
-
-  /// Invoked on every admission outcome and teardown (see DemandSignal).
-  using DemandCallback = std::function<void(const DemandSignal&)>;
-  void set_demand_callback(DemandCallback cb) { demand_ = std::move(cb); }
 
   /// Enables provider-load concentration accounting (DESIGN.md §4): how
   /// many admitted sessions each peer is hosting, its run-wide peak, and —
@@ -213,7 +192,6 @@ class SessionManager {
   net::NetworkModel& net_;
   const registry::ServiceCatalog& catalog_;
   OutcomeCallback outcome_;
-  DemandCallback demand_;
   RecoveryFn recovery_;
   const fault::FaultPlan* faults_ = nullptr;
 

@@ -73,7 +73,7 @@ class EventQueue {
   /// Pops and returns the earliest live event. Requires !empty().
   Fired pop();
 
-  // --- capacity observability (tests, sim.queue_peak gauge) ---
+  // --- capacity observability (tests, sim.event_queue_high_water gauge) ---
 
   /// Current slab size: live events plus recycled free slots.
   [[nodiscard]] std::size_t slot_capacity() const noexcept {

@@ -58,7 +58,7 @@ Flags::Flags(int argc, const char* const* argv) {
       } else if (i + 1 < argc && std::string_view(argv[i + 1]).substr(0, 2) != "--") {
         kv_.emplace_back(std::string(arg), std::string(argv[++i]));
       } else {
-        kv_.emplace_back(std::string(arg), "true");
+        kv_.emplace_back(std::string(arg), std::nullopt);
       }
     } else {
       strays_.emplace_back(arg);
@@ -66,12 +66,25 @@ Flags::Flags(int argc, const char* const* argv) {
   }
 }
 
-std::optional<std::string> Flags::raw(std::string_view name) const {
+const std::optional<std::string>* Flags::cli(std::string_view name) const {
   if (std::find(queried_.begin(), queried_.end(), name) == queried_.end()) {
     queried_.emplace_back(name);
   }
   for (const auto& [k, v] : kv_) {
-    if (k == name) return v;
+    if (k == name) return &v;
+  }
+  return nullptr;
+}
+
+std::optional<std::string> Flags::raw(std::string_view name) const {
+  if (const std::optional<std::string>* v = cli(name)) {
+    if (*v) return *v;
+    // A bare flag is a boolean, read by get_bool() alone: a file name, a
+    // number or a choice needs its value spelled out.
+    std::fprintf(stderr, "--%.*s needs a value: --%.*s=<value>\n",
+                 static_cast<int>(name.size()), name.data(),
+                 static_cast<int>(name.size()), name.data());
+    std::exit(2);
   }
   if (const char* env = std::getenv(env_name(name).c_str())) {
     return std::string(env);
@@ -188,6 +201,9 @@ double Flags::get_double(std::string_view name, double def) const {
 }
 
 bool Flags::get_bool(std::string_view name, bool def) const {
+  if (const std::optional<std::string>* entry = cli(name); entry && !*entry) {
+    return true;  // a bare --flag
+  }
   auto v = raw(name);
   if (!v) return def;
   if (*v == "1" || *v == "true" || *v == "yes" || *v == "on") return true;

@@ -18,6 +18,8 @@ class Flags {
   Flags(int argc, const char* const* argv);
 
   /// Raw string lookup: CLI first, then env var QSA_<NAME-upper>, else none.
+  /// A bare `--name` has no value to read: it prints the flag to stderr and
+  /// exits 2 (every lookup but get_bool reads through here).
   [[nodiscard]] std::optional<std::string> raw(std::string_view name) const;
 
   [[nodiscard]] std::string get(std::string_view name,
@@ -28,8 +30,8 @@ class Flags {
   [[nodiscard]] std::int64_t get_int(std::string_view name,
                                      std::int64_t def) const;
   [[nodiscard]] double get_double(std::string_view name, double def) const;
-  /// Boolean lookup: exactly 1/true/yes/on or 0/false/no/off (a bare
-  /// `--flag` is "true"). Any other value exits 2 like a bad number.
+  /// Boolean lookup: exactly 1/true/yes/on or 0/false/no/off, or a bare
+  /// `--flag`, which is true. Any other value exits 2 like a bad number.
   [[nodiscard]] bool get_bool(std::string_view name, bool def) const;
 
   /// True if --help was passed.
@@ -49,7 +51,12 @@ class Flags {
   friend void reject_unknown_flags(const Flags& flags,
                                    std::string_view program);
 
-  std::vector<std::pair<std::string, std::string>> kv_;
+  /// The first command-line entry for `name`, marked consulted; null when
+  /// the command line lacks it. A bare `--name` holds no value.
+  [[nodiscard]] const std::optional<std::string>* cli(
+      std::string_view name) const;
+
+  std::vector<std::pair<std::string, std::optional<std::string>>> kv_;
   std::vector<std::string> strays_;  ///< arguments that are not --flags
   // Names consulted via raw(); mutable because lookups are logically const.
   mutable std::vector<std::string> queried_;

@@ -421,7 +421,6 @@ harness::GridConfig grid_config(std::uint64_t seed,
   c.churn.events_per_min = 6;
   c.admission_retries = 1;
   c.horizon = sim::SimTime::minutes(10);
-  c.sample_period = sim::SimTime::minutes(2);
   c.algorithm = kind;
   c.observe = true;
   return c;

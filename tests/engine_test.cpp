@@ -125,7 +125,7 @@ TEST(ServingEngine, StandaloneServeMatchesSimAdapter) {
   int succeeded = 0;
   for (const auto& req : pool) {
     const auto sim_plan = grid_a.submit_request(req);
-    const auto eng_plan = shard.engine->serve(req);
+    const auto eng_plan = shard.engine->aggregate(req, shard.clock.now());
     expect_plans_equal(sim_plan, eng_plan);
     succeeded += sim_plan.ok();
   }
@@ -140,7 +140,7 @@ TEST(ServingEngine, ServeIntoMatchesServeAndReusesBuffers) {
 
   core::AggregationPlan reused;
   for (const auto& req : make_pool(grid, cfg.seed, 0, 32)) {
-    const auto fresh = a.engine->serve(req);
+    const auto fresh = a.engine->aggregate(req, a.clock.now());
     b.engine->serve_into(req, reused);  // one plan object across all calls
     expect_plans_equal(fresh, reused);
   }
@@ -239,7 +239,7 @@ TEST(ServingEngine, ManualClockExpiresDiscoveryCache) {
   const core::ServiceRequest* req = nullptr;
   core::AggregationPlan first;
   for (const auto& candidate : pool) {
-    first = shard.engine->serve(candidate);
+    first = shard.engine->aggregate(candidate, shard.clock.now());
     if (first.ok() && first.lookup_hops > 0) {
       req = &candidate;
       break;
@@ -248,14 +248,14 @@ TEST(ServingEngine, ManualClockExpiresDiscoveryCache) {
   ASSERT_NE(req, nullptr) << "no request exercised ring routing";
 
   // Within the TTL every lookup is a cache hit: zero ring hops.
-  const auto cached = shard.engine->serve(*req);
+  const auto cached = shard.engine->aggregate(*req, shard.clock.now());
   EXPECT_EQ(cached.lookup_hops, 0);
   EXPECT_EQ(cached.failure, first.failure);
 
   // Past the TTL the engine's clock drives expiry and the ring is routed
   // again.
   shard.clock.advance(SimTime::minutes(6));
-  const auto expired = shard.engine->serve(*req);
+  const auto expired = shard.engine->aggregate(*req, shard.clock.now());
   EXPECT_GT(expired.lookup_hops, 0);
 }
 

@@ -15,7 +15,6 @@ GridConfig small_config() {
   c.apps.applications = 6;
   c.requests.rate_per_min = 20;
   c.horizon = sim::SimTime::minutes(15);
-  c.sample_period = sim::SimTime::minutes(2);
   return c;
 }
 

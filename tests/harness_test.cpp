@@ -51,7 +51,6 @@ TEST(GridConfigValidate, DefaultAndBoundaryConfigsPass) {
   EXPECT_EQ(GridConfig{}.validate(), "");
   GridConfig c = tiny_config();
   EXPECT_EQ(c.validate(), "");
-  c.stabilize_fraction = 1;
   c.bandwidth_weight = 1;
   c.faults.set_all_loss(1);
   c.faults.max_retries = 0;
@@ -70,12 +69,6 @@ TEST(GridConfigValidate, NamesTheBrokenRule) {
        "1 <= min_providers <= max_providers"},
       {[](GridConfig& c) { c.probe_budget = 0; },
        "1 <= probe_budget <= 65535"},
-      {[](GridConfig& c) { c.stabilize_period = sim::SimTime::zero(); },
-       "stabilize_period > 0"},
-      {[](GridConfig& c) { c.stabilize_fraction = 0; },
-       "0 < stabilize_fraction <= 1"},
-      {[](GridConfig& c) { c.stabilize_fraction = 1.5; },
-       "0 < stabilize_fraction <= 1"},
       {[](GridConfig& c) { c.requests.rate_per_min = -5; },
        "requests.rate_per_min >= 0"},
       {[](GridConfig& c) { c.requests.rate_per_min = std::nan(""); },
@@ -109,18 +102,18 @@ TEST(GridConfigValidate, NamesTheBrokenRule) {
   // Several broken rules: the first in declaration order is named.
   GridConfig c = tiny_config();
   c.horizon = sim::SimTime::zero();
-  c.stabilize_fraction = 0;
-  EXPECT_EQ(c.validate(), "0 < stabilize_fraction <= 1");
+  c.admission_retries = -1;
+  EXPECT_EQ(c.validate(), "admission_retries >= 0");
 }
 
 TEST(GridConfigDeathTest, GridSimulationRejectsABrokenRule) {
   GridConfig c = tiny_config();
-  c.stabilize_fraction = 0;
+  c.replication.threshold = 0;
   EXPECT_DEATH({ GridSimulation grid(c); },
-               "precondition violated: \\(0 < stabilize_fraction <= 1\\)");
+               "precondition violated: \\(replication.threshold > 0\\)");
   c = tiny_config();
-  c.stabilize_period = sim::SimTime::zero();
-  EXPECT_DEATH({ GridSimulation grid(c); }, "stabilize_period > 0");
+  c.horizon = sim::SimTime::zero();
+  EXPECT_DEATH({ GridSimulation grid(c); }, "horizon > 0");
   c = tiny_config();
   c.peers = 0;
   EXPECT_DEATH({ GridSimulation grid(c); }, "peers >= 1");

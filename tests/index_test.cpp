@@ -528,7 +528,6 @@ harness::GridConfig dht_config(harness::OverlayKind overlay) {
   c.apps.applications = 6;
   c.requests.rate_per_min = 20;
   c.horizon = sim::SimTime::minutes(15);
-  c.sample_period = sim::SimTime::minutes(2);
   c.overlay = overlay;
   c.discovery = harness::DiscoveryKind::kDht;
   c.churn.events_per_min = 4;

@@ -166,9 +166,9 @@ TEST(Tracer, SpanLifecycleStreamsOnFinish) {
   t.end(id, sim::SimTime::millis(500), SpanStatus::kOk);
   EXPECT_EQ(t.open_spans(), 0u);
   // Closed but not yet emitted: spans stream when their request finishes.
-  EXPECT_EQ(cap.sink.spans_written(), 0u);
+  EXPECT_EQ(t.emitted_spans(), 0u);
   t.finish(1);
-  EXPECT_EQ(cap.sink.spans_written(), 1u);
+  EXPECT_EQ(t.emitted_spans(), 1u);
   EXPECT_EQ(t.live_spans(), 0u);  // nodes recycled
   EXPECT_EQ(t.finished_requests(), 1u);
   EXPECT_EQ(cap.str(),
@@ -315,7 +315,8 @@ TEST(Tracer, MemoryIsBoundedByInFlightRequests) {
   EXPECT_LE(t.peak_live_spans(), 2u);
   EXPECT_EQ(t.finished_requests(), 500u);
   EXPECT_EQ(t.emitted_spans(), 1000u);
-  EXPECT_EQ(cap.sink.spans_written(), 1000u);
+  const std::string out = cap.str();
+  EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 1000);
 }
 
 // ------------------------------------------------------------- Sampling
@@ -458,7 +459,7 @@ TEST(Tracer, FlightRecorderKeepsFailuresEvenWhenUnsampled) {
     t.finish(r);
     ++fed;
   }
-  EXPECT_EQ(cap.sink.spans_written(), 0u);
+  EXPECT_EQ(cap.str(), "");
   ASSERT_NE(t.flight(), nullptr);
   EXPECT_EQ(t.flight()->recorded(), 5u);
   EXPECT_EQ(t.flight()->chains("admission").size(), 2u);  // last K retained
@@ -638,7 +639,6 @@ harness::GridConfig churn_config() {
   c.apps.applications = 6;
   c.requests.rate_per_min = 30;
   c.horizon = sim::SimTime::minutes(20);
-  c.sample_period = sim::SimTime::minutes(2);
   c.churn.events_per_min = 6;
   c.enable_recovery = true;
   c.admission_retries = 1;
@@ -802,8 +802,6 @@ TEST(GridTracing, LiveSeriesRecordsWindowedRuntimeState) {
 
 TEST(GridTracing, MetricsRegistryMatchesResult) {
   harness::GridSimulation grid(churn_config());
-  SpanCapture cap;  // spans_emitted only counts spans a writer received
-  grid.set_span_sink(&cap.sink);
   const auto r = grid.run();
   ASSERT_NE(grid.metrics(), nullptr);
   MetricsRegistry& m = *grid.metrics();
@@ -820,6 +818,25 @@ TEST(GridTracing, MetricsRegistryMatchesResult) {
   EXPECT_GT(m.counter("obs.spans_emitted").value, 0u);
   EXPECT_EQ(m.counter("obs.requests_sampled").value,
             m.counter("obs.requests_finished").value);  // rate 1: all kept
+}
+
+// obs.spans_emitted counts the sampled spans whether or not a writer takes
+// them, so attaching one moves no exported number.
+TEST(GridTracing, SpanCountIsTheSameWithoutAWriter) {
+  auto cfg = churn_config();
+  cfg.trace_sample = 3;
+  harness::GridSimulation bare(cfg);
+  (void)bare.run();
+  harness::GridSimulation written(cfg);
+  SpanCapture cap;
+  written.set_span_sink(&cap.sink);
+  (void)written.run();
+  const std::string trace = cap.str();
+  const auto lines =
+      static_cast<std::uint64_t>(std::count(trace.begin(), trace.end(), '\n'));
+  EXPECT_GT(lines, 0u);
+  EXPECT_EQ(written.metrics()->counter("obs.spans_emitted").value, lines);
+  EXPECT_EQ(metrics_csv(*bare.metrics()), metrics_csv(*written.metrics()));
 }
 
 // run() writes every count both surfaces carry once, from the subsystem
@@ -871,6 +888,8 @@ TEST(GridTracing, CountsAgreeAcrossResultAndRegistry) {
   EXPECT_EQ(counter("request.fail.departure"), 0u);
   EXPECT_EQ(counter("request.admitted"), r.counter("sessions.admitted"));
   EXPECT_EQ(counter("request.total"), r.requests);
+  // The protocol's one notification count, resends under loss included.
+  EXPECT_EQ(counter("probe.notifications"), r.notification_messages);
 
   // The run reaches the optional subsystems whose counts it compares.
   EXPECT_GT(r.counter("index.scans"), 0u);

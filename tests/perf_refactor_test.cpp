@@ -61,7 +61,6 @@ GridConfig base_config(std::uint64_t seed, AlgorithmKind kind) {
   c.churn.events_per_min = 6;
   c.admission_retries = 1;
   c.horizon = sim::SimTime::minutes(10);
-  c.sample_period = sim::SimTime::minutes(2);
   c.algorithm = kind;
   c.observe = true;
   return c;
@@ -189,8 +188,10 @@ constexpr GoldenCell kGoldenObs[] = {
     {"random/23", 0xf3708106722503a6ULL},
     {"fixed/11", 0x27b4c0be2bf2089dULL},
     {"fixed/23", 0x18b90d2e878092cbULL},
-    {"stress/7", 0x6f0b53c6459828f5ULL},
-    {"stress-sampled/7", 0x54a8a8132f8af8edULL},
+    // The stress cells lose messages: their probe.notifications row counts
+    // every resend, as GridResult::notification_messages does.
+    {"stress/7", 0x9b06cdc777b971d1ULL},
+    {"stress-sampled/7", 0xb1025c9cc29f312fULL},
 };
 
 template <std::size_t N>

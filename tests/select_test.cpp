@@ -238,7 +238,7 @@ TEST_F(SelectFixture, HopFailsWhenNothingWorkable) {
 TEST_F(SelectFixture, AblationDisablesUptimeFilter) {
   PeerSelector no_uptime(qos::TupleWeights({0.5, 0.5}, 0.0),
                          qos::ResourceSchema::paper(),
-                         SelectorOptions{.use_uptime_filter = false});
+                         /*use_uptime_filter=*/false);
   const auto inst = make_instance(50, 50, 50);
   const auto young_big = add_candidate(900, 2);
   const auto old_small = add_candidate(300, 60);
@@ -251,7 +251,7 @@ TEST_F(SelectFixture, AblationDisablesUptimeFilter) {
 
 TEST_F(SelectFixture, RelaxedPassReplaysFilterOffRngStream) {
   // select_hop runs the qualification ladder as at most two passes over one
-  // shared body (filter_pass): uptime filter on, then — only if that found
+  // shared body (rank): uptime filter on, then — only if that found
   // nobody AND the filter is enabled — a relaxed pass without it. With the
   // filter ablated there is exactly one pass, not a redundant second. Pin
   // the equivalence where it is observable: the relaxed pass must pick the
@@ -262,7 +262,7 @@ TEST_F(SelectFixture, RelaxedPassReplaysFilterOffRngStream) {
                            qos::ResourceSchema::paper());
   PeerSelector no_filter(qos::TupleWeights({0.5, 0.5}, 0.0),
                          qos::ResourceSchema::paper(),
-                         SelectorOptions{.use_uptime_filter = false});
+                         /*use_uptime_filter=*/false);
   const auto inst = make_instance(50, 50, 50);
   // All candidates too young for a 30-minute session: the filtered pass
   // qualifies nobody (and draws nothing), forcing the relaxed pass.

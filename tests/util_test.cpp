@@ -538,6 +538,21 @@ TEST(FlagsDeathTest, GetBoolExitsTwoUnlessABooleanSpelling) {
   EXPECT_TRUE(f.get_bool("d", false));
 }
 
+TEST(FlagsDeathTest, BareFlagIsABooleanOnly) {
+  // A bare flag reads as true, and only as a boolean: a file name, number or
+  // choice must be spelled out, never stood in for by "true".
+  const char* argv[] = {"prog", "--trace-out", "--recovery"};
+  Flags f(3, argv);
+  EXPECT_TRUE(f.get_bool("recovery", false));
+  EXPECT_EXIT((void)f.get("trace-out", ""), ::testing::ExitedWithCode(2),
+              "--trace-out needs a value");
+  EXPECT_EXIT((void)f.get_int("trace-out", 0), ::testing::ExitedWithCode(2),
+              "--trace-out needs a value");
+  EXPECT_EXIT(
+      (void)get_choice(f, "trace-out", kFruits, Fruit::kApple, "prog"),
+      ::testing::ExitedWithCode(2), "--trace-out needs a value");
+}
+
 TEST(FlagsDeathTest, EnvironmentValueIsCheckedToo) {
   ::setenv("QSA_SCALE_TEXT", "abc", 1);
   const char* argv[] = {"prog"};
