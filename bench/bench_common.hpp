@@ -3,11 +3,12 @@
 // standard experiment header block.
 //
 // Every bench accepts:
-//   --scale=F     population scale factor, > 0 (default 0.1; 1 = paper
-//                 scale). Like every flag it is also read from the
-//                 environment (QSA_SCALE), and a value that is not wholly a
-//                 finite number exits 2. Peer count, request rate and churn
-//                 rate scale together, preserving the figures' shape.
+//   --scale=F     population scale factor (default 0.1; --scale=1 = paper
+//                 scale), > 0 and small enough that the scaled population
+//                 fits a PeerId (at most 2^32-1 peers); a value that is not
+//                 wholly a finite number exits 2. Peer count, request rate
+//                 and churn rate scale together, preserving the figures'
+//                 shape.
 //   --seed=N      root seed (default 42)
 //   --threads=N   experiment-runner threads, 0..1024 (default 0: hardware)
 #pragma once
@@ -31,19 +32,22 @@ struct BenchOptions {
 /// Reads the shared options off the caller's Flags instance. Benches pass
 /// their one Flags object here and to their own get*() calls, so the
 /// unknown-flag check (util::reject_unknown_flags, called after the last
-/// lookup) sees the full vocabulary. A scale <= 0 or a thread count outside
-/// 0..1024 prints the range to stderr and exits 2, before any worker
-/// starts.
+/// lookup) sees the full vocabulary. A scale outside (0, kMaxPeers / the
+/// paper's population] or a thread count outside 0..1024 prints the range
+/// to stderr and exits 2, before any thread starts.
 inline BenchOptions parse_options(util::Flags& flags,
                                   std::string_view program) {
   BenchOptions opt;
   opt.scale = flags.get_double("scale", 0.1);
-  if (opt.scale <= 0) {
+  // GridConfig::scale's precondition: the scaled population fits a PeerId.
+  const auto paper_peers = static_cast<double>(harness::GridConfig{}.peers);
+  const auto max_peers = static_cast<double>(harness::kMaxPeers);
+  if (opt.scale <= 0 || opt.scale * paper_peers > max_peers) {
     std::fprintf(stderr,
                  "%.*s: --scale=%s is out of range\nusage: --scale=<number "
-                 "> 0>\n",
+                 "> 0 and <= %.10g>\n",
                  static_cast<int>(program.size()), program.data(),
-                 flags.get("scale", "").c_str());
+                 flags.get("scale", "").c_str(), max_peers / paper_peers);
     std::exit(2);
   }
   opt.seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));

@@ -17,8 +17,8 @@
 // and exits 2 instead of aborting every child.
 //
 // The banner and the JSON header record hw_threads (the host's hardware
-// threads): the Chord finger rebuild in bootstrap fans out over the shared
-// pool on rings of 2048+ nodes, so boot_overlay_ms depends on it.
+// threads): the Chord finger rebuild in bootstrap runs on one thread per
+// hardware thread on rings of 2048+ nodes, so boot_overlay_ms depends on it.
 #include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -46,7 +46,7 @@ struct CellResult {
   unsigned long long peers = 0;
   double bootstrap_ms = 0;
   double boot_peers_ms = 0;    ///< peer creation + deferred joins
-  double boot_overlay_ms = 0;  ///< stabilize_all (pooled on big rings)
+  double boot_overlay_ms = 0;  ///< stabilize_all (parallel on big rings)
   double run_ms = 0;
   unsigned long long rss_kb = 0;  ///< peak resident set (VmHWM)
   double psi = 0;

@@ -10,10 +10,10 @@
 #                         argument, exits 2
 #   UnwritableSidecarFails  a --metrics-out file that cannot be opened
 #                         exits 2; one that cannot be written exits 1
-#   BadKnobExits2         --scale <= 0 and --threads outside 0..1024 exit 2
-#                         with the range, before any study runs
+#   BadKnobExits2         --scale <= 0 or past a PeerId's population and
+#                         --threads outside 0..1024 exit 2 with the range,
+#                         before any study runs
 cmake_minimum_required(VERSION 3.16)
-include(${CMAKE_CURRENT_LIST_DIR}/../cmake/clear_qsa_env.cmake)
 
 file(REMOVE_RECURSE "${WORK}")
 file(MAKE_DIRECTORY "${WORK}")
@@ -61,10 +61,12 @@ elseif(CASE STREQUAL "UnwritableSidecarFails")
 elseif(CASE STREQUAL "BadKnobExits2")
   # Each entry: the knob, '@', and the message wanted. The scale entries
   # come first, so a parser that accepts bad values fails the case before
-  # --threads=1025 could reach a thread pool.
+  # --threads=1025 could start a thread.
   set(cases
       "--scale=0@--scale=0 is out of range"
       "--scale=-1@--scale=-1 is out of range"
+      "--scale=1e15@--scale=1e15 is out of range"
+      "--scale=1e20@--scale=1e20 is out of range"
       "--threads=-1@--threads=-1 is out of range.*<0\\.\\.1024>"
       "--threads=1025@--threads=1025 is out of range.*<0\\.\\.1024>")
   foreach(entry IN LISTS cases)
@@ -72,7 +74,7 @@ elseif(CASE STREQUAL "BadKnobExits2")
     list(GET entry 0 knob)
     list(GET entry 1 want)
     execute_process(COMMAND "${PAPER}" ${knob} --only=overlay
-                    WORKING_DIRECTORY "${WORK}" RESULT_VARIABLE rc
+                    WORKING_DIRECTORY "${WORK}" TIMEOUT 60 RESULT_VARIABLE rc
                     OUTPUT_VARIABLE stdout ERROR_VARIABLE stderr)
     if(NOT rc STREQUAL "2")
       message(FATAL_ERROR "${knob}: exit ${rc}, want 2\n${stdout}${stderr}")

@@ -13,7 +13,6 @@
 #   UnknownFlagExits2    an unknown flag or a stray argument exits 2
 #   SmallCellRuns        one small cell runs and prints its row
 cmake_minimum_required(VERSION 3.16)
-include(${CMAKE_CURRENT_LIST_DIR}/../cmake/clear_qsa_env.cmake)
 
 file(REMOVE_RECURSE "${WORK}")
 file(MAKE_DIRECTORY "${WORK}")

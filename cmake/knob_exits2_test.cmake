@@ -8,9 +8,10 @@
 # first-occurrence-wins) and fails unless the program exits 2 and prints the
 # wanted message; a stray argument (no program takes a positional one) is
 # one more entry. The exit code is checked first: an aborting program also
-# names the broken rule. Then the bounds themselves must run.
+# names the broken rule. A run past the timeout fails too (a knob that is
+# accepted out of range can run for hours). Then the bounds themselves must
+# run.
 cmake_minimum_required(VERSION 3.16)
-include(${CMAKE_CURRENT_LIST_DIR}/clear_qsa_env.cmake)
 
 file(REMOVE_RECURSE "${WORK}")
 file(MAKE_DIRECTORY "${WORK}")
@@ -30,6 +31,8 @@ elseif(CASE STREQUAL "bench_obs_overhead")
       "--trace-sample=0@--trace-sample=0 is out of range"
       "--trace-sample=4294967296@--trace-sample=4294967296 is out of range"
       "--repeats=0@--repeats=0 is out of range"
+      "--scale=1e15@--scale=1e15 is out of range"
+      "--scale=1e20@--scale=1e20 is out of range"
       "extra@unknown flag extra")
   set(bounds --trace-sample=4294967295)
 elseif(CASE STREQUAL "content_retrieval")
@@ -38,6 +41,12 @@ elseif(CASE STREQUAL "content_retrieval")
       "--requests=4294967297@--requests=4294967297 is out of range"
       "--requests=-5@--requests=-5 is out of range")
   set(bounds --requests=1)
+elseif(CASE STREQUAL "quickstart")
+  set(defaults)
+  set(cases
+      "--peers=0@--peers=0 is out of range"
+      "--peers=-1@--peers=-1 is out of range")
+  set(bounds --peers=1)
 elseif(CASE STREQUAL "media_streaming")
   # The scenario takes no flags at all.
   set(defaults)
@@ -54,7 +63,7 @@ foreach(entry IN LISTS cases)
   list(GET entry 0 knob)
   list(GET entry 1 want)
   execute_process(COMMAND "${PROGRAM}" ${knob} ${defaults}
-                  WORKING_DIRECTORY "${WORK}" RESULT_VARIABLE rc
+                  WORKING_DIRECTORY "${WORK}" TIMEOUT 60 RESULT_VARIABLE rc
                   OUTPUT_VARIABLE stdout ERROR_VARIABLE stderr)
   if(NOT rc STREQUAL "2")
     message(FATAL_ERROR "${CASE} ${knob}: exit ${rc}, want 2\n"

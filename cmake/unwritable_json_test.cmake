@@ -5,7 +5,6 @@
 #   cmake -DPROGRAM=<binary> -DARGS=<cheap run, ;-separated> -DWORK=<dir>
 #         -P unwritable_json_test.cmake
 cmake_minimum_required(VERSION 3.16)
-include(${CMAKE_CURRENT_LIST_DIR}/clear_qsa_env.cmake)
 
 file(REMOVE_RECURSE "${WORK}")
 file(MAKE_DIRECTORY "${WORK}")

@@ -7,7 +7,6 @@
 # GOLDEN. A change that moves an example's output on purpose recaptures the
 # file: `./build/examples/<name> > examples/testdata/<name>.stdout`.
 cmake_minimum_required(VERSION 3.16)
-include(${CMAKE_CURRENT_LIST_DIR}/../cmake/clear_qsa_env.cmake)
 
 file(REMOVE_RECURSE "${WORK}")
 file(MAKE_DIRECTORY "${WORK}")

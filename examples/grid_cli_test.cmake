@@ -32,7 +32,6 @@
 #                           metrics through a link to it) exits 1 with
 #                           'cannot write', where /dev/full exists
 cmake_minimum_required(VERSION 3.16)
-include(${CMAKE_CURRENT_LIST_DIR}/../cmake/clear_qsa_env.cmake)
 
 file(REMOVE_RECURSE "${WORK}")
 file(MAKE_DIRECTORY "${WORK}")

@@ -17,7 +17,8 @@ int main(int argc, char** argv) {
   //    setup; we shrink it so the example runs instantly.
   harness::GridConfig config;
   config.seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
-  config.peers = static_cast<std::size_t>(flags.get_int("peers", 500));
+  config.peers = static_cast<std::size_t>(util::get_int_in(
+      flags, "peers", 500, 1, harness::kMaxPeers, "quickstart"));
   util::reject_unknown_flags(flags, "quickstart");
   config.min_providers = 20;
   config.max_providers = 40;

@@ -66,7 +66,8 @@ std::string_view GridConfig::validate() const {
 }
 
 void GridConfig::scale(double factor) {
-  QSA_EXPECTS(factor > 0);
+  QSA_EXPECTS(factor > 0 && static_cast<double>(peers) * factor <=
+                                static_cast<double>(kMaxPeers));
   peers = std::max<std::size_t>(
       200, static_cast<std::size_t>(static_cast<double>(peers) * factor));
   requests.rate_per_min *= factor;

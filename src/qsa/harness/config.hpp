@@ -40,6 +40,10 @@ enum class DiscoveryKind : std::uint8_t { kDirectory, kDht };
 
 [[nodiscard]] std::string_view to_string(DiscoveryKind kind);
 
+/// The largest population a grid numbers: peer ids are 32-bit
+/// (net::PeerId) and the all-ones id is net::kNoPeer.
+inline constexpr std::size_t kMaxPeers = net::kNoPeer;
+
 struct GridConfig {
   std::uint64_t seed = 42;
 
@@ -157,9 +161,9 @@ struct GridConfig {
 
   /// Live time-series window: when `observe` is set and this is non-zero,
   /// sample windowed psi, event-queue depth, cache hit rates, replica and
-  /// session counts (plus perf timers under `profile`) every window through
-  /// obs::LiveSeries. Zero (the default) schedules no sampling event and
-  /// keeps the run byte-identical to a build without the recorder.
+  /// session counts (plus perf timers under `profile`) every window
+  /// (GridSimulation::sample_series()). Zero (the default) schedules no
+  /// sampling event and keeps the run byte-identical to one without it.
   sim::SimTime obs_window = sim::SimTime::zero();
 
   /// Wall-clock phase profiling export. The run always times bootstrap, the
@@ -179,7 +183,8 @@ struct GridConfig {
 
   /// Scales population-bound knobs (peer count, request rate, churn rate) by
   /// `factor`, preserving per-peer load and churned population fraction so
-  /// the figures keep their shape at laptop scale.
+  /// the figures keep their shape at laptop scale. Requires `factor` > 0 and
+  /// `peers` × `factor` <= kMaxPeers.
   void scale(double factor);
 };
 

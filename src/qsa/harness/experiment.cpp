@@ -1,22 +1,14 @@
 #include "qsa/harness/experiment.hpp"
 
-#include <memory>
-
 #include "qsa/obs/export.hpp"
-#include "qsa/util/thread_pool.hpp"
+#include "qsa/util/parallel_for.hpp"
 
 namespace qsa::harness {
 
 std::vector<ExperimentResult> ExperimentRunner::run(
     std::span<const ExperimentCell> cells) const {
   std::vector<ExperimentResult> results(cells.size());
-  // Default thread count draws from the process-wide pool (one thread owner
-  // per process); an explicit count still gets a dedicated pool of that
-  // exact size, since shared_pool() is always hardware-sized.
-  std::unique_ptr<util::ThreadPool> own =
-      threads_ == 0 ? nullptr : std::make_unique<util::ThreadPool>(threads_);
-  util::ThreadPool& pool = own ? *own : util::shared_pool();
-  pool.parallel_for(cells.size(), [&](std::size_t i) {
+  util::parallel_for(cells.size(), threads_, [&](std::size_t i) {
     // Each cell owns an independent simulation; results land at the cell's
     // index so output order never depends on scheduling.
     GridSimulation grid(cells[i].config);

@@ -1,5 +1,5 @@
 // Experiment runner: executes a list of independent GridConfigs (sweep
-// points x algorithms x replications) across a thread pool and returns
+// points x algorithms x replications) across threads and returns
 // results in input order — bit-identical regardless of thread count, since
 // every simulation is self-seeded and single-threaded. A result carries the
 // GridResult and, for an observed cell, the metrics registry; traces and
@@ -32,8 +32,8 @@ struct ExperimentResult {
 
 class ExperimentRunner {
  public:
-  /// `threads` = 0: the process-wide shared pool (one worker per hardware
-  /// thread); an explicit count gets a dedicated pool of that size.
+  /// `threads` = 0: one thread per hardware thread; N: at most N threads,
+  /// the calling one included.
   explicit ExperimentRunner(std::size_t threads = 0) : threads_(threads) {}
 
   [[nodiscard]] std::vector<ExperimentResult> run(

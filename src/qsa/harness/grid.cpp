@@ -132,12 +132,6 @@ GridSimulation::GridSimulation(GridConfig config)
     tc.flight_capacity = config_.flight_recorder;
     tracer_ = std::make_unique<obs::Tracer>(tc);
     metrics_ = std::make_unique<obs::MetricsRegistry>();
-    // The live recorder exists only when a window is configured: without
-    // one, no sampling event is scheduled and no series name is recorded,
-    // keeping knobs-off runs byte-identical.
-    if (config_.obs_window.as_millis() > 0) {
-      series_ = std::make_unique<obs::LiveSeries>();
-    }
     // Exactly one backend's lookup metrics register: directory.* names in
     // directory mode, index.* in dht mode — never both.
     if (index_ != nullptr) {
@@ -208,10 +202,8 @@ GridSimulation::GridSimulation(GridConfig config)
           QSA_ASSERT(cause == core::FailureCause::kDeparture);
           ++result_.failures_departure;
         }
-        if (series_ != nullptr) {
-          ++obs_window_attempts_;
-          if (success) ++obs_window_successes_;
-        }
+        ++obs_window_attempts_;
+        if (success) ++obs_window_successes_;
         // The request is over: its running/teardown spans are closed (the
         // manager emits them before this callback), so route the chain and
         // recycle its nodes.
@@ -245,8 +237,8 @@ void GridSimulation::bootstrap() {
   }
 
   // Finger-table rebuild: per-node state is a pure function of the
-  // membership snapshot, so the overlay may fan it out over the shared pool
-  // with byte-identical results (Chord does from 2048 nodes up).
+  // membership snapshot, so the overlay may fan it out over threads with
+  // byte-identical results (Chord does from 2048 nodes up).
   {
     ScopedWallTimer timer(profile_.bootstrap_overlay_ms);
     ring_->stabilize_all();
@@ -445,8 +437,51 @@ void GridSimulation::handle_request(const core::ServiceRequest& request) {
   // tracer and recycle its nodes. Admitted requests finish at their
   // session's outcome callback (or the horizon sweep).
   if (cause != core::FailureCause::kNone) {
-    if (series_ != nullptr) ++obs_window_attempts_;
+    ++obs_window_attempts_;
     if (tracer_ != nullptr) tracer_->finish(rid);
+  }
+}
+
+void GridSimulation::sample_series() {
+  const sim::SimTime now = simulator_.now();
+  // Every value is computed whether or not a writer is attached: reading a
+  // hit rate creates its counters in the registry, and the metrics export
+  // lists them (in dht mode nothing else registers cache.discovery.*).
+  const auto write = [this, now](std::string_view name, double value) {
+    if (series_sink_ != nullptr) series_sink_->on_sample(name, now, value);
+  };
+  const auto hit_rate = [this](std::string_view hits,
+                               std::string_view misses) {
+    const double h = static_cast<double>(metrics_->counter(hits).value);
+    const double m = static_cast<double>(metrics_->counter(misses).value);
+    return h + m > 0 ? h / (h + m) : 0.0;
+  };
+  // Windowed psi first (requests resolved since the last window), then the
+  // instantaneous state.
+  if (obs_window_attempts_ > 0) {
+    write("psi.window", static_cast<double>(obs_window_successes_) /
+                            static_cast<double>(obs_window_attempts_));
+    obs_window_attempts_ = obs_window_successes_ = 0;
+  }
+  write("sim.queue_depth", static_cast<double>(simulator_.pending_events()));
+  write("session.active", static_cast<double>(manager_->active_sessions()));
+  if (config_.discovery_cache_ttl.as_millis() > 0) {
+    write("cache.discovery.hit_rate",
+          hit_rate("cache.discovery.hits", "cache.discovery.misses"));
+  }
+  if (engine_->compose_cache() != nullptr) {
+    write("cache.compat.hit_rate",
+          hit_rate("cache.compat.hits", "cache.compat.misses"));
+  }
+  if (replica_ != nullptr) {
+    write("replica.active", static_cast<double>(replica_->active()));
+  }
+  write("obs.live_spans", static_cast<double>(tracer_->live_spans()));
+  if (config_.profile) {
+    // Cumulative host wall-clock per phase — non-deterministic values,
+    // gated behind --profile like the perf.* gauges.
+    write("perf.aggregate_ms", profile_.aggregate_ms);
+    write("perf.admission_ms", profile_.admission_ms);
   }
 }
 
@@ -524,62 +559,12 @@ GridResult GridSimulation::run() {
                      [this] { replica_->sweep(simulator_.now()); });
   }
 
-  // Live time-series: register probes (polled in this order every window)
-  // and the sampling event. Gated on the recorder so that without
-  // --obs-window-ms no event is scheduled and no series name exists.
-  if (series_ != nullptr) {
-    series_->track("sim.queue_depth", [this] {
-      return static_cast<double>(simulator_.pending_events());
-    });
-    series_->track("session.active", [this] {
-      return static_cast<double>(manager_->active_sessions());
-    });
-    if (config_.discovery_cache_ttl.as_millis() > 0) {
-      series_->track("cache.discovery.hit_rate", [this] {
-        const double h =
-            static_cast<double>(metrics_->counter("cache.discovery.hits").value);
-        const double m = static_cast<double>(
-            metrics_->counter("cache.discovery.misses").value);
-        return h + m > 0 ? h / (h + m) : 0.0;
-      });
-    }
-    if (engine_->compose_cache() != nullptr) {
-      series_->track("cache.compat.hit_rate", [this] {
-        const double h =
-            static_cast<double>(metrics_->counter("cache.compat.hits").value);
-        const double m =
-            static_cast<double>(metrics_->counter("cache.compat.misses").value);
-        return h + m > 0 ? h / (h + m) : 0.0;
-      });
-    }
-    if (replica_ != nullptr) {
-      series_->track("replica.active", [this] {
-        return static_cast<double>(replica_->active());
-      });
-    }
-    series_->track("obs.live_spans", [this] {
-      return static_cast<double>(tracer_->live_spans());
-    });
-    if (config_.profile) {
-      // Cumulative host wall-clock per phase — non-deterministic values,
-      // gated behind --profile like the perf.* gauges.
-      series_->track("perf.aggregate_ms",
-                     [this] { return profile_.aggregate_ms; });
-      series_->track("perf.admission_ms",
-                     [this] { return profile_.admission_ms; });
-    }
-    simulator_.every(config_.obs_window, config_.obs_window, [this] {
-      const sim::SimTime now = simulator_.now();
-      // Windowed psi first (requests resolved since the last window), then
-      // the instantaneous probes in registration order.
-      if (obs_window_attempts_ > 0) {
-        series_->push("psi.window", now,
-                      static_cast<double>(obs_window_successes_) /
-                          static_cast<double>(obs_window_attempts_));
-        obs_window_attempts_ = obs_window_successes_ = 0;
-      }
-      series_->sample(now);
-    });
+  // Live time-series sampling event. Scheduled only when observing with a
+  // window, so without --obs-window-ms no event is scheduled and no series
+  // name exists.
+  if (config_.observe && config_.obs_window > sim::SimTime::zero()) {
+    simulator_.every(config_.obs_window, config_.obs_window,
+                     [this] { sample_series(); });
   }
 
   // Workload.

@@ -20,7 +20,6 @@
 #include "qsa/net/network.hpp"
 #include "qsa/net/peer.hpp"
 #include "qsa/obs/registry.hpp"
-#include "qsa/obs/series.hpp"
 #include "qsa/obs/trace.hpp"
 #include "qsa/overlay/lookup.hpp"
 #include "qsa/probe/resolution.hpp"
@@ -33,6 +32,10 @@
 #include "qsa/util/interner.hpp"
 #include "qsa/util/rng.hpp"
 #include "qsa/workload/apps.hpp"
+
+namespace qsa::obs {
+class CsvMetricSink;
+}  // namespace qsa::obs
 
 namespace qsa::harness {
 
@@ -89,7 +92,7 @@ struct ProfileReport {
   // Bootstrap sub-phases (they sum to bootstrap_ms up to the timers' own
   // cost; catalog and subsystem construction is in neither):
   double bootstrap_peers_ms = 0;      ///< peer creation + overlay joins
-  double bootstrap_overlay_ms = 0;    ///< stabilize_all (pooled on big rings)
+  double bootstrap_overlay_ms = 0;    ///< stabilize_all (parallel on big rings)
   double bootstrap_placement_ms = 0;  ///< provider placement draws
   double bootstrap_publish_ms = 0;    ///< directory publish_all
   double run_ms = 0;          ///< the discrete-event loop
@@ -186,10 +189,11 @@ class GridSimulation {
   }
 
   /// Attaches the streaming time-series writer (not owned); same wiring
-  /// rule as set_span_sink(). No-op unless `config.obs_window` is non-zero
-  /// (and observing): only then does a live recorder exist.
+  /// rule as set_span_sink(). It receives rows only when
+  /// `config.obs_window` is non-zero (and observing): only then is a window
+  /// event scheduled.
   void set_series_sink(obs::CsvMetricSink* sink) noexcept {
-    if (series_ != nullptr) series_->set_sink(sink);
+    series_sink_ = sink;
   }
 
   /// Departs a peer through the full churn path (sessions, placement, ring,
@@ -216,6 +220,8 @@ class GridSimulation {
   void trace_setup(std::uint64_t request_id, sim::SimTime now,
                    const core::AggregationPlan& plan,
                    core::FailureCause cause, bool will_retry, int attempt);
+  /// The obs-window event: writes one live-series row per tracked value.
+  void sample_series();
   /// Recovery policy: the downstream neighbor of the failed hop re-runs one
   /// dynamic-peer-selection step over the surviving providers.
   net::PeerId select_replacement(const session::Session& s,
@@ -273,7 +279,7 @@ class GridSimulation {
   // histogram handles are resolved once at construction.
   std::unique_ptr<obs::Tracer> tracer_;
   std::unique_ptr<obs::MetricsRegistry> metrics_;
-  std::unique_ptr<obs::LiveSeries> series_;
+  obs::CsvMetricSink* series_sink_ = nullptr;
   obs::Histogram* lookup_hops_hist_ = nullptr;
   obs::Histogram* setup_latency_hist_ = nullptr;
   obs::Histogram* composition_cost_hist_ = nullptr;

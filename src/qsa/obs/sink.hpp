@@ -1,7 +1,7 @@
 // The two streaming writers of the observability layer: spans as JSON lines
 // and live time-series samples as CSV rows, each over a std::ostream.
 //
-// The tracer and the live time-series recorder never buffer a whole run:
+// The tracer and the grid's live time-series never buffer a whole run:
 // completed artifacts go through these writers as they are produced, so
 // resident observability memory stays O(active requests) while the files on
 // disk grow with the run. Writers are chunked — bytes are staged in a

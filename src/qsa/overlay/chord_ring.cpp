@@ -5,7 +5,7 @@
 #include <cmath>
 
 #include "qsa/util/expects.hpp"
-#include "qsa/util/thread_pool.hpp"
+#include "qsa/util/parallel_for.hpp"
 
 namespace qsa::overlay {
 
@@ -456,10 +456,10 @@ void ChordRing::stabilize_all() {
     refresh_run(Pos{}, size());
     return;
   }
-  // Disjoint runs, one per index block: each worker writes only its own
+  // Disjoint runs, one per index block: each thread writes only its own
   // nodes' finger arrays from the shared read-only index, so the result is
   // the serial run's, bit for bit, regardless of scheduling.
-  util::shared_pool().parallel_for(blocks_.size(), [this](std::size_t b) {
+  util::parallel_for(blocks_.size(), 0, [this](std::size_t b) {
     refresh_run(Pos{b, 0}, blocks_[b].keys.size());
   });
 }

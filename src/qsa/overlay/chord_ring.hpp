@@ -85,10 +85,10 @@ class ChordRing final : public LookupService {
   /// Refreshes every finger table (used after bulk bootstrap joins). Every
   /// node's fingers are a pure function of the membership, so from
   /// kPooledStabilizeMin nodes up each index block is refreshed as one run
-  /// over util::shared_pool(), byte-identical to one serial run.
+  /// by util::parallel_for, byte-identical to one serial run.
   void stabilize_all() override;
 
-  /// Ring size from which stabilize_all() uses the pool; below it the
+  /// Ring size from which stabilize_all() runs in parallel; below it the
   /// chunk bookkeeping costs more than it saves.
   static constexpr std::size_t kPooledStabilizeMin = 2048;
 

@@ -65,7 +65,7 @@ class LookupService {
   /// Periodic maintenance (finger refresh, neighbor-table repair, ...).
   virtual void stabilize_round(double fraction) = 0;
   /// Full rebuild of every node's routing state. An implementation may fan
-  /// the rebuild out over a thread pool, but the result must be
+  /// the rebuild out over threads, but the result must be
   /// byte-identical to a serial walk.
   virtual void stabilize_all() = 0;
 

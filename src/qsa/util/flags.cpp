@@ -1,7 +1,6 @@
 #include "qsa/util/flags.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -11,16 +10,6 @@
 
 namespace qsa::util {
 namespace {
-
-std::string env_name(std::string_view flag) {
-  std::string out = "QSA_";
-  for (char c : flag) {
-    out.push_back(c == '-' ? '_'
-                           : static_cast<char>(std::toupper(
-                                 static_cast<unsigned char>(c))));
-  }
-  return out;
-}
 
 /// Parses all of `text` as a T; false on trailing text or overflow.
 template <typename T>
@@ -39,6 +28,14 @@ bool parse_whole(const std::string& text, T& out) {
                static_cast<int>(name.size()), name.data(), value.c_str(),
                kind);
   std::exit(2);
+}
+
+/// The usage line and the flags the program consulted (its vocabulary).
+void print_usage(std::FILE* out, const Flags& flags, std::string_view program) {
+  std::fprintf(out, "usage: %.*s [--flag=value ...]\nrecognized flags:",
+               static_cast<int>(program.size()), program.data());
+  for (const auto& f : flags.known()) std::fprintf(out, " --%s", f.c_str());
+  std::fprintf(out, "\n");
 }
 
 }  // namespace
@@ -86,9 +83,6 @@ std::optional<std::string> Flags::raw(std::string_view name) const {
                  static_cast<int>(name.size()), name.data());
     std::exit(2);
   }
-  if (const char* env = std::getenv(env_name(name).c_str())) {
-    return std::string(env);
-  }
   return std::nullopt;
 }
 
@@ -111,6 +105,10 @@ std::vector<std::string> Flags::known() const {
 }
 
 void reject_unknown_flags(const Flags& flags, std::string_view program) {
+  if (flags.help()) {
+    print_usage(stdout, flags, program);
+    std::exit(0);
+  }
   const std::vector<std::string> bad = flags.unknown();
   if (bad.empty()) return;
   std::fprintf(stderr, "%.*s: unknown flag", static_cast<int>(program.size()),
@@ -120,12 +118,9 @@ void reject_unknown_flags(const Flags& flags, std::string_view program) {
   for (std::size_t i = 0; i < bad.size(); ++i) {
     std::fprintf(stderr, i < first_stray ? " --%s" : " %s", bad[i].c_str());
   }
-  std::fprintf(stderr, "\nusage: %.*s [--flag=value ...]\nrecognized flags:",
-               static_cast<int>(program.size()), program.data());
-  for (const auto& f : flags.known()) std::fprintf(stderr, " --%s", f.c_str());
-  std::fprintf(stderr,
-               "\n(each also settable via the QSA_<NAME> environment "
-               "variable; see --help)\n");
+  std::fprintf(stderr, "\n");
+  print_usage(stderr, flags, program);
+  std::fprintf(stderr, "(see --help)\n");
   std::exit(2);
 }
 

@@ -1,8 +1,8 @@
-// Minimal command-line / environment flag parsing for the bench and example
-// binaries: `--name=value` or `--name value` arguments, falling back to a
-// `QSA_NAME` environment variable, falling back to a default. No program
-// takes a positional argument, so any other argument is a stray one that
-// unknown() reports.
+// Minimal command-line flag parsing for the bench and example binaries:
+// `--name=value` or `--name value` arguments, falling back to a default. The
+// command line is a program's only input: no flag is read from the
+// environment. No program takes a positional argument, so any other
+// argument is a stray one that unknown() reports.
 #pragma once
 
 #include <cstdint>
@@ -17,7 +17,7 @@ class Flags {
  public:
   Flags(int argc, const char* const* argv);
 
-  /// Raw string lookup: CLI first, then env var QSA_<NAME-upper>, else none.
+  /// Raw string lookup: the command line's first `--name` value, else none.
   /// A bare `--name` has no value to read: it prints the flag to stderr and
   /// exits 2 (every lookup but get_bool reads through here).
   [[nodiscard]] std::optional<std::string> raw(std::string_view name) const;
@@ -63,17 +63,18 @@ class Flags {
   bool help_ = false;
 };
 
-/// Standard unknown-flag policy for the CLI binaries: if `flags` holds a
-/// `--flag` the program never consulted or a stray argument, print the
-/// offenders and the recognized vocabulary to stderr and exit with status
-/// 2. Call after the last get*() lookup.
+/// Standard end of flag parsing for the CLI binaries, called after the last
+/// get*() lookup. With `--help`, print the usage line and the recognized
+/// vocabulary to stdout and exit 0, so a program runs nothing when asked
+/// for help. Otherwise, if `flags` holds a `--flag` the program never
+/// consulted or a stray argument, print the offenders and the vocabulary to
+/// stderr and exit with status 2.
 void reject_unknown_flags(const Flags& flags, std::string_view program);
 
-/// Integer flag lookup bounded to [lo, hi]: `--name=<int>` (or QSA_<NAME>);
-/// absent uses `def`. A value outside the range, or one that is not wholly
-/// an integer, prints the range to stderr and exits 2, like an inadmissible
-/// get_choice() value — it never wraps or clamps into a different
-/// experiment.
+/// Integer flag lookup bounded to [lo, hi]: `--name=<int>`; absent uses
+/// `def`. A value outside the range, or one that is not wholly an integer,
+/// prints the range to stderr and exits 2, like an inadmissible get_choice()
+/// value — it never wraps or clamps into a different experiment.
 [[nodiscard]] std::int64_t get_int_in(const Flags& flags,
                                       std::string_view name, std::int64_t def,
                                       std::int64_t lo, std::int64_t hi,
@@ -88,10 +89,10 @@ void reject_unknown_flags(const Flags& flags, std::string_view program);
 inline constexpr double kMaxFlagMinutes = 1e9;
 inline constexpr double kMaxFlagSeconds = 60 * kMaxFlagMinutes;
 
-/// Floating-point flag lookup bounded to [lo, hi]: `--name=<number>` (or
-/// QSA_<NAME>); absent uses `def`. A value outside the range prints the
-/// flag and the range to stderr and exits 2, like get_int_in(); one that is
-/// not wholly a finite number exits 2 as get_double() does.
+/// Floating-point flag lookup bounded to [lo, hi]: `--name=<number>`;
+/// absent uses `def`. A value outside the range prints the flag and the
+/// range to stderr and exits 2, like get_int_in(); one that is not wholly a
+/// finite number exits 2 as get_double() does.
 [[nodiscard]] double get_double_in(const Flags& flags, std::string_view name,
                                    double def, double lo, double hi,
                                    std::string_view program);
@@ -112,11 +113,10 @@ struct Choice {
                                         const std::string_view* choices,
                                         std::size_t count);
 
-/// Enum-valued flag lookup: `--name=<choice>` (or QSA_<NAME>) matched
-/// against `choices` by exact name; absent uses `def`. An inadmissible
-/// value prints the choice list to stderr and exits 2 — it never falls
-/// back to the default, so a typo cannot silently run the wrong
-/// experiment.
+/// Enum-valued flag lookup: `--name=<choice>` matched against `choices` by
+/// exact name; absent uses `def`. An inadmissible value prints the choice
+/// list to stderr and exits 2 — it never falls back to the default, so a
+/// typo cannot silently run the wrong experiment.
 template <typename T, std::size_t N>
 [[nodiscard]] T get_choice(const Flags& flags, std::string_view name,
                            const Choice<T> (&choices)[N], T def,

@@ -17,7 +17,6 @@
 #include "qsa/obs/flight_recorder.hpp"
 #include "qsa/obs/histogram.hpp"
 #include "qsa/obs/registry.hpp"
-#include "qsa/obs/series.hpp"
 #include "qsa/obs/trace.hpp"
 
 namespace qsa::obs {
@@ -478,30 +477,6 @@ TEST(Tracer, FlightRecorderKeepsFailuresEvenWhenUnsampled) {
   EXPECT_EQ(t.flight()->recorded(), 6u);
 }
 
-// ------------------------------------------------------------ LiveSeries
-
-TEST(LiveSeries, ProbesPollInRegistrationOrderAndStreamRows) {
-  LiveSeries ls;
-  SeriesCapture rows;
-  ls.set_sink(&rows.sink);
-  double x = 1.0;
-  ls.track("a", [&x] { return x; });
-  ls.track("b", [&x] { return x * 2; });
-  ls.sample(sim::SimTime::millis(100));
-  x = 5.0;
-  ls.push("manual", sim::SimTime::millis(150), 42.0);
-  ls.sample(sim::SimTime::millis(200));
-
-  // A pushed series is not polled; the probes poll in registration order.
-  EXPECT_EQ(rows.str(),
-            "series,time_ms,value\n"
-            "a,100,1\n"
-            "b,100,2\n"
-            "manual,150,42\n"
-            "a,200,5\n"
-            "b,200,10\n");
-}
-
 // ------------------------------------------------------------ Exporters
 
 TEST(Export, SpanJsonGolden) {
@@ -798,6 +773,35 @@ TEST(GridTracing, LiveSeriesRecordsWindowedRuntimeState) {
   EXPECT_EQ(none.str(), "series,time_ms,value\n");
   EXPECT_EQ(r.counter("events.executed"),
             r_off.counter("events.executed") + ticks);
+}
+
+// A live-series hit rate reads its counters through
+// MetricsRegistry::counter(), which creates them, and in dht mode nothing
+// else registers cache.discovery.*: a windowed run exports both counters
+// (at 0) with no series writer attached, and a run without the window
+// exports neither.
+TEST(GridTracing, WindowedDhtRunExportsDiscoveryCacheCounters) {
+  auto cfg = churn_config();
+  cfg.peers = 200;
+  cfg.requests.rate_per_min = 40;
+  cfg.discovery = harness::DiscoveryKind::kDht;
+  cfg.discovery_cache_ttl = sim::SimTime::minutes(60);
+  cfg.replication.enabled = true;
+  cfg.obs_window = sim::SimTime::minutes(1);
+  harness::GridSimulation windowed(cfg);
+  (void)windowed.run();
+  const auto& counters = windowed.metrics()->counters();
+  for (const std::string_view name :
+       {"cache.discovery.hits", "cache.discovery.misses"}) {
+    const auto it = counters.find(name);
+    ASSERT_NE(it, counters.end()) << name;
+    EXPECT_EQ(it->second.value, 0u) << name;
+  }
+  cfg.obs_window = sim::SimTime::zero();
+  harness::GridSimulation plain(cfg);
+  (void)plain.run();
+  const std::string csv = metrics_csv(*plain.metrics());
+  EXPECT_EQ(csv.find("cache.discovery."), std::string::npos);
 }
 
 TEST(GridTracing, MetricsRegistryMatchesResult) {

@@ -210,9 +210,9 @@ TEST(ChordRing, StabilizeRoundRefreshesIncrementally) {
   }
 }
 
-// Oracle for the pooled finger rebuild: past the pool threshold,
-// stabilize_all() fans out over the shared pool, and must route exactly
-// like the serial walk stabilize_round(1.0) makes over the same members.
+// Oracle for the parallel finger rebuild: past kPooledStabilizeMin,
+// stabilize_all() fans out over threads, and must route exactly like the
+// serial walk stabilize_round(1.0) makes over the same members.
 TEST(ChordRing, PooledStabilizeAllRoutesLikeSerialWalk) {
   constexpr std::size_t kNodes = 2500;
   static_assert(kNodes >= ChordRing::kPooledStabilizeMin);

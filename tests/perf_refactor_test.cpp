@@ -78,7 +78,7 @@ GridConfig stress_config(std::uint64_t seed) {
 }
 
 // Above ChordRing::kPooledStabilizeMin nodes, so bootstrap rebuilds the
-// finger tables on the shared pool. Observability off: a SIM digest only.
+// finger tables in parallel. Observability off: a SIM digest only.
 GridConfig pooled_bootstrap_config() {
   GridConfig c;
   c.peers = 2500;
@@ -258,8 +258,8 @@ TEST(PerfRefactorIdentity, ObsOffCellsMatchObsOnSimDigests) {
   expect_cell("stress/7/obs-off", cfg);
 }
 
-// The bootstrap's finger rebuild runs on the shared pool at this ring
-// size; the whole run must still equal the serial rebuild's golden.
+// The bootstrap's finger rebuild runs in parallel at this ring size; the
+// whole run must still equal the serial rebuild's golden.
 TEST(PerfRefactorIdentity, PooledBootstrapMatchesSerialGolden) {
   const GridConfig cfg = pooled_bootstrap_config();
   ASSERT_GE(cfg.peers, overlay::ChordRing::kPooledStabilizeMin);

@@ -23,9 +23,9 @@
 #include "qsa/qos/vector.hpp"
 #include "qsa/sim/event_queue.hpp"
 #include "qsa/util/expects.hpp"
+#include "qsa/util/parallel_for.hpp"
 #include "qsa/util/rng.hpp"
 #include "qsa/util/small_vec.hpp"
-#include "qsa/util/thread_pool.hpp"
 
 namespace qsa {
 namespace {
@@ -618,7 +618,7 @@ TEST_P(ChordFingerModel, SweepMatchesSortedSearchReference) {
     }
   }
   // stabilize_all(): the smallest rings (every finger wraps) and one past
-  // the pool threshold, with a last chunk shorter than the others.
+  // the parallel threshold, with a last chunk shorter than the others.
   constexpr std::size_t kSizes[] = {1, 2, 3, 17,
                                     ChordRing::kPooledStabilizeMin + 555};
   for (const std::size_t size : kSizes) {
@@ -710,10 +710,10 @@ class MapChordRing final : public LookupService {
   /// Refreshes every finger table (used after bulk bootstrap joins). Every
   /// node's fingers are a pure function of the sorted key snapshot, so from
   /// kPooledStabilizeMin nodes up the ring is refreshed in 512-node runs
-  /// over util::shared_pool(), byte-identical to one serial run.
+  /// by util::parallel_for, byte-identical to one serial run.
   void stabilize_all() override;
 
-  /// Ring size from which stabilize_all() uses the pool; below it the
+  /// Ring size from which stabilize_all() runs in parallel; below it the
   /// chunk bookkeeping costs more than it saves.
   static constexpr std::size_t kPooledStabilizeMin = 2048;
 
@@ -1104,12 +1104,12 @@ void MapChordRing::stabilize_all() {
     refresh_run(0, n);
     return;
   }
-  // Disjoint runs: each worker writes only its own nodes' finger arrays
+  // Disjoint runs: each thread writes only its own nodes' finger arrays
   // from the shared read-only snapshot, so the result is the serial run's,
   // bit for bit, regardless of scheduling.
   const std::size_t chunk = 512;
-  util::shared_pool().parallel_for(
-      (n + chunk - 1) / chunk, [this, n, chunk](std::size_t c) {
+  util::parallel_for(
+      (n + chunk - 1) / chunk, 0, [this, n, chunk](std::size_t c) {
         const std::size_t lo = c * chunk;
         refresh_run(lo, std::min(chunk, n - lo));
       });

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <mutex>
 #include <set>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -13,9 +16,9 @@
 #include "qsa/util/flags.hpp"
 #include "qsa/util/inplace_function.hpp"
 #include "qsa/util/interner.hpp"
+#include "qsa/util/parallel_for.hpp"
 #include "qsa/util/rng.hpp"
 #include "qsa/util/small_vec.hpp"
-#include "qsa/util/thread_pool.hpp"
 
 namespace qsa::util {
 namespace {
@@ -293,22 +296,6 @@ TEST(Flags, DefaultWhenAbsent) {
   EXPECT_FALSE(f.get_bool("b", false));
 }
 
-TEST(Flags, EnvironmentFallback) {
-  ::setenv("QSA_FROM_ENV", "123", 1);
-  const char* argv[] = {"prog"};
-  Flags f(1, argv);
-  EXPECT_EQ(f.get_int("from-env", 0), 123);
-  ::unsetenv("QSA_FROM_ENV");
-}
-
-TEST(Flags, CliBeatsEnvironment) {
-  ::setenv("QSA_RATE", "1", 1);
-  const char* argv[] = {"prog", "--rate=2"};
-  Flags f(2, argv);
-  EXPECT_EQ(f.get_int("rate", 0), 2);
-  ::unsetenv("QSA_RATE");
-}
-
 TEST(Flags, PositionalArguments) {
   // No program takes a positional argument: a stray one (or a one-dash
   // typo of a flag) is unknown, listed as typed after the unknown flags,
@@ -430,15 +417,6 @@ TEST(Flags, GetChoiceDefaultsWhenAbsent) {
             Fruit::kBanana);
 }
 
-TEST(Flags, GetChoiceReadsEnvironmentFallback) {
-  ::setenv("QSA_FRUIT", "apple", 1);
-  const char* argv[] = {"prog"};
-  Flags f(1, argv);
-  EXPECT_EQ(get_choice(f, "fruit", kFruits, Fruit::kBanana, "prog"),
-            Fruit::kApple);
-  ::unsetenv("QSA_FRUIT");
-}
-
 TEST(FlagsDeathTest, GetChoiceExitsTwoOnUnknownValue) {
   const char* argv[] = {"prog", "--fruit=pear"};
   Flags f(2, argv);
@@ -553,79 +531,72 @@ TEST(FlagsDeathTest, BareFlagIsABooleanOnly) {
       ::testing::ExitedWithCode(2), "--trace-out needs a value");
 }
 
-TEST(FlagsDeathTest, EnvironmentValueIsCheckedToo) {
-  ::setenv("QSA_SCALE_TEXT", "abc", 1);
-  const char* argv[] = {"prog"};
-  Flags f(1, argv);
-  EXPECT_EXIT((void)f.get_double("scale-text", 0.1),
-              ::testing::ExitedWithCode(2),
-              "--scale-text=abc is not a finite number");
-  ::unsetenv("QSA_SCALE_TEXT");
-}
+// -------------------------------------------------------- ParallelFor
 
-// --------------------------------------------------------- ThreadPool
-
-TEST(ThreadPool, ParallelForCoversAllIndices) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(64);
-  pool.parallel_for(64, [&](std::size_t i) { ++hits[i]; });
+/// The distinct threads a parallel_for of `n` iterations on `threads`
+/// threads ran them on, after checking that it ran each index exactly once.
+std::size_t threads_used(std::size_t n, std::size_t threads) {
+  std::vector<std::atomic<int>> hits(n);
+  std::mutex mu;
+  std::set<std::thread::id> ids;
+  parallel_for(n, threads, [&](std::size_t i) {
+    ++hits[i];
+    const std::lock_guard lock(mu);
+    ids.insert(std::this_thread::get_id());
+  });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+  return ids.size();
 }
 
-TEST(ThreadPool, SizeReflectsWorkerCount) {
-  ThreadPool pool(3);
-  EXPECT_EQ(pool.size(), 3u);
+TEST(ParallelFor, CoversAllIndices) {
+  // Each index once, on at most min(n, threads) threads.
+  EXPECT_LE(threads_used(64, 4), 4u);
+  EXPECT_LE(threads_used(2, 8), 2u);
+  EXPECT_EQ(threads_used(64, 1), 1u);
 }
 
-TEST(ThreadPool, ZeroMeansHardwareConcurrency) {
-  ThreadPool pool(0);
-  EXPECT_GE(pool.size(), 1u);
+TEST(ParallelFor, ZeroThreadsMeansHardwareConcurrency) {
+  EXPECT_LE(threads_used(256, 0),
+            std::max(1u, std::thread::hardware_concurrency()));
 }
 
-TEST(ThreadPool, NestedParallelForMakesProgress) {
-  // The caller drives iterations itself, so a parallel_for issued from
-  // inside a pool task completes even when every worker is busy running
-  // the outer loop — the no-deadlock-by-construction contract.
-  ThreadPool pool(2);
+TEST(ParallelFor, EmptyRangeRunsNothing) {
+  for (const std::size_t threads : {0, 1, 4}) {
+    bool ran = false;
+    parallel_for(0, threads, [&ran](std::size_t) { ran = true; });
+    EXPECT_FALSE(ran) << threads;
+  }
+}
+
+TEST(ParallelFor, NestedCallsMakeProgress) {
+  // A nested call starts helpers of its own, so it completes even while
+  // every thread of the outer call is busy running it.
   std::atomic<int> inner_total{0};
-  pool.parallel_for(8, [&](std::size_t) {
-    pool.parallel_for(16, [&](std::size_t) { ++inner_total; });
+  parallel_for(8, 2, [&](std::size_t) {
+    parallel_for(16, 2, [&](std::size_t) { ++inner_total; });
   });
   EXPECT_EQ(inner_total.load(), 8 * 16);
 }
 
-TEST(ThreadPool, NestedParallelForOnSingleWorkerPool) {
-  ThreadPool pool(1);
+TEST(ParallelFor, NestedCallsOnOneThread) {
   std::atomic<int> inner_total{0};
-  pool.parallel_for(4, [&](std::size_t) {
-    pool.parallel_for(4, [&](std::size_t) { ++inner_total; });
+  parallel_for(4, 1, [&](std::size_t) {
+    parallel_for(4, 1, [&](std::size_t) { ++inner_total; });
   });
   EXPECT_EQ(inner_total.load(), 16);
 }
 
-TEST(ThreadPool, ParallelForResultsAreIndexPure) {
-  // Results stored by index are identical for any worker count — the
-  // property every deterministic use of the pool rests on.
-  const auto fill = [](ThreadPool& pool, std::vector<std::uint64_t>& out) {
-    pool.parallel_for(out.size(), [&out](std::size_t i) {
+TEST(ParallelFor, ResultsAreIndexPure) {
+  // Results stored by index are identical for any thread count — the
+  // property every deterministic use rests on.
+  const auto fill = [](std::size_t threads) {
+    std::vector<std::uint64_t> out(256);
+    parallel_for(out.size(), threads, [&out](std::size_t i) {
       out[i] = i * 2654435761ULL % 97;
     });
+    return out;
   };
-  std::vector<std::uint64_t> one(256), four(256);
-  ThreadPool p1(1), p4(4);
-  fill(p1, one);
-  fill(p4, four);
-  EXPECT_EQ(one, four);
-}
-
-TEST(ThreadPool, SharedPoolIsASingleton) {
-  ThreadPool& a = shared_pool();
-  ThreadPool& b = shared_pool();
-  EXPECT_EQ(&a, &b);
-  EXPECT_GE(a.size(), 1u);
-  std::atomic<int> hits{0};
-  a.parallel_for(32, [&hits](std::size_t) { ++hits; });
-  EXPECT_EQ(hits.load(), 32);
+  EXPECT_EQ(fill(1), fill(4));
 }
 
 // ---------------------------------------------------- InplaceFunction

@@ -179,9 +179,8 @@ def main():
     work = os.path.join(build_dir, "coverage_runs")
     shutil.rmtree(work, ignore_errors=True)
     os.makedirs(work)
-    env = {k: v for k, v in os.environ.items() if not k.startswith("QSA_")}
     for cmd in program_runs(build_dir):
-        run(cmd, cwd=work, env=env, stdout=subprocess.DEVNULL)
+        run(cmd, cwd=work, stdout=subprocess.DEVNULL)
 
     lines, functions = merge_gcov(build_dir)
     per_file = collections.defaultdict(lambda: [0, 0])
